@@ -4,9 +4,21 @@ Stage A picks candidate triangles: every 3-clique of the subgraph whose
 pairwise barriers sit at or below the median barrier, uniform-randomly
 subsampled to a cap with a fixed seed when too many qualify.  Stage B
 sweeps a threshold tau over an 80-point grid on [0, 1.1 * max edge
-barrier], builds the subcomplex of edges and candidate triangles at or
+barrier], takes the subcomplex of edges and candidate triangles at or
 below tau, and keeps the Betti-maximizing threshold, breaking ties toward
 the larger edge set and then the larger tau.
+
+Stage B is one pass, in the manner of persistent homology (Edelsbrunner,
+Letscher and Zomorodian 2002; Zomorodian and Carlsson 2005), over the reals.
+Each simplex gets a filtration value: an edge its barrier, a triangle the
+larger of its triplet barrier and its worst edge barrier.  Sorted once by
+that value, the simplices in the complex at any tau are a prefix of each
+order, and a triangle enters only after its three edges, so rank(d2) at tau
+is the rank of a column prefix of d2 over the complete edge set.  Those
+prefix ranks come from one incremental Gram-Schmidt pass
+(:func:`~hodgecover.complexes.prefix_ranks`), the component counts from one
+union-find over the sorted edges, and beta1(tau) = |E_tau| - n +
+components(tau) - rank(tau).  Only the chosen complex is built.
 """
 
 from __future__ import annotations
@@ -16,7 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex2, betti1, build_incidence, complete_edges
+# betti1 is unused here but stays importable: the benchmark's tracer
+# (perfbench/tracing.py) patches hodgecover.builder.betti1 by name.
+from .complexes import (Complex2, betti1, build_incidence,  # noqa: F401
+                        complete_edges, prefix_ranks)
 from .moe import BarrierTable
 
 GRID_POINTS = 80
@@ -31,6 +46,11 @@ class FiltrationResult:
     tau_star: float
     betti_curve: tuple[tuple[float, int], ...]
     chosen_complex: Complex2
+
+    @property
+    def beta1(self) -> int:
+        """First Betti number of the chosen complex, read off the curve at tau*."""
+        return next(beta for tau, beta in self.betti_curve if tau == self.tau_star)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -82,42 +102,69 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     and the candidate triangles whose own barrier and all three edge
     barriers sit at or below tau.  Ties in the Betti count break toward the
     larger edge set, then the larger tau, so the result is deterministic.
+
+    The grid is evaluated in one pass: with edges sorted by barrier and
+    triangles by max(triplet barrier, worst edge barrier), both stable, the
+    complex at tau is a prefix of each order.  rank(d2) at every grid point
+    comes from :func:`prefix_ranks` on the sorted columns of d2, restricted
+    to the edges some candidate uses: a column block adds one to the rank
+    for each singular value of its Gram-Schmidt residual above
+    ``complexes.RANK_CUTOFF`` (1e-8) times its largest column norm.  The
+    curve equals the one from rebuilding the complex and taking
+    :func:`~hodgecover.complexes.betti1` at every tau, which the tests keep
+    as the oracle.
     """
     n = barriers.n
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
-    tri_vals = np.array([_triplet_value(barriers, t) for t in candidates])
     edges = complete_edges(n)
     edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
-    if len(candidates):
-        worst_edge = np.maximum.reduce([
-            barriers.pairwise[candidates[:, 0], candidates[:, 1]],
-            barriers.pairwise[candidates[:, 0], candidates[:, 2]],
-            barriers.pairwise[candidates[:, 1], candidates[:, 2]],
-        ])
-    else:
-        worst_edge = np.zeros(0)
+    # a candidate's filtration value: its triplet barrier or its worst edge
+    tri_vals = np.maximum.reduce([
+        np.array([_triplet_value(barriers, t) for t in candidates], dtype=np.float64),
+        barriers.pairwise[candidates[:, 0], candidates[:, 1]],
+        barriers.pairwise[candidates[:, 0], candidates[:, 2]],
+        barriers.pairwise[candidates[:, 1], candidates[:, 2]],
+    ])
 
     top = 1.1 * float(edge_vals.max()) if len(edge_vals) else 0.0
     grid = np.linspace(0.0, top, GRID_POINTS)
 
-    curve: list[tuple[float, int]] = []
-    best: tuple[int, int, float] | None = None
-    best_complex: Complex2 | None = None
-    for tau in grid:
-        k_tau = Complex2(
-            n,
-            edges[edge_vals <= tau],
-            candidates[(tri_vals <= tau) & (worst_edge <= tau)] if len(candidates)
-            else candidates,
-        )
-        beta = betti1(k_tau, build_incidence(k_tau))
-        curve.append((float(tau), beta))
-        score = (beta, k_tau.num_edges, float(tau))
-        if best is None or score > best:
-            best = score
-            best_complex = k_tau
-    assert best_complex is not None
-    return FiltrationResult(best[2], tuple(curve), best_complex)
+    edge_order = np.argsort(edge_vals, kind="stable")
+    tri_order = np.argsort(tri_vals, kind="stable")
+    num_edges = np.searchsorted(edge_vals[edge_order], grid, side="right")
+    num_tris = np.searchsorted(tri_vals[tri_order], grid, side="right")
+    d2 = build_incidence(Complex2(n, edges, candidates)).b2
+    # rows of edges in no candidate are zero and cannot add to the rank
+    d2 = d2[d2.any(axis=1)][:, tri_order]
+    components = _prefix_components(n, edges[edge_order])[num_edges]
+    betas = num_edges - n + components - prefix_ranks(d2, num_tris)
+
+    curve = tuple((float(tau), int(beta)) for tau, beta in zip(grid, betas))
+    best = max(range(GRID_POINTS), key=lambda g: (curve[g][1], num_edges[g], curve[g][0]))
+    tau_star = curve[best][0]
+    chosen = Complex2(n, edges[edge_vals <= tau_star], candidates[tri_vals <= tau_star])
+    return FiltrationResult(tau_star, curve, chosen)
+
+
+def _prefix_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Components of the graph on n vertices with the first c edges, for every c."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    out = np.empty(len(edges) + 1, dtype=np.int64)
+    out[0] = count = n
+    for c, (i, j) in enumerate(edges.tolist(), start=1):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            count -= 1
+        out[c] = count
+    return out
 
 
 def _triplet_value(barriers: BarrierTable, triple: np.ndarray) -> float:

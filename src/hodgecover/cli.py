@@ -30,6 +30,7 @@ from .wanda import masks_to_json, prune_survivors
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+ALLOCATORS = ("uniform", "weighted")
 
 DEFAULT_CONFIG = {
     "model": {"layers": 4, "n": 16, "vocab": 32, "ctx": 256, "fanout": 2,
@@ -80,6 +81,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         except json.JSONDecodeError:
             value = raw
         current[field] = value
+    if cfg["selector"]["allocator"] not in ALLOCATORS:
+        raise CliError(f"invalid selector.allocator {cfg['selector']['allocator']!r}; "
+                       f"choose from {', '.join(ALLOCATORS)}", DATA_ERROR)
     return cfg
 
 

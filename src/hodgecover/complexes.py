@@ -214,6 +214,44 @@ def rank(matrix: np.ndarray) -> int:
     return int((s > svd_rcond(matrix.shape) * s[0]).sum())
 
 
+RANK_BLOCK = 64       # widest column block one Gram-Schmidt step takes
+RANK_CUTOFF = 1e-8    # relative to the block's largest column norm
+
+
+def prefix_ranks(matrix: np.ndarray, stops) -> np.ndarray:
+    """Numerical rank of each leading column block ``matrix[:, :s]``.
+
+    ``stops`` must be nondecreasing.  One pass over the columns keeps an
+    orthonormal basis of the span seen so far: each new block of at most
+    ``RANK_BLOCK`` columns is projected off the basis by two passes of
+    classical Gram-Schmidt, and the left singular vectors of the residual
+    whose singular value exceeds ``RANK_CUTOFF`` times the block's largest
+    column norm join the basis.  For the integer boundary matrices here a
+    dependent column leaves a residual near 1e-15 while an independent one
+    leaves one of order one, so the cutoff sits far from both.  The rank is
+    over the reals, never Z/2.
+    """
+    m, cols = matrix.shape
+    basis = np.empty((m, min(m, cols)))
+    rank_so_far = done = 0
+    out = np.zeros(len(stops), dtype=np.int64)
+    for idx, stop in enumerate(stops):
+        while done < stop:
+            end = min(stop, done + RANK_BLOCK)
+            block = matrix[:, done:end].astype(np.float64)
+            cutoff = RANK_CUTOFF * float(np.linalg.norm(block, axis=0).max())
+            q = basis[:, :rank_so_far]
+            for _ in range(2):
+                block -= q @ (q.T @ block)
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            new = int((s > cutoff).sum())
+            basis[:, rank_so_far:rank_so_far + new] = u[:, :new]
+            rank_so_far += new
+            done = end
+        out[idx] = rank_so_far
+    return out
+
+
 def skeleton_components(k: Complex2) -> int:
     """Connected components of the 1-skeleton (V, E)."""
     if k.n == 0:

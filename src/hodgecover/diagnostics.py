@@ -117,14 +117,13 @@ def retained_mass(k: Complex2, decomp: HodgeDecomp,
 
 
 def diagnose_model(layers: Sequence[MoeLayer], corpus: CalibCorpus, *,
-                   cap: int = 500, seed: int = 42,
-                   workers: int = 1) -> list[LayerDiagnostics]:
+                   cap: int = 500, seed: int = 42) -> list[LayerDiagnostics]:
     """Sweep, build, decompose, and diagnose every layer of a model."""
     from .pipeline import analyze_layer
 
     out = []
     for idx, layer in enumerate(layers):
-        a = analyze_layer(layer, corpus, cap=cap, seed=seed, workers=workers)
+        a = analyze_layer(layer, corpus, cap=cap, seed=seed)
         delta = discordance(a.table, a.candidates) if len(a.candidates) else 0.0
         out.append(LayerDiagnostics(
             layer=idx,

@@ -19,7 +19,6 @@ routing mass.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -381,35 +380,42 @@ class BarrierTable:
 
 
 def barrier_sweep(layer: MoeLayer, corpus: CalibCorpus,
-                  triangle_candidates: Iterable[Sequence[int]] = (),
-                  *, workers: int = 1) -> BarrierTable:
+                  triangle_candidates: Iterable[Sequence[int]] = ()) -> BarrierTable:
     """Fill every pairwise barrier plus the candidate triplet barriers.
 
-    Each (pair or triple) cell is a pure function of the layer and corpus,
-    so the thread-parallel path is bit-identical to the serial one: results
-    land in preassigned slots and no cross-cell reduction exists.
+    Each (pair or triple) cell is a pure function of the layer, the corpus
+    and the routing frequencies, so the table does not depend on the order
+    in which cells are evaluated.
     """
     freqs = routing_frequencies(layer, corpus)
+    pairs = [(i, j) for i in range(layer.n) for j in range(i + 1, layer.n)]
+    pairwise = np.zeros((layer.n, layer.n))
+    for (i, j), val in zip(pairs, _merge_kls(layer, corpus, pairs, freqs)):
+        pairwise[i, j] = pairwise[j, i] = val
+    return extend_triplets(layer, corpus, BarrierTable(pairwise, {}, freqs),
+                           triangle_candidates)
+
+
+def extend_triplets(layer: MoeLayer, corpus: CalibCorpus, table: BarrierTable,
+                    triangle_candidates: Iterable[Sequence[int]]) -> BarrierTable:
+    """``table`` with the candidates' triplet barriers added to its own.
+
+    Only the triplet cells are evaluated, against the table's routing
+    frequencies, so a pairwise table extended here equals the table
+    :func:`barrier_sweep` fills for the same candidates.
+    """
+    triples = [tuple(sorted(int(v) for v in t)) for t in triangle_candidates]
+    vals = _merge_kls(layer, corpus, triples, table.routing_freq)
+    return BarrierTable(table.pairwise, {**table.triplet, **dict(zip(triples, vals))},
+                        table.routing_freq)
+
+
+def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[int]],
+               freqs: np.ndarray) -> list[float]:
+    """Mean merge KL of every group against one evaluation of the original layer."""
     symbols, _ = corpus.symbol_weights
     originals = layer_symbol_outputs(layer, symbols)
-    pairs = [(i, j) for i in range(layer.n) for j in range(i + 1, layer.n)]
-    triples = [tuple(sorted(int(v) for v in t)) for t in triangle_candidates]
-
-    def cell(group: tuple[int, ...]) -> float:
-        return _mean_merge_kl(layer, corpus, group, freqs, originals)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pair_vals = list(pool.map(cell, pairs))
-            tri_vals = list(pool.map(cell, triples))
-    else:
-        pair_vals = [cell(g) for g in pairs]
-        tri_vals = [cell(g) for g in triples]
-
-    pairwise = np.zeros((layer.n, layer.n))
-    for (i, j), val in zip(pairs, pair_vals):
-        pairwise[i, j] = pairwise[j, i] = val
-    return BarrierTable(pairwise, dict(zip(triples, tri_vals)), freqs)
+    return [_mean_merge_kl(layer, corpus, g, freqs, originals) for g in groups]
 
 
 # ---------------------------------------------------------------------------

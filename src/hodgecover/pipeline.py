@@ -1,11 +1,13 @@
 """Per-layer composition: sweep, build, decompose, select, evaluate.
 
 The flow for one layer is fixed: pairwise barrier sweep, Stage-A candidate
-triangles, triplet sweep over the candidates, Stage-B Betti-maximizing
-filtration, Hodge decomposition of the edge-barrier signal on the chosen
-complex, then survivor selection by the requested method.  Layers are
-independent, so models are compressed layer by layer under a cross-layer
-budget allocator.
+triangles, triplet barriers of those candidates alone (the pairwise cells
+are not evaluated again), Stage-B Betti-maximizing filtration, Hodge
+decomposition of the edge-barrier signal on the chosen complex, then
+survivor selection by the requested method.  The layer's beta1 is the
+filtration's Betti count at tau*, so no second rank computation runs.
+Layers are independent, so models are compressed layer by layer under a
+cross-layer budget allocator.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .builder import FiltrationResult, stage_a_candidates, stage_b_filtration
-from .complexes import Complex2, EdgeSignal, SignedIncidence, betti1, build_incidence
+# betti1 is unused here but stays importable: the benchmark's tracer
+# (perfbench/tracing.py) patches hodgecover.pipeline.betti1 by name.
+from .complexes import (Complex2, EdgeSignal, SignedIncidence, betti1,  # noqa: F401
+                        build_incidence)
 from .hodge import HodgeDecomp, decompose
 from .moe import (BarrierTable, CalibCorpus, MoeLayer, SaliencyVector, barrier_sweep,
-                  compression_loss, saliency)
+                  compression_loss, extend_triplets, saliency)
 from .selector import (CoverageInstance, SurvivorPlan, build_coverage, greedy_select,
                        phi, redirect, select_ablation, select_random)
 from .wanda import prune_survivors, residual_sparsity
@@ -65,11 +70,11 @@ def pairwise_signal(k: Complex2, table: BarrierTable) -> EdgeSignal:
 
 
 def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
-                  seed: int = 42, workers: int = 1) -> LayerAnalysis:
+                  seed: int = 42) -> LayerAnalysis:
     """Run the full topological analysis for one layer."""
-    pair_table = barrier_sweep(layer, corpus, workers=workers)
+    pair_table = barrier_sweep(layer, corpus)
     candidates = stage_a_candidates(pair_table, cap=cap, seed=seed)
-    table = barrier_sweep(layer, corpus, candidates, workers=workers)
+    table = extend_triplets(layer, corpus, pair_table, candidates)
     filtration = stage_b_filtration(table, candidates)
     k = filtration.chosen_complex
     if k.num_edges < layer.n * (layer.n - 1) // 2:
@@ -83,7 +88,7 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
         complex=k, incidence=inc, signal=signal,
         decomp=decompose(k, inc, signal),
         sal=saliency(layer, corpus),
-        beta1=betti1(k, inc),
+        beta1=filtration.beta1,
     )
 
 

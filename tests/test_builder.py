@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodgecover.builder import FiltrationResult, stage_a_candidates, stage_b_filtration
-from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep, cluster_assignment,
-                            synth_layer)
+from hodgecover.builder import (GRID_POINTS, FiltrationResult, stage_a_candidates,
+                                stage_b_filtration)
+from hodgecover.complexes import (Complex2, betti1, build_incidence, complete_edges,
+                                  kernel_dimension, prefix_ranks, random_complex)
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep,
+                            cluster_assignment, synth_layer)
 
 
 def table_from_matrix(pairwise, triplet=None, freq=None):
@@ -17,6 +22,49 @@ def all_equal_table(n, value=1.0):
     m = np.full((n, n), value)
     np.fill_diagonal(m, 0.0)
     return table_from_matrix(m)
+
+
+def per_tau_oracle(barriers, candidates):
+    """Stage B as first written: rebuild the complex and take betti1 at every tau."""
+    n = barriers.n
+    candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
+    tri_vals = np.array([barriers.triplet[tuple(int(v) for v in t)] for t in candidates])
+    edges = complete_edges(n)
+    edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
+    if len(candidates):
+        worst_edge = np.maximum.reduce([
+            barriers.pairwise[candidates[:, 0], candidates[:, 1]],
+            barriers.pairwise[candidates[:, 0], candidates[:, 2]],
+            barriers.pairwise[candidates[:, 1], candidates[:, 2]],
+        ])
+    else:
+        worst_edge = np.zeros(0)
+    top = 1.1 * float(edge_vals.max()) if len(edge_vals) else 0.0
+    curve, best, best_complex = [], None, None
+    for tau in np.linspace(0.0, top, GRID_POINTS):
+        k_tau = Complex2(
+            n,
+            edges[edge_vals <= tau],
+            candidates[(tri_vals <= tau) & (worst_edge <= tau)] if len(candidates)
+            else candidates,
+        )
+        beta = betti1(k_tau, build_incidence(k_tau))
+        curve.append((float(tau), beta))
+        score = (beta, k_tau.num_edges, float(tau))
+        if best is None or score > best:
+            best, best_complex = score, k_tau
+    return FiltrationResult(best[2], tuple(curve), best_complex)
+
+
+def assert_matches_oracle(table, candidates):
+    result = stage_b_filtration(table, candidates)
+    oracle = per_tau_oracle(table, candidates)
+    assert result.betti_curve == oracle.betti_curve
+    assert result.tau_star == oracle.tau_star
+    assert result.chosen_complex.to_json() == oracle.chosen_complex.to_json()
+    assert result.beta1 == betti1(result.chosen_complex,
+                                  build_incidence(result.chosen_complex))
+    return result
 
 
 class TestStageA:
@@ -135,3 +183,78 @@ class TestStageB:
         csv = result.curve_csv()
         assert csv.startswith("tau,beta1\n")
         assert len(csv.strip().split("\n")) == 81
+
+
+class TestStageBMatchesPerTauOracle:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_planted_layers(self, n):
+        corpus = CalibCorpus.sample(256, 2048, 42)
+        layer = synth_layer(n=n, seed=3)
+        pairs = barrier_sweep(layer, corpus)
+        cand = stage_a_candidates(pairs)
+        result = assert_matches_oracle(barrier_sweep(layer, corpus, cand), cand)
+        assert result.beta1 > 0
+
+    def test_starved_layer(self):
+        # criterion 7's layer: experts 4 and 5 never routed
+        base = synth_layer(n=6, clusters=3, seed=606)
+        router = base.router_logits.copy()
+        router[4] = router[5] = -1e3
+        layer = MoeLayer(6, base.vocab, base.ctx, 2, base.expert_logits, router)
+        corpus = CalibCorpus.sample(256, 2048, 42)
+        cand = stage_a_candidates(barrier_sweep(layer, corpus))
+        assert len(cand)
+        assert_matches_oracle(barrier_sweep(layer, corpus, cand), cand)
+
+    def test_no_candidates(self):
+        m = np.array([[0.0, 1.0, 2.0, 4.0],
+                      [1.0, 0.0, 1.5, 4.5],
+                      [2.0, 1.5, 0.0, 5.0],
+                      [4.0, 4.5, 5.0, 0.0]])
+        assert_matches_oracle(table_from_matrix(m), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_all_equal_table(self, value):
+        table = all_equal_table(5, value)
+        cand = stage_a_candidates(table)
+        table = BarrierTable(table.pairwise, {tuple(map(int, t)): value for t in cand},
+                             table.routing_freq)
+        assert_matches_oracle(table, cand)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_vertices(self, n):
+        result = assert_matches_oracle(all_equal_table(n), np.zeros((0, 3)))
+        assert all(beta == 0 for _, beta in result.betti_curve)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_barriers_on_random_candidate_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        k = random_complex(rng, n_max=14)
+        n = k.n
+        # few distinct levels, so equal filtration values and ties are common
+        levels = int(rng.integers(2, 12))
+        m = np.zeros((n, n))
+        i, j = np.triu_indices(n, k=1)
+        m[i, j] = m[j, i] = rng.integers(0, levels, size=len(i)) / levels
+        triplet = {tuple(map(int, t)): float(rng.integers(0, levels + 2)) / levels
+                   for t in k.triangles}
+        assert_matches_oracle(table_from_matrix(m, triplet), k.triangles)
+
+
+def test_rp2_rank_is_taken_over_the_reals():
+    # 6-vertex RP^2: over R rank(d2) = 10 and beta1 = 0; over Z/2 the
+    # rank is 9 and beta1 = 1, so a mod-2 column reduction fails here
+    tris = [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 5), (0, 4, 5),
+            (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)]
+    k = Complex2(6, complete_edges(6), tris)
+    inc = build_incidence(k)
+    assert k.num_edges == 15
+    assert prefix_ranks(inc.b2, [10]).tolist() == [10]
+    assert betti1(k, inc) == kernel_dimension(inc) == 0
+    table = all_equal_table(6, 1.0)
+    table = BarrierTable(table.pairwise, {t: 1.0 for t in tris}, table.routing_freq)
+    result = stage_b_filtration(table, np.array(tris))
+    assert result.chosen_complex.num_triangles == 10
+    assert result.beta1 == 0
+    assert all(beta == 0 for _, beta in result.betti_curve)

@@ -63,6 +63,15 @@ class TestSynth:
         assert run(["synth", "--out", tmp_path / "x", "--set", "nonsense"]) == 1
         assert run(["synth", "--out", tmp_path / "x", "--set", "model.bogus=1"]) == 1
 
+    def test_unknown_allocator_is_data_error(self, tmp_path, model_dir, capsys):
+        out = tmp_path / "c"
+        assert run(["compress", "--out", out, "--model-dir", model_dir,
+                    "--set", "selector.allocator=bogus"] + FAST) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "'bogus'" in err
+        assert "uniform" in err and "weighted" in err
+        assert not out.exists()
+
     def test_unreadable_config_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

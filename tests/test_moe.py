@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep,
-                            cluster_assignment, compression_loss, layer_output,
-                            merge_experts, merged_distribution, pairwise_barrier,
+                            cluster_assignment, compression_loss, extend_triplets,
+                            layer_output, merge_experts, merged_distribution, pairwise_barrier,
                             plant_discordant_triple, routing_frequencies, saliency,
                             synth_layer, triplet_barrier)
 from hodgecover.selector import SurvivorPlan
@@ -240,14 +240,16 @@ class TestSweep:
         assert np.array_equal(a.pairwise, b.pairwise)
         assert a.triplet == b.triplet
 
-    def test_parallel_bit_identical_to_serial(self):
+    def test_extend_triplets_matches_full_sweep(self):
         layer = synth_layer(seed=13)
         corpus = small_corpus()
-        tris = [(0, 1, 2), (3, 4, 5), (8, 9, 10)]
-        serial = barrier_sweep(layer, corpus, tris, workers=1)
-        parallel = barrier_sweep(layer, corpus, tris, workers=2)
-        assert np.array_equal(serial.pairwise, parallel.pairwise)
-        assert serial.triplet == parallel.triplet
+        tris = [(0, 1, 2), (5, 4, 3), (8, 9, 10)]
+        full = barrier_sweep(layer, corpus, tris)
+        pairs = barrier_sweep(layer, corpus)
+        extended = extend_triplets(layer, corpus, pairs, tris)
+        assert extended.to_json() == full.to_json()
+        assert extended.pairwise_csv() == full.pairwise_csv()
+        assert pairs.triplet == {}
 
     def test_never_routed_experts_stay_finite(self):
         layer = synth_layer(n=6, clusters=3, seed=14)

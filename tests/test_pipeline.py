@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hodgecover.complexes import betti1
 from hodgecover.hodge import harmonic_fraction
 from hodgecover.moe import CalibCorpus, compression_loss, synth_layer
 from hodgecover.pipeline import (METHODS, SelectorParams, analyze_layer, compress_model,
@@ -20,6 +21,7 @@ class TestAnalyzeLayer:
         assert a.complex.num_edges == 120
         assert a.complex.num_triangles == len(a.candidates)
         assert a.beta1 > 0
+        assert a.beta1 == betti1(a.complex, a.incidence)
 
     def test_harmonic_fraction_in_reported_band(self, default_analysis):
         # the per-layer share of barrier energy that is harmonic sits in
