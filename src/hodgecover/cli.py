@@ -22,15 +22,18 @@ from . import __version__
 from .diagnostics import (diagnostics_csv, discordance, mechanism_table, retained_mass,
                           series_json)
 from .moe import CalibCorpus, MoeLayer, synth_layer
-from .pipeline import (METHODS, SelectorParams, analyze_layer, hybrid_stage2, model_loss,
+from .pipeline import (METHODS, SelectorParams, analyze_layer, hybrid_prune, model_loss,
                        plan_layer)
 from .selector import allocate_uniform, allocate_weighted
 from .verification import run_checks
-from .wanda import masks_to_json, prune_survivors
+# prune_survivors is unused here but stays importable: the benchmark's tracer
+# (perfbench/tracing.py) patches hodgecover.cli.prune_survivors by name.
+from .wanda import masks_to_json, prune_survivors  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 ALLOCATORS = ("uniform", "weighted")
+COUNT_KEYS = (("model", "n"), ("model", "layers"), ("model", "fanout"), ("corpus", "size"))
 
 DEFAULT_CONFIG = {
     "model": {"layers": 4, "n": 16, "vocab": 32, "ctx": 256, "fanout": 2,
@@ -84,6 +87,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if cfg["selector"]["allocator"] not in ALLOCATORS:
         raise CliError(f"invalid selector.allocator {cfg['selector']['allocator']!r}; "
                        f"choose from {', '.join(ALLOCATORS)}", DATA_ERROR)
+    for section, field in COUNT_KEYS:
+        value = cfg[section][field]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CliError(f"invalid {section}.{field} {value!r}; need an integer >= 1",
+                           DATA_ERROR)
+    if cfg["model"]["fanout"] > cfg["model"]["n"]:
+        raise CliError(f"invalid model.fanout {cfg['model']['fanout']!r}; need at most "
+                       f"model.n = {cfg['model']['n']}", DATA_ERROR)
     return cfg
 
 
@@ -222,9 +233,7 @@ def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
     }
     pruned_all = masks = None
     if hybrid:
-        r2, pruned_all = hybrid_stage2(layers, corpus, plans, rate, r1)
-        masks = [prune_survivors(layer, corpus, plan.survivors, r2)[1]
-                 for layer, plan in zip(layers, plans)]
+        r2, pruned_all, masks = hybrid_prune(layers, corpus, plans, rate, r1)
         summary.update(r1=r1, r2=r2)
     summary["heldout_loss"] = model_loss(layers, heldout, plans, pruned_all)
     return analyses, plans, summary, masks

@@ -14,6 +14,15 @@ original layer and the layer with a pair or triple replaced by its
 frequency-weighted merge; the merged expert's router logit is the
 log-sum-exp of the absorbed logits, which preserves total pre-softmax
 routing mass.
+
+The barrier sweep evaluates a merge only on its touched cells: the (group,
+symbol) pairs where a member is routed, or where the group's log-sum-exp
+logit reaches the fanout-th logit (a tie counts, because the merged slot
+keeps the group's lowest index and can win it).  At every other symbol the
+merged layer routes the same experts with the same logits in the same
+order, so its output equals the original bit for bit and the KL term is
+exactly 0.  With fanout 2 that leaves about 6 % of the (pair, symbol) cells
+at 64 experts.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 KL_FLOOR = 1e-12        # probability floor on the merged (second) argument
 FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain average
+BLOCK_FLOATS = 1 << 20  # float64 entries of one block's (fanout, cell, vocab) mixture: 8 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,12 +322,11 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _mean_merge_kl(layer: MoeLayer, corpus: CalibCorpus, group: Sequence[int],
-                   freqs: np.ndarray, originals: np.ndarray | None = None) -> float:
+                   freqs: np.ndarray) -> float:
+    """One group's barrier through the whole merged layer; the sweep kernel's oracle."""
     symbols, weights = corpus.symbol_weights
-    if originals is None:
-        originals = layer_symbol_outputs(layer, symbols)
     merged = _merge_group(layer, group, freqs).outputs(symbols)
-    return float(weights @ kl_rows(originals, merged))
+    return float(weights @ kl_rows(layer_symbol_outputs(layer, symbols), merged))
 
 
 def pairwise_barrier(layer: MoeLayer, corpus: CalibCorpus, i: int, j: int) -> float:
@@ -412,10 +421,50 @@ def extend_triplets(layer: MoeLayer, corpus: CalibCorpus, table: BarrierTable,
 
 def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[int]],
                freqs: np.ndarray) -> list[float]:
-    """Mean merge KL of every group against one evaluation of the original layer."""
-    symbols, _ = corpus.symbol_weights
+    """Mean merge KL of every group, evaluated only on the cells a merge can change.
+
+    Bit-identical to ``_mean_merge_kl`` per group: every touched cell goes
+    through the same routing, softmax, mixture and ``kl_rows`` arithmetic as
+    the merged layer, untouched cells contribute exactly 0, and each group's
+    mean is the same ``weights @ row`` dot product over the corpus symbols.
+    Groups must all have the same size.
+    """
+    if not len(groups):
+        return []
+    groups = np.sort(np.asarray(groups, dtype=np.int64), axis=1)
+    size = groups.shape[1]
+    symbols, weights = corpus.symbol_weights
+    u = len(symbols)
+    cols = layer.router_logits[:, symbols]                       # (n, u)
     originals = layer_symbol_outputs(layer, symbols)
-    return [_mean_merge_kl(layer, corpus, g, freqs, originals) for g in groups]
+    order = np.argsort(-cols, axis=0, kind="stable")             # routing order per symbol
+    routed = np.zeros(cols.shape, dtype=bool)
+    np.put_along_axis(routed, order[:layer.fanout], True, axis=0)
+    threshold = np.take_along_axis(cols, order[layer.fanout - 1][None, :], axis=0)[0]
+    fanout = min(layer.fanout, layer.n - size + 1)                # of the merged layer
+    # the merged top-fanout lies in the original top-(fanout + |g|) plus the merged slot
+    top = order[:min(layer.fanout + size, layer.n)]
+    step = max(1, BLOCK_FLOATS // (fanout * u * layer.vocab))
+    vals: list[float] = []
+    for start in range(0, len(groups), step):
+        block = groups[start:start + step]
+        merged_logit = logsumexp(cols[block.T], axis=0)           # (block, u)
+        touched = routed[block].any(axis=1) | (merged_logit >= threshold)
+        gi, si = np.nonzero(touched)
+        cand = top[:, si]                                          # (fanout + |g|, cells)
+        member = (cand[None, :, :] == block[gi].T[:, None, :]).any(axis=0)
+        ids = np.vstack([cand, layer.n + gi])
+        logit = np.vstack([np.where(member, -np.inf, cols[cand, si]), merged_logit[gi, si]])
+        key = np.vstack([cand, block[gi, 0]])
+        pick = np.lexsort((key, -logit), axis=0)[:fanout]
+        gates = softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
+        bank = np.vstack([layer.expert_dists,
+                          [merged_distribution(layer.expert_dists, g, freqs) for g in block]])
+        chosen = bank[np.take_along_axis(ids, pick, axis=0)]       # (fanout, cells, vocab)
+        rows = np.zeros((len(block), u))
+        rows[gi, si] = kl_rows(originals[si], np.einsum("fu,fuv->uv", gates, chosen))
+        vals.extend(float(weights @ row) for row in rows)
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,15 @@ from .moe import (BarrierTable, CalibCorpus, MoeLayer, SaliencyVector, barrier_s
                   compression_loss, extend_triplets, saliency)
 from .selector import (CoverageInstance, SurvivorPlan, build_coverage, greedy_select,
                        phi, redirect, select_ablation, select_random)
-from .wanda import prune_survivors, residual_sparsity
+from .wanda import PruneMask, prune_survivors, residual_sparsity
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("hodgecover", "random", "no_triangle", "greedy_barrier",
            "triplet_penalty", "triplet_hypergraph")
+# the methods whose plans read the coverage instance (a random plan records phi);
+# the union-find ablations never do
+COVERAGE_METHODS = ("hodgecover", "random", "no_triangle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +101,7 @@ def plan_layer(analysis: LayerAnalysis, k: int, method: str,
     """Select survivors for one analyzed layer with the requested method."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    inst = build_coverage(analysis.complex, analysis.decomp, analysis.table,
-                          analysis.sal, p=params.p, q_t=params.q_t,
-                          lam_e=params.lam_e, lam_t=params.lam_t)
+    inst = coverage_for(analysis, params) if method in COVERAGE_METHODS else None
     if method == "hodgecover":
         survivors = greedy_select(inst, k)
     elif method == "random":
@@ -146,15 +147,24 @@ def model_loss(layers: Sequence[MoeLayer], corpus: CalibCorpus,
     return float(np.mean(losses))
 
 
+def hybrid_prune(layers: Sequence[MoeLayer], corpus: CalibCorpus,
+                 plans: Sequence[SurvivorPlan], r_total: float, r1: float
+                 ) -> tuple[float, list[dict[int, np.ndarray]], list[dict[int, PruneMask]]]:
+    """Residual-sparsity pass over every layer's survivors, once per layer.
+
+    Returns the applied weight sparsity r2, the per-layer pruned matrices,
+    which the loss evaluator consumes alongside the plans, and the per-layer
+    masks that produced them.
+    """
+    r2 = residual_sparsity(r_total, r1)
+    results = [prune_survivors(layer, corpus, plan.survivors, r2)
+               for layer, plan in zip(layers, plans)]
+    return r2, [pruned for pruned, _ in results], [masks for _, masks in results]
+
+
 def hybrid_stage2(layers: Sequence[MoeLayer], corpus: CalibCorpus,
                   plans: Sequence[SurvivorPlan], r_total: float,
                   r1: float) -> tuple[float, list[dict[int, np.ndarray]]]:
-    """Residual-sparsity pass over every layer's survivors.
-
-    Returns the applied weight sparsity r2 and the per-layer pruned
-    matrices, which the loss evaluator consumes alongside the plans.
-    """
-    r2 = residual_sparsity(r_total, r1)
-    pruned = [prune_survivors(layer, corpus, plan.survivors, r2)[0]
-              for layer, plan in zip(layers, plans)]
+    """:func:`hybrid_prune` without the masks: r2 and the pruned matrices."""
+    r2, pruned, _ = hybrid_prune(layers, corpus, plans, r_total, r1)
     return r2, pruned

@@ -72,6 +72,18 @@ class TestSynth:
         assert "uniform" in err and "weighted" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        'model.n="abc"', "model.n=0", "model.n=8.5", "model.layers=-1", "model.layers=true",
+        "model.fanout=0", "model.fanout=9", 'model.fanout="2"', "corpus.size=0",
+        "corpus.size=null"])
+    def test_bad_count_is_data_error(self, tmp_path, model_dir, capsys, override):
+        out = tmp_path / "c"
+        assert run(["compress", "--out", out, "--model-dir", model_dir]
+                   + FAST + ["--set", override]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and override.split("=")[0] in err
+        assert not out.exists()
+
     def test_unreadable_config_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep,
-                            cluster_assignment, compression_loss, extend_triplets,
-                            layer_output, merge_experts, merged_distribution, pairwise_barrier,
-                            plant_discordant_triple, routing_frequencies, saliency,
-                            synth_layer, triplet_barrier)
+from hodgecover.builder import stage_a_candidates
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _mean_merge_kl, _merge_kls,
+                            barrier_sweep, cluster_assignment, compression_loss,
+                            extend_triplets, layer_output, merge_experts, merged_distribution,
+                            pairwise_barrier, plant_discordant_triple, routing_frequencies,
+                            saliency, synth_layer, triplet_barrier)
 from hodgecover.selector import SurvivorPlan
 
 
@@ -241,15 +246,18 @@ class TestSweep:
         assert a.triplet == b.triplet
 
     def test_extend_triplets_matches_full_sweep(self):
-        layer = synth_layer(seed=13)
         corpus = small_corpus()
-        tris = [(0, 1, 2), (5, 4, 3), (8, 9, 10)]
-        full = barrier_sweep(layer, corpus, tris)
-        pairs = barrier_sweep(layer, corpus)
-        extended = extend_triplets(layer, corpus, pairs, tris)
-        assert extended.to_json() == full.to_json()
-        assert extended.pairwise_csv() == full.pairwise_csv()
-        assert pairs.triplet == {}
+        for n in (16, 64):
+            layer = synth_layer(n=n, seed=13)
+            tris = [(0, 1, 2), (5, 4, 3), (8, 9, 10)]
+            pairs = barrier_sweep(layer, corpus)
+            if n == 64:
+                tris += [tuple(t) for t in stage_a_candidates(pairs)]
+            full = barrier_sweep(layer, corpus, tris)
+            extended = extend_triplets(layer, corpus, pairs, tris)
+            assert extended.to_json() == full.to_json()
+            assert extended.pairwise_csv() == full.pairwise_csv()
+            assert pairs.triplet == {}
 
     def test_never_routed_experts_stay_finite(self):
         layer = synth_layer(n=6, clusters=3, seed=14)
@@ -279,6 +287,101 @@ class TestSweep:
         rows = [line.split(",") for line in csv.strip().split("\n")]
         assert len(rows) == 4 and all(len(r) == 4 for r in rows)
         assert float(rows[0][1]) == table.pairwise[0, 1]
+
+
+def all_groups(n, size):
+    return list(itertools.combinations(range(n), size))
+
+
+def assert_kernel_matches_oracle(layer, corpus, groups):
+    """The vectorised sweep kernel equals the per-group merged layer bit for bit."""
+    freqs = routing_frequencies(layer, corpus)
+    oracle = [_mean_merge_kl(layer, corpus, g, freqs) for g in groups]
+    assert np.array_equal(_merge_kls(layer, corpus, groups, freqs), oracle)
+
+
+def starved_layer():
+    """Criterion 7's layer: experts 4 and 5 never win a top-2 slot."""
+    base = synth_layer(n=6, clusters=3, seed=606)
+    router = base.router_logits.copy()
+    router[4] = -1e3
+    router[5] = -1e3
+    return MoeLayer(6, base.vocab, base.ctx, 2, base.expert_logits, router)
+
+
+class TestSweepKernelMatchesOracle:
+    def test_planted_layer(self):
+        layer = plant_discordant_triple(synth_layer(seed=0), (0, 1, 2), seed=500)
+        corpus = small_corpus(size=2048)
+        assert_kernel_matches_oracle(layer, corpus, all_groups(16, 2))
+        assert_kernel_matches_oracle(layer, corpus, all_groups(16, 3)[::4])
+
+    def test_starved_layer(self):
+        layer, corpus = starved_layer(), CalibCorpus.sample(256, 2048, 42)
+        for size in (2, 3):
+            assert_kernel_matches_oracle(layer, corpus, all_groups(6, size))
+
+    def test_identical_experts_with_tied_router_logits(self):
+        router = np.tile(np.array([[1.0, 0.0, 1.0, -1.0]]), (5, 2))
+        router[3] = 0.0
+        layer = MoeLayer(5, 6, 8, 2, np.zeros((5, 6)), router)
+        corpus = small_corpus(ctx=8, size=64)
+        for size in (2, 3):
+            assert_kernel_matches_oracle(layer, corpus, all_groups(5, size))
+
+    def test_merged_logit_tied_with_the_last_routed_logit(self):
+        # at symbol 0 the merged logit of {0, 2} equals expert 1's logit; the
+        # merged slot keeps index 0, wins the tie and changes the output
+        # although no member was routed there.  At symbol 1 the merged slot of
+        # {1, 2} keeps index 1 and loses the same tie to expert 0.
+        tie = float(logsumexp([0.0, 0.0]))
+        router = np.array([[0.0, tie], [tie, 0.0], [0.0, 0.0], [-5.0, -5.0]])
+        layer = MoeLayer(4, 3, 2, 1, np.arange(12.0).reshape(4, 3) % 5, router)
+        freqs = np.array([0.5, 0.25, 0.25, 0.0])
+        for symbol, group, changed in ((0, (0, 2), True), (1, (1, 2), False)):
+            corpus = CalibCorpus(np.array([symbol]), seed=0, size=1)
+            assert_kernel_matches_oracle(layer, corpus, [(0, 1), (0, 2), (1, 2), (2, 3)])
+            assert (_merge_kls(layer, corpus, [group], freqs)[0] > 0.0) == changed
+
+    @pytest.mark.parametrize("fanout", [1, 6])
+    def test_fanout_one_and_n(self, fanout):
+        layer = synth_layer(n=6, clusters=3, fanout=fanout, seed=21)
+        corpus = small_corpus()
+        for size in (2, 3):
+            assert_kernel_matches_oracle(layer, corpus, all_groups(6, size))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smallest_layers(self, n):
+        corpus = small_corpus(ctx=16, size=128)
+        for fanout in range(1, n + 1):
+            layer = synth_layer(n=n, vocab=5, ctx=16, fanout=fanout, clusters=n, seed=22)
+            for size in range(2, n + 1):
+                assert_kernel_matches_oracle(layer, corpus, all_groups(n, size))
+
+    def test_empty_group_list(self):
+        layer = synth_layer(n=4, clusters=2, seed=23)
+        corpus = small_corpus()
+        assert _merge_kls(layer, corpus, [], routing_frequencies(layer, corpus)) == []
+
+    def test_sparse_64_expert_layer(self):
+        # about 6 % of (pair, symbol) cells are touched here, so nearly every
+        # cell takes the untouched path
+        layer = synth_layer(n=64, seed=24)
+        assert_kernel_matches_oracle(layer, small_corpus(), all_groups(64, 2)[::7])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_layers_with_ties(self, seed, n, data):
+        fanout = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        vocab, ctx = int(rng.integers(2, 7)), int(rng.integers(1, 13))
+        # rounded router logits tie often, so routing leans on the index tie-break
+        router = np.round(rng.normal(0.0, 1.5, size=(n, ctx)))
+        layer = MoeLayer(n, vocab, ctx, fanout, np.round(rng.normal(size=(n, vocab)), 1),
+                         router)
+        corpus = CalibCorpus.sample(ctx, int(rng.integers(1, 64)), seed)
+        for size in (2, 3)[:n - 1]:
+            assert_kernel_matches_oracle(layer, corpus, all_groups(n, size))
 
 
 class TestSaliency:

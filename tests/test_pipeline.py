@@ -4,9 +4,12 @@ import pytest
 from hodgecover.complexes import betti1
 from hodgecover.hodge import harmonic_fraction
 from hodgecover.moe import CalibCorpus, compression_loss, synth_layer
-from hodgecover.pipeline import (METHODS, SelectorParams, analyze_layer, compress_model,
-                                 hybrid_stage2, model_loss, plan_layer)
+from hodgecover import pipeline
+from hodgecover.pipeline import (COVERAGE_METHODS, METHODS, SelectorParams, analyze_layer,
+                                 compress_model, hybrid_prune, hybrid_stage2, model_loss,
+                                 plan_layer)
 from hodgecover.selector import allocate_uniform
+from hodgecover.wanda import masks_to_json, prune_survivors
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,18 @@ class TestPlanLayer:
         with pytest.raises(ValueError, match="unknown method"):
             plan_layer(a, 6, "oracle")
 
+    def test_coverage_built_once_and_only_where_read(self, default_analysis, monkeypatch):
+        a, _ = default_analysis
+        built = []
+        original = pipeline.build_coverage
+        monkeypatch.setattr(pipeline, "build_coverage",
+                            lambda *args, **kw: built.append(1) or original(*args, **kw))
+        for method in METHODS:
+            before = len(built)
+            plan = plan_layer(a, 6, method)
+            assert len(built) - before == (method in COVERAGE_METHODS)
+            assert (plan.phi is not None) == (method in COVERAGE_METHODS)
+
     def test_hodgecover_phi_recorded(self, default_analysis):
         a, _ = default_analysis
         plan = plan_layer(a, 6, "hodgecover")
@@ -83,6 +98,22 @@ class TestModelFlow:
         base = model_loss(layers, corpus, plans)
         hybrid = model_loss(layers, corpus, plans, pruned)
         assert np.isfinite(hybrid) and hybrid >= base - 1e-12
+
+    def test_hybrid_prune_returns_masks_from_the_same_pass(self, monkeypatch):
+        corpus = CalibCorpus.sample(256, 1024, 42)
+        layers = [synth_layer(seed=s) for s in (7, 8)]
+        plans = compress_model([analyze_layer(layer, corpus) for layer in layers],
+                               [12, 10], "hodgecover")
+        calls = []
+        monkeypatch.setattr(pipeline, "prune_survivors",
+                            lambda *args: calls.append(1) or prune_survivors(*args))
+        r2, pruned, masks = hybrid_prune(layers, corpus, plans, r_total=0.66, r1=0.20)
+        assert len(calls) == len(layers)
+        assert r2 == pytest.approx(0.575, abs=1e-12)
+        for layer, plan, got_pruned, got_masks in zip(layers, plans, pruned, masks):
+            want_pruned, want_masks = prune_survivors(layer, corpus, plan.survivors, r2)
+            assert masks_to_json(got_masks) == masks_to_json(want_masks)
+            assert all(np.array_equal(got_pruned[j], want_pruned[j]) for j in want_pruned)
 
     def test_mismatched_budget_length(self):
         corpus = CalibCorpus.sample(256, 512, 42)
