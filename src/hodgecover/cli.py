@@ -22,8 +22,10 @@ from . import __version__
 from .diagnostics import (diagnostics_csv, discordance, mechanism_table, retained_mass,
                           series_json)
 from .moe import CalibCorpus, MoeLayer, synth_layer
-from .pipeline import (METHODS, SelectorParams, analyze_layer, hybrid_prune, model_loss,
-                       plan_layer)
+# plan_layer is unused here but stays importable: the benchmark's tracer
+# (perfbench/tracing.py) patches hodgecover.cli.plan_layer by name.
+from .pipeline import (METHODS, SelectorParams, analyze_layer, compress_model,  # noqa: F401
+                       hybrid_prune, model_loss, plan_layer)
 from .selector import allocate_uniform, allocate_weighted
 from .verification import run_checks
 # prune_survivors is unused here but stays importable: the benchmark's tracer
@@ -33,7 +35,11 @@ from .wanda import masks_to_json, prune_survivors  # noqa: F401
 USAGE_ERROR = 1
 DATA_ERROR = 2
 ALLOCATORS = ("uniform", "weighted")
-COUNT_KEYS = (("model", "n"), ("model", "layers"), ("model", "fanout"), ("corpus", "size"))
+# integer keys and their least value; the generators reject negative seeds
+INT_KEYS = {("model", "n"): 1, ("model", "layers"): 1, ("model", "fanout"): 1,
+            ("model", "ctx"): 1, ("model", "vocab"): 2, ("model", "clusters"): 1,
+            ("corpus", "size"): 1, ("model", "seed"): 0, ("corpus", "seed"): 0,
+            ("selector", "triangle_seed"): 0}
 
 DEFAULT_CONFIG = {
     "model": {"layers": 4, "n": 16, "vocab": 32, "ctx": 256, "fanout": 2,
@@ -87,14 +93,15 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if cfg["selector"]["allocator"] not in ALLOCATORS:
         raise CliError(f"invalid selector.allocator {cfg['selector']['allocator']!r}; "
                        f"choose from {', '.join(ALLOCATORS)}", DATA_ERROR)
-    for section, field in COUNT_KEYS:
+    for (section, field), least in INT_KEYS.items():
         value = cfg[section][field]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise CliError(f"invalid {section}.{field} {value!r}; need an integer >= 1",
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise CliError(f"invalid {section}.{field} {value!r}; need an integer >= {least}",
                            DATA_ERROR)
-    if cfg["model"]["fanout"] > cfg["model"]["n"]:
-        raise CliError(f"invalid model.fanout {cfg['model']['fanout']!r}; need at most "
-                       f"model.n = {cfg['model']['n']}", DATA_ERROR)
+    for field in ("fanout", "clusters"):
+        if cfg["model"][field] > cfg["model"]["n"]:
+            raise CliError(f"invalid model.{field} {cfg['model'][field]!r}; need at most "
+                           f"model.n = {cfg['model']['n']}", DATA_ERROR)
     return cfg
 
 
@@ -220,9 +227,7 @@ def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
     r1 = float(cfg["wanda"]["r1"])
     stage1_rate = r1 if hybrid else rate
     ks = allocate(cfg, stage1_rate, analyses)
-    seed = cfg["model"]["seed"]
-    plans = [plan_layer(a, k, method, params, layer_id=idx, seed=seed + idx)
-             for idx, (a, k) in enumerate(zip(analyses, ks))]
+    plans = compress_model(analyses, ks, method, params, seed=cfg["model"]["seed"])
     summary = {
         "method": method,
         "rate": rate,

@@ -134,21 +134,6 @@ class EdgeSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class TriangleSignal:
-    """Real-valued cochain on the triangles of a fixed complex (units: nats)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if not np.isfinite(self.values).all():
-            raise ValueError("triangle signal has non-finite entries")
-
-    def to_json(self) -> str:
-        return json.dumps(self.values.tolist())
-
-
-@dataclass(frozen=True, eq=False)
 class SignedIncidence:
     """Signed boundary operators of a Complex2 in its lexicographic bases.
 

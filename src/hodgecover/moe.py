@@ -512,6 +512,21 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
     replace each group by its frequency-weighted merged expert.  ``pruned``
     optionally maps a survivor to its pruned context-to-logit matrix
     (vocab x ctx) from the weight-pruning stage.
+
+    Each output expert has a source list: the survivor and the experts
+    redirected to it, or the merge group.  Lists of one length are folded
+    together by one scipy ``logsumexp(..., axis=1)`` on their stacked
+    (lists, length, ctx) router rows, and a one-expert list is its row, so a
+    plan costs one call per distinct list length above one rather than one
+    per survivor.  The result equals one call per list bit for bit: every
+    stacked row is reduced over the same rows in the same order and memory
+    layout as alone, so numpy adds them the same way (in sequence when
+    ctx > 1, pairwise in eight lanes when ctx == 1), and scipy's log-sum-exp
+    of one row is ``log1p(0) + log(1) + row``.  Lists are not padded to one
+    length with -inf: the padding would add exact zeros in sequence, but
+    with a single column numpy sums pairwise and the padded length regroups
+    the adds.  For the same reason the fold runs over all ctx columns and
+    the symbols are taken after it.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     survivors = list(plan.survivors)
@@ -521,27 +536,36 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
         weights = plan.merge_weights
         if weights is None:
             raise ValueError("merge-group plan is missing its routing weights")
+        sources = [list(g) for g in plan.merge_groups]
         dists = np.stack([merged_distribution(layer.expert_dists, g, np.asarray(weights))
-                          for g in plan.merge_groups])
-        router = np.stack([logsumexp(layer.router_logits[list(g)], axis=0)
-                           for g in plan.merge_groups])
-        cols = router[:, symbols]
-        return _mixture_outputs(dists, cols, min(layer.fanout, len(dists)))
-
-    folded = np.full((len(survivors), layer.ctx), -np.inf)
-    for row, j in enumerate(survivors):
-        sources = [j] + [i for i, target in plan.redirect.items() if target == j]
-        folded[row] = logsumexp(layer.router_logits[sources], axis=0)
-    if pruned is None:
-        dists = layer.expert_dists[survivors]
+                          for g in sources])
     else:
-        dists = np.stack([
-            softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
-            else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
-            for j in survivors
-        ])                                                     # (k, u, vocab)
-    cols = folded[:, symbols]
-    return _mixture_outputs(dists, cols, min(layer.fanout, len(survivors)))
+        sources = [[j] + [i for i, target in plan.redirect.items() if target == j]
+                   for j in survivors]
+        if pruned is None:
+            dists = layer.expert_dists[survivors]
+        else:
+            dists = np.stack([
+                softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
+                else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
+                for j in survivors
+            ])                                                 # (k, u, vocab)
+    cols = _fold_router(layer.router_logits, sources)[:, symbols]
+    return _mixture_outputs(dists, cols, min(layer.fanout, len(sources)))
+
+
+def _fold_router(router_logits: np.ndarray, sources: Sequence[Sequence[int]]) -> np.ndarray:
+    """Log-sum-exp of each source list's router rows, one folded row per list;
+    equal to a per-list ``logsumexp`` (see :func:`compressed_symbol_outputs`)."""
+    folded = np.empty((len(sources), router_logits.shape[1]))
+    rows_by_length: dict[int, list[int]] = {}
+    for row, src in enumerate(sources):
+        rows_by_length.setdefault(len(src), []).append(row)
+    for length, rows in rows_by_length.items():
+        idx = np.array([sources[row] for row in rows], dtype=np.int64)
+        folded[rows] = (router_logits[idx[:, 0]] if length == 1
+                        else logsumexp(router_logits[idx], axis=1))
+    return folded
 
 
 def compression_loss(layer: MoeLayer, corpus_heldout: CalibCorpus,

@@ -13,6 +13,12 @@ every column is the expert's logit row, and X is the stack of one-hot
 context rows from the calibration corpus.  Pruned columns therefore leave
 the expert emitting uniform logits at rare contexts while frequent
 contexts keep the exact pre-compression behavior.
+
+The column norms of that one-hot X are the square roots of the context
+counts, so :func:`prune_survivors` takes them once per call from a
+``bincount`` of the corpus and never builds X.  They equal
+``np.linalg.norm(X, axis=0)`` bit for bit: both take the correctly
+rounded ``sqrt`` of an exact integer count.
 """
 
 from __future__ import annotations
@@ -67,11 +73,17 @@ def wanda_prune(w: np.ndarray, x: np.ndarray, r2: float) -> tuple[np.ndarray, Pr
     x = np.asarray(x, dtype=np.float64)
     if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ValueError(f"shapes do not conform: W {w.shape}, X {x.shape}")
+    return _prune_rows(w, np.linalg.norm(x, axis=0), r2)
+
+
+def _prune_rows(w: np.ndarray, norms: np.ndarray,
+                r2: float) -> tuple[np.ndarray, PruneMask]:
+    """Row-wise prune of ``w`` at sparsity r2 given the activation column norms."""
     if not (0.0 <= r2 < 1.0):
         raise ValueError(f"sparsity must be in [0, 1), got {r2}")
     a, b = w.shape
     keep = math.ceil((1.0 - r2) * b)
-    scores = np.abs(w) * np.linalg.norm(x, axis=0)[None, :]
+    scores = np.abs(w) * norms[None, :]
     kept_cols = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
     mask = np.zeros((a, b), dtype=np.uint8)
     np.put_along_axis(mask, kept_cols, 1, axis=1)
@@ -100,12 +112,12 @@ def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[in
     no further forward passes are needed.  Returns the pruned matrices and
     masks keyed by expert index.
     """
-    x = onehot_activations(corpus, layer.ctx)
+    norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
     pruned: dict[int, np.ndarray] = {}
     masks: dict[int, PruneMask] = {}
     for j in survivors:
         w = expert_weight_matrix(layer, int(j))
-        pruned[int(j)], masks[int(j)] = wanda_prune(w, x, r2)
+        pruned[int(j)], masks[int(j)] = _prune_rows(w, norms, r2)
     return pruned, masks
 
 

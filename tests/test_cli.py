@@ -84,6 +84,19 @@ class TestSynth:
         assert "\n" not in err and override.split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        'model.ctx="abc"', "model.ctx=0", "model.vocab=1", "model.vocab=4.0",
+        "model.clusters=0", "model.clusters=99", "model.clusters=true", 'model.seed="x"',
+        "model.seed=-1", "corpus.seed=1.5", "corpus.seed=null",
+        "selector.triangle_seed=false"])
+    def test_bad_model_key_exits_before_synth_writes(self, tmp_path, capsys, override):
+        out = tmp_path / "s"
+        assert run(["synth", "--out", out, "--set", override]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert override.split("=")[0] in err
+        assert not out.exists()
+
     def test_unreadable_config_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

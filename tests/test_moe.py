@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from hodgecover.builder import stage_a_candidates
-from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _mean_merge_kl, _merge_kls,
-                            barrier_sweep, cluster_assignment, compression_loss,
-                            extend_triplets, layer_output, merge_experts, merged_distribution,
-                            pairwise_barrier, plant_discordant_triple, routing_frequencies,
-                            saliency, synth_layer, triplet_barrier)
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _mean_merge_kl,
+                            _merge_kls, _mixture_outputs, barrier_sweep, cluster_assignment,
+                            compressed_symbol_outputs, compression_loss, extend_triplets,
+                            kl_rows, layer_output, layer_symbol_outputs, merge_experts,
+                            merged_distribution, pairwise_barrier, plant_discordant_triple,
+                            routing_frequencies, saliency, synth_layer, triplet_barrier)
 from hodgecover.selector import SurvivorPlan
+from hodgecover.wanda import prune_survivors
 
 
 def small_corpus(ctx=256, size=512, seed=42):
@@ -449,3 +451,151 @@ class TestCompressionLoss:
             merge_groups=((0, 1), (2, 3), (4, 5)),
             merge_weights=tuple(float(f) for f in freqs))
         assert np.isfinite(compression_loss(layer, corpus, plan))
+
+
+# ---------------------------------------------------------------------------
+# the per-survivor router fold that the batched fold replaced, kept as its oracle
+
+def oracle_fold(layer, plan):
+    """Each survivor's (or merge group's) source list, folded by one scipy call each."""
+    if plan.merge_groups is not None:
+        lists = [list(g) for g in plan.merge_groups]
+    else:
+        lists = [[j] + [i for i, target in plan.redirect.items() if target == j]
+                 for j in plan.survivors]
+    folded = np.full((len(lists), layer.ctx), -np.inf)
+    for row, sources in enumerate(lists):
+        folded[row] = logsumexp(layer.router_logits[sources], axis=0)
+    return lists, folded
+
+
+def oracle_compressed_outputs(layer, plan, symbols, pruned=None):
+    symbols = np.asarray(symbols, dtype=np.int64)
+    survivors = list(plan.survivors)
+    _, folded = oracle_fold(layer, plan)
+    if plan.merge_groups is not None:
+        weights = np.asarray(plan.merge_weights)
+        dists = np.stack([merged_distribution(layer.expert_dists, g, weights)
+                          for g in plan.merge_groups])
+    elif pruned is None:
+        dists = layer.expert_dists[survivors]
+    else:
+        dists = np.stack([
+            softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
+            else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
+            for j in survivors])
+    return _mixture_outputs(dists, folded[:, symbols], min(layer.fanout, len(dists)))
+
+
+def assert_fold_matches_oracle(layer, heldout, plan, pruned=None):
+    lists, folded = oracle_fold(layer, plan)
+    assert np.array_equal(_fold_router(layer.router_logits, lists), folded)
+    symbols, weights = heldout.symbol_weights
+    want = oracle_compressed_outputs(layer, plan, symbols, pruned)
+    assert np.array_equal(compressed_symbol_outputs(layer, plan, symbols, pruned), want)
+    loss = float(weights @ kl_rows(layer_symbol_outputs(layer, symbols), want))
+    assert compression_loss(layer, heldout, plan, pruned) == loss
+
+
+def redirect_plan(n, redirect):
+    """Plan keeping every expert that ``redirect`` (dropped -> target) does not drop."""
+    survivors = tuple(i for i in range(n) if i not in redirect)
+    return SurvivorPlan(n=n, k=len(survivors), survivors=survivors, redirect=redirect,
+                        method="test")
+
+
+def merge_plan(layer, corpus, groups):
+    groups = tuple(tuple(sorted(int(i) for i in g)) for g in groups)
+    return SurvivorPlan(
+        n=layer.n, k=len(groups), survivors=tuple(sorted(g[0] for g in groups)),
+        redirect={i: g[0] for g in groups for i in g[1:]}, method="merge",
+        merge_groups=groups,
+        merge_weights=tuple(float(f) for f in routing_frequencies(layer, corpus)))
+
+
+class TestCompressedFoldMatchesOracle:
+    layer = synth_layer(seed=30)
+    heldout = small_corpus(seed=43)
+
+    def test_redirect_plans_at_k_one_and_n(self):
+        n = self.layer.n
+        assert_fold_matches_oracle(self.layer, self.heldout,
+                                   redirect_plan(n, {i: 5 for i in range(n) if i != 5}))
+        assert_fold_matches_oracle(self.layer, self.heldout, redirect_plan(n, {}))
+
+    def test_every_drop_redirected_to_one_survivor(self):
+        redirect = {i: 9 for i in (15, 0, 7, 3, 12, 1, 8, 11, 2)}   # unsorted: source order
+        assert_fold_matches_oracle(self.layer, self.heldout, redirect_plan(16, redirect))
+
+    def test_spread_redirects(self):
+        redirect = {i: (i * 7) % 5 for i in range(5, 16)}
+        assert_fold_matches_oracle(self.layer, self.heldout, redirect_plan(16, redirect))
+
+    def test_tied_router_logits(self):
+        # rows 0-2 tie everywhere, so the fold's maximum is shared by several rows
+        router = np.tile(np.array([[0.0, 1.0, -1.0, 1.0]]), (6, 2))
+        router[3:] -= np.arange(3)[:, None]
+        layer = MoeLayer(6, 4, 8, 2, np.round(np.arange(24.0).reshape(6, 4) % 7, 1), router)
+        heldout = small_corpus(ctx=8, size=64)
+        for redirect in ({1: 0, 2: 0}, {1: 0, 2: 0, 4: 3, 5: 3}, {i: 2 for i in (0, 1, 3, 4, 5)}):
+            assert_fold_matches_oracle(layer, heldout, redirect_plan(6, redirect))
+
+    def test_merge_group_plans(self):
+        for groups in (((0, 1, 2, 3, 4), (5,), (6, 9), (7, 8, 10, 11, 12, 13), (14, 15)),
+                       tuple((i,) for i in range(16)),
+                       (tuple(range(16)),)):
+            assert_fold_matches_oracle(self.layer, self.heldout,
+                                       merge_plan(self.layer, self.heldout, groups))
+
+    @pytest.mark.parametrize("r2", [0.0, 0.9])
+    def test_hybrid_plans_with_pruned_survivors(self, r2):
+        plan = redirect_plan(16, {i: i % 4 for i in range(4, 16)})
+        pruned, _ = prune_survivors(self.layer, small_corpus(), plan.survivors[:3], r2)
+        assert_fold_matches_oracle(self.layer, self.heldout, plan, pruned)
+
+    @pytest.mark.parametrize("ctx, symbol, redirect", [
+        (1, 0, {**dict.fromkeys(range(4, 9), 3), **dict.fromkeys([*range(10, 16), 1, 2], 9)}),
+        (4, 2, {**dict.fromkeys(range(4, 14), 3), **dict.fromkeys([1, 2, 15], 14)})])
+    def test_sum_order_of_the_fold(self, ctx, symbol, redirect):
+        # Expert 3's list has exp terms 1 (its maximum), 0.5 and terms just
+        # under half an ulp of 0.5: a sum in sequence drops each, numpy's
+        # pairwise sum in eight lanes (taken over 8 or more rows when a single
+        # column is summed) adds them up first.  Expert 0's logit ties the
+        # exact fold of that list, so with fanout 1 it wins on index, and a
+        # fold one ulp higher routes expert 3 instead.  Padding the 6-row list
+        # to 9 rows on the one-context layer, or folding the 11-row list at
+        # the one held-out symbol alone, would do that.
+        router = np.full((16, ctx), math.log(2.0 ** -54) - 0.1)
+        router[3], router[4] = 0.0, math.log(0.5)
+        router[0] = logsumexp(router[[3, *(i for i, j in redirect.items() if j == 3)]], axis=0)
+        layer = MoeLayer(16, 5, ctx, 1, np.random.default_rng(33).normal(size=(16, 5)),
+                         router)
+        heldout = CalibCorpus(np.array([symbol]), seed=0, size=1)
+        assert_fold_matches_oracle(layer, heldout, redirect_plan(16, redirect))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_layers_and_plans(self, seed, n, merge, data):
+        rng = np.random.default_rng(seed)
+        vocab, ctx = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        fanout = data.draw(st.integers(1, n))
+        # rounded router logits tie often
+        layer = MoeLayer(n, vocab, ctx, fanout, rng.normal(size=(n, vocab)),
+                         np.round(rng.normal(0.0, 2.0, size=(n, ctx)), 1))
+        heldout = CalibCorpus.sample(ctx, int(rng.integers(1, 40)), seed)
+        k = data.draw(st.integers(1, n))
+        if merge:
+            order = rng.permutation(n).tolist()
+            cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
+            groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            assert_fold_matches_oracle(layer, heldout, merge_plan(layer, heldout, groups))
+            return
+        survivors = sorted(rng.choice(n, size=k, replace=False).tolist())
+        dropped = rng.permutation([i for i in range(n) if i not in survivors]).tolist()
+        redirect = {int(i): int(rng.choice(survivors)) for i in dropped}
+        plan = redirect_plan(n, redirect)
+        r2 = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+        pruned, _ = prune_survivors(layer, CalibCorpus.sample(ctx, 32, seed + 1),
+                                    survivors[::2], r2)
+        assert_fold_matches_oracle(layer, heldout, plan, pruned)
+        assert_fold_matches_oracle(layer, heldout, plan)

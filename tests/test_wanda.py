@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodgecover.moe import CalibCorpus, synth_layer
+from hodgecover.moe import CalibCorpus, MoeLayer, synth_layer
 from hodgecover.wanda import (PruneMask, expert_weight_matrix, onehot_activations,
                               prune_survivors, residual_sparsity, wanda_prune)
 
@@ -131,3 +133,45 @@ class TestStageTwoIntegration:
         assert len(kept_cols) == math.ceil(0.425 * 256)
         w = pruned[0]
         assert np.array_equal(w[:, kept_cols[0]], layer.expert_logits[0])
+
+
+def assert_prune_matches_oracle(layer, corpus, survivors, r2):
+    """prune_survivors equals wanda_prune on the built one-hot activations."""
+    pruned, masks = prune_survivors(layer, corpus, survivors, r2)
+    x = onehot_activations(corpus, layer.ctx)
+    assert list(pruned) == list(masks) == [int(j) for j in survivors]
+    for j in survivors:
+        want, want_mask = wanda_prune(expert_weight_matrix(layer, j), x, r2)
+        assert np.array_equal(pruned[j], want)
+        assert np.array_equal(masks[j].mask, want_mask.mask)
+        assert (masks[j].keep_per_row, masks[j].sparsity) == \
+            (want_mask.keep_per_row, want_mask.sparsity)
+
+
+class TestPruneSurvivorsMatchesOracle:
+    @pytest.mark.parametrize("r2", [0.0, 0.1625, 0.575, 0.9])
+    def test_default_layer(self, r2):
+        assert_prune_matches_oracle(synth_layer(seed=48), CalibCorpus.sample(256, 2048, 42),
+                                    [0, 3, 7, 12, 15], r2)
+
+    def test_unseen_contexts_and_a_zero_logit(self):
+        # a 40-token corpus leaves most of the 64 contexts, the last ones
+        # included, at norm 0, so their scores tie and break toward the lower
+        # column; expert 2's zero logit ties its whole row at score 0
+        layer = synth_layer(n=6, vocab=5, ctx=64, clusters=3, seed=49)
+        logits = layer.expert_logits.copy()
+        logits[2, 1] = 0.0
+        layer = MoeLayer(6, 5, 64, 2, logits, layer.router_logits)
+        corpus = CalibCorpus(np.random.default_rng(50).integers(0, 48, size=40), seed=50,
+                             size=40)
+        for r2 in (0.3, 0.9):
+            assert_prune_matches_oracle(layer, corpus, [5, 2, 0], r2)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([0.0, 0.4, 0.9]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_layers_and_corpora(self, seed, ctx, r2):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        layer = MoeLayer(n, 3, ctx, 1, np.round(rng.normal(size=(n, 3))), np.zeros((n, ctx)))
+        corpus = CalibCorpus.sample(ctx, int(rng.integers(1, 60)), seed)
+        assert_prune_matches_oracle(layer, corpus, list(range(n)), r2)
