@@ -30,7 +30,7 @@ import numpy as np
 
 # betti1 is unused here but stays importable: the benchmark's tracer
 # (perfbench/tracing.py) patches hodgecover.builder.betti1 by name.
-from .complexes import (Complex2, betti1, build_incidence,  # noqa: F401
+from .complexes import (Complex2, UnionFind, betti1, build_incidence,  # noqa: F401
                         complete_edges, prefix_ranks)
 from .moe import BarrierTable
 
@@ -148,23 +148,9 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
 
 def _prefix_components(n: int, edges: np.ndarray) -> np.ndarray:
     """Components of the graph on n vertices with the first c edges, for every c."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    out = np.empty(len(edges) + 1, dtype=np.int64)
-    out[0] = count = n
-    for c, (i, j) in enumerate(edges.tolist(), start=1):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            count -= 1
-        out[c] = count
-    return out
+    uf = UnionFind(n)
+    merges = [uf.union(i, j) for i, j in edges.tolist()]
+    return n - np.concatenate([[0], np.cumsum(merges, dtype=np.int64)])
 
 
 def _triplet_value(barriers: BarrierTable, triple: np.ndarray) -> float:

@@ -13,6 +13,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,7 +40,13 @@ ALLOCATORS = ("uniform", "weighted")
 INT_KEYS = {("model", "n"): 1, ("model", "layers"): 1, ("model", "fanout"): 1,
             ("model", "ctx"): 1, ("model", "vocab"): 2, ("model", "clusters"): 1,
             ("corpus", "size"): 1, ("model", "seed"): 0, ("corpus", "seed"): 0,
-            ("selector", "triangle_seed"): 0}
+            ("selector", "triangle_seed"): 0, ("selector", "triangle_cap"): 0}
+# float keys and the closed range each must lie in; every one must be finite
+FLOAT_KEYS = {("selector", "p"): (0.0, 100.0), ("selector", "q_t"): (0.0, 100.0),
+              ("selector", "lambda_e"): (0.0, math.inf),
+              ("selector", "lambda_t"): (0.0, math.inf),
+              ("selector", "alpha"): (-math.inf, math.inf),
+              ("selector", "alpha_t"): (-math.inf, math.inf)}
 
 DEFAULT_CONFIG = {
     "model": {"layers": 4, "n": 16, "vocab": 32, "ctx": 256, "fanout": 2,
@@ -98,6 +105,13 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise CliError(f"invalid {section}.{field} {value!r}; need an integer >= {least}",
                            DATA_ERROR)
+    for (section, field), (lo, hi) in FLOAT_KEYS.items():
+        value = cfg[section][field]
+        # abs(value) <= float max rejects nan, +-inf and ints beyond float range
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (lo <= value <= hi and abs(value) <= sys.float_info.max)):
+            raise CliError(f"invalid {section}.{field} {value!r}; need a finite number "
+                           f"in [{lo:g}, {hi:g}]", DATA_ERROR)
     for field in ("fanout", "clusters"):
         if cfg["model"][field] > cfg["model"]["n"]:
             raise CliError(f"invalid model.{field} {cfg['model'][field]!r}; need at most "

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 class ComplexStructureError(ValueError):
@@ -237,16 +235,43 @@ def prefix_ranks(matrix: np.ndarray, stops) -> np.ndarray:
     return out
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 whose representative is the lowest member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.components = n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        lo, hi = min(ra, rb), max(ra, rb)
+        self.parent[hi] = lo
+        self.components -= 1
+        return True
+
+    def groups(self) -> list[list[int]]:
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return [out[r] for r in sorted(out)]
+
+
 def skeleton_components(k: Complex2) -> int:
     """Connected components of the 1-skeleton (V, E)."""
-    if k.n == 0:
-        return 0
-    if k.num_edges == 0:
-        return k.n
-    data = np.ones(k.num_edges)
-    adj = coo_matrix((data, (k.edges[:, 0], k.edges[:, 1])), shape=(k.n, k.n))
-    count, _ = connected_components(adj, directed=False)
-    return int(count)
+    uf = UnionFind(k.n)
+    for i, j in k.edges.tolist():
+        uf.union(i, j)
+    return uf.components
 
 
 def betti1(k: Complex2, inc: SignedIncidence) -> int:

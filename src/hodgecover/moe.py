@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selector import SurvivorPlan
@@ -72,7 +71,7 @@ class MoeLayer:
     @cached_property
     def expert_dists(self) -> np.ndarray:
         """Per-expert output distributions, (n, vocab) rows summing to 1."""
-        return softmax(self.expert_logits, axis=1)
+        return _softmax(self.expert_logits, axis=1)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -195,6 +194,42 @@ def plant_discordant_triple(layer: MoeLayer, triple: Sequence[int], *,
 
 
 # ---------------------------------------------------------------------------
+# Log-sum-exp and softmax
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` in the shifted form of Blanchard,
+    Higham and Higham ("Accurately computing the log-sum-exp and softmax
+    functions", IMA J. Numer. Anal. 2021).
+
+    This and :func:`_softmax` copy the arithmetic of scipy 1.17.1's
+    unweighted ``scipy.special.logsumexp`` and ``softmax`` step for step, so
+    they agree with scipy bit for bit, and the tests keep scipy as their
+    oracle.  The m entries equal to the maximum are taken out of the sum:
+    s sums exp(a - max) over the rest, and the result is
+    log1p(s / m) + log(m) + max.  Where that is not finite (an axis of -inf,
+    or a +inf entry) it falls back, as scipy does, to log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        mask = a == a_max
+        m = mask.sum(axis=axis, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(mask, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """exp(x - max) / sum(exp(x - max)) along ``axis`` (see :func:`_logsumexp`)."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
 # Routing and layer evaluation
 
 
@@ -206,7 +241,7 @@ def _route(router_cols: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray
     """
     idx = np.argsort(-router_cols, axis=0, kind="stable")[:fanout]
     sel = np.take_along_axis(router_cols, idx, axis=0)
-    gates = softmax(sel, axis=0)
+    gates = _softmax(sel, axis=0)
     return idx, gates
 
 
@@ -296,7 +331,7 @@ def _merge_group(layer: MoeLayer, group: Sequence[int], freqs: np.ndarray) -> Me
     router = layer.router_logits[keep].copy()
     slot = keep.index(rep)
     dists[slot] = merged_distribution(layer.expert_dists, group, freqs)
-    router[slot] = logsumexp(layer.router_logits[group], axis=0)
+    router[slot] = _logsumexp(layer.router_logits[group], axis=0)
     return MergedLayer(dists, router, min(layer.fanout, len(keep)))
 
 
@@ -448,7 +483,7 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     vals: list[float] = []
     for start in range(0, len(groups), step):
         block = groups[start:start + step]
-        merged_logit = logsumexp(cols[block.T], axis=0)           # (block, u)
+        merged_logit = _logsumexp(cols[block.T], axis=0)          # (block, u)
         touched = routed[block].any(axis=1) | (merged_logit >= threshold)
         gi, si = np.nonzero(touched)
         cand = top[:, si]                                          # (fanout + |g|, cells)
@@ -457,7 +492,7 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
         logit = np.vstack([np.where(member, -np.inf, cols[cand, si]), merged_logit[gi, si]])
         key = np.vstack([cand, block[gi, 0]])
         pick = np.lexsort((key, -logit), axis=0)[:fanout]
-        gates = softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
+        gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
         bank = np.vstack([layer.expert_dists,
                           [merged_distribution(layer.expert_dists, g, freqs) for g in block]])
         chosen = bank[np.take_along_axis(ids, pick, axis=0)]       # (fanout, cells, vocab)
@@ -515,14 +550,14 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
 
     Each output expert has a source list: the survivor and the experts
     redirected to it, or the merge group.  Lists of one length are folded
-    together by one scipy ``logsumexp(..., axis=1)`` on their stacked
+    together by one ``_logsumexp(..., axis=1)`` on their stacked
     (lists, length, ctx) router rows, and a one-expert list is its row, so a
     plan costs one call per distinct list length above one rather than one
     per survivor.  The result equals one call per list bit for bit: every
     stacked row is reduced over the same rows in the same order and memory
     layout as alone, so numpy adds them the same way (in sequence when
-    ctx > 1, pairwise in eight lanes when ctx == 1), and scipy's log-sum-exp
-    of one row is ``log1p(0) + log(1) + row``.  Lists are not padded to one
+    ctx > 1, pairwise in eight lanes when ctx == 1), and the log-sum-exp of
+    one row is ``log1p(0) + log(1) + row``.  Lists are not padded to one
     length with -inf: the padding would add exact zeros in sequence, but
     with a single column numpy sums pairwise and the padded length regroups
     the adds.  For the same reason the fold runs over all ctx columns and
@@ -546,7 +581,7 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
             dists = layer.expert_dists[survivors]
         else:
             dists = np.stack([
-                softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
+                _softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
                 else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
                 for j in survivors
             ])                                                 # (k, u, vocab)
@@ -556,7 +591,7 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
 
 def _fold_router(router_logits: np.ndarray, sources: Sequence[Sequence[int]]) -> np.ndarray:
     """Log-sum-exp of each source list's router rows, one folded row per list;
-    equal to a per-list ``logsumexp`` (see :func:`compressed_symbol_outputs`)."""
+    equal to a per-list ``_logsumexp`` (see :func:`compressed_symbol_outputs`)."""
     folded = np.empty((len(sources), router_logits.shape[1]))
     rows_by_length: dict[int, list[int]] = {}
     for row, src in enumerate(sources):
@@ -564,7 +599,7 @@ def _fold_router(router_logits: np.ndarray, sources: Sequence[Sequence[int]]) ->
     for length, rows in rows_by_length.items():
         idx = np.array([sources[row] for row in rows], dtype=np.int64)
         folded[rows] = (router_logits[idx[:, 0]] if length == 1
-                        else logsumexp(router_logits[idx], axis=1))
+                        else _logsumexp(router_logits[idx], axis=1))
     return folded
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .complexes import Complex2
+from .complexes import Complex2, UnionFind
 from .hodge import HodgeDecomp
 from .moe import BarrierTable, SaliencyVector
 
@@ -163,7 +163,7 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
     """
     if not (0.0 <= p <= 100.0 and 0.0 <= q_t <= 100.0):
         raise ValueError("p and q_t are percentages in [0, 100]")
-    if lam_e < 0.0 or lam_t < 0.0:
+    if not (lam_e >= 0.0 and lam_t >= 0.0):  # a nan weight would stall greedy_select
         raise ValueError("coverage weights must be non-negative")
 
     n_edges = k.num_edges
@@ -289,37 +289,6 @@ def select_random(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Union-find ablation selectors
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 whose representative is the lowest member."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.components = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        lo, hi = min(ra, rb), max(ra, rb)
-        self.parent[hi] = lo
-        self.components -= 1
-        return True
-
-    def groups(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return [out[r] for r in sorted(out)]
 
 
 def _edge_order(costs: np.ndarray) -> list[tuple[int, int]]:

@@ -97,6 +97,28 @@ class TestSynth:
         assert override.split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        'selector.alpha="x"', "selector.alpha=null", "selector.alpha_t=Infinity",
+        'selector.triangle_cap="x"', "selector.triangle_cap=-1", "selector.triangle_cap=2.5",
+        "selector.lambda_e=nan", "selector.lambda_e=NaN", "selector.lambda_t=-0.5",
+        "selector.p=-1", "selector.p=100.5", "selector.q_t=true", "selector.q_t=[20]"])
+    def test_bad_selector_key_exits_before_compress_writes(self, tmp_path, model_dir, capsys,
+                                                          override):
+        out = tmp_path / "c"
+        assert run(["compress", "--out", out, "--model-dir", model_dir]
+                   + FAST + ["--set", override]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert override.split("=")[0] in err
+        assert not out.exists()
+
+    def test_selector_keys_at_their_bounds_run(self, tmp_path, model_dir):
+        bounds = ["selector.p=0", "selector.q_t=100", "selector.lambda_e=0",
+                  "selector.lambda_t=0.0", "selector.alpha=-1.5", "selector.alpha_t=0",
+                  "selector.triangle_cap=0"]
+        assert run(["compress", "--out", tmp_path / "c", "--model-dir", model_dir] + FAST
+                   + [arg for b in bounds for arg in ("--set", b)]) == 0
+
     def test_unreadable_config_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -257,14 +279,18 @@ def test_entry_point_installed():
     assert script.load() is main
 
 
-def test_python_dash_m_runs_cli():
+def fresh_python(*args):
+    """``sys.executable`` with ``args`` in a new process that imports this checkout."""
     env = dict(os.environ)
     root = str(Path(hodgecover.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
+
+def test_python_dash_m_runs_cli():
     def python_m(*args):
-        return subprocess.run([sys.executable, "-m", "hodgecover", *args], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return fresh_python("-m", "hodgecover", *args)
 
     passed = python_m("verify", "--only", "1")
     assert passed.returncode == 0, passed.stderr
@@ -273,3 +299,11 @@ def test_python_dash_m_runs_cli():
     version = python_m("--version")
     assert version.returncode == 0
     assert version.stdout.strip() == hodgecover.__version__
+
+
+def test_import_loads_no_scipy():
+    # the runtime is numpy only; scipy stays a test dependency (the kernels' oracle)
+    done = fresh_python("-c", "import sys, hodgecover.cli; print([m for m in sys.modules "
+                              "if m == 'scipy' or m.startswith('scipy.')])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

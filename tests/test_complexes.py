@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from hodgecover.complexes import (Complex2, ComplexStructureError, betti1, build_incidence,
-                                  complete_edges, kernel_dimension, laplacians,
+from hodgecover import selector
+from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, betti1,
+                                  build_incidence, complete_edges, kernel_dimension, laplacians,
                                   random_complex, rank, skeleton_components)
 
 
@@ -141,6 +144,37 @@ class TestBetti:
         k = Complex2(5, [[0, 1]], [])
         assert skeleton_components(k) == 4
         assert betti1(k, build_incidence(k)) == 0
+
+
+def oracle_components(k):
+    adj = coo_matrix((np.ones(k.num_edges), (k.edges[:, 0], k.edges[:, 1])), shape=(k.n, k.n))
+    return connected_components(adj, directed=False)[0]
+
+
+class TestSkeletonComponentsMatchesScipy:
+    @pytest.mark.parametrize("edge_prob", [0.0, 0.05, 0.15, 0.4, 0.9])
+    def test_random_graphs(self, edge_prob):
+        # low edge probabilities leave isolated vertices and many components
+        rng = np.random.default_rng(int(edge_prob * 100))
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            edges = complete_edges(n)
+            k = Complex2(n, edges[rng.random(len(edges)) < edge_prob], [])
+            assert skeleton_components(k) == oracle_components(k)
+
+    def test_single_vertex_and_empty_complex(self):
+        one = Complex2(1, [], [])
+        assert skeleton_components(one) == oracle_components(one) == 1
+        assert skeleton_components(Complex2(0, [], [])) == 0
+
+    def test_random_complexes(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            k = random_complex(rng, n_max=16)
+            assert skeleton_components(k) == oracle_components(k)
+
+    def test_one_union_find(self):
+        assert selector.UnionFind is UnionFind
 
 
 def test_rank_of_empty_matrix():

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
 from hodgecover.builder import stage_a_candidates
-from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _mean_merge_kl,
-                            _merge_kls, _mixture_outputs, barrier_sweep, cluster_assignment,
-                            compressed_symbol_outputs, compression_loss, extend_triplets,
-                            kl_rows, layer_output, layer_symbol_outputs, merge_experts,
-                            merged_distribution, pairwise_barrier, plant_discordant_triple,
-                            routing_frequencies, saliency, synth_layer, triplet_barrier)
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _logsumexp,
+                            _mean_merge_kl, _merge_kls, _mixture_outputs, _softmax,
+                            barrier_sweep, cluster_assignment, compressed_symbol_outputs,
+                            compression_loss, extend_triplets, kl_rows, layer_output,
+                            layer_symbol_outputs, merge_experts, merged_distribution,
+                            pairwise_barrier, plant_discordant_triple, routing_frequencies,
+                            saliency, synth_layer, triplet_barrier)
 from hodgecover.selector import SurvivorPlan
 from hodgecover.wanda import prune_survivors
 
@@ -599,3 +600,76 @@ class TestCompressedFoldMatchesOracle:
                                     survivors[::2], r2)
         assert_fold_matches_oracle(layer, heldout, plan, pruned)
         assert_fold_matches_oracle(layer, heldout, plan)
+
+
+# ---------------------------------------------------------------------------
+# the numpy log-sum-exp and softmax against scipy.special, their oracle
+
+
+def assert_kernels_match_scipy(a):
+    """Both kernels equal scipy's bit for bit on every axis of ``a``.
+
+    NaN compares equal: a +inf entry makes scipy's softmax inf / inf.
+    """
+    for axis in range(a.ndim):
+        with np.errstate(invalid="ignore"):
+            want_lse, want_soft = logsumexp(a, axis=axis), softmax(a, axis=axis)
+            got_lse, got_soft = _logsumexp(a, axis=axis), _softmax(a, axis=axis)
+        assert np.array_equal(got_lse, want_lse, equal_nan=True), (a, axis)
+        assert np.array_equal(got_soft, want_soft, equal_nan=True), (a, axis)
+
+
+class TestLogSumExpMatchesScipy:
+    def test_ties(self):
+        # several maxima per axis take the log(m) and s / m path
+        assert_kernels_match_scipy(np.array([[1.0, 1.0, 0.0], [0.5, -2.0, 0.5],
+                                             [3.0, 1.0, 3.0]]))
+        assert_kernels_match_scipy(np.array([0.3, 0.3, 0.3, 0.1, 0.3]))
+
+    def test_whole_axis_equal(self):
+        assert_kernels_match_scipy(np.full((3, 4), 2.5))
+        assert_kernels_match_scipy(np.full((2, 3, 5), -7.25))
+
+    def test_minus_inf_entries(self):
+        assert_kernels_match_scipy(np.array([[-np.inf, 0.0, 1.0], [2.0, -np.inf, 2.0]]))
+
+    def test_all_minus_inf_axis(self):
+        # the shifted form gives nan here; scipy falls back to log(sum(exp(a))) = -inf
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [-np.inf, -np.inf]])
+        assert_kernels_match_scipy(a)
+        assert np.array_equal(_logsumexp(a, axis=1), [-np.inf, 0.0, -np.inf])
+
+    def test_plus_inf(self):
+        assert_kernels_match_scipy(np.array([[np.inf, 0.0, 1.0], [np.inf, np.inf, -1.0],
+                                             [np.inf, -np.inf, 2.0]]))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 5), (5, 1), (1, 1), (3, 1, 4), (1, 1, 1)])
+    def test_one_element_axes(self, shape):
+        a = np.round(np.random.default_rng(len(shape)).normal(0.0, 2.0, size=shape), 1)
+        assert_kernels_match_scipy(a)
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 6), (3, 5, 2), (9, 9, 9)])
+    def test_every_axis(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        assert_kernels_match_scipy(rng.normal(0.0, 3.0, size=shape))
+        assert_kernels_match_scipy(np.round(rng.normal(0.0, 3.0, size=shape)))
+
+    def test_transposed_inputs(self):
+        rng = np.random.default_rng(5)
+        a = np.round(rng.normal(0.0, 2.0, size=(6, 9)), 1)
+        assert not a.T.flags.c_contiguous
+        assert_kernels_match_scipy(a.T)
+        assert_kernels_match_scipy(np.round(rng.normal(size=(3, 4, 5)), 1).transpose(2, 0, 1))
+        # the sweep's (group size, block, symbol) gather of router columns
+        groups = np.array([[0, 1, 2], [3, 5, 7]])
+        assert_kernels_match_scipy(synth_layer(n=8, seed=3).router_logits[groups.T])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_rounded_arrays(self, seed, ndim, decimals, transpose):
+        rng = np.random.default_rng(seed)
+        a = np.round(rng.normal(0.0, 3.0, size=rng.integers(1, 6, size=ndim)), decimals)
+        u = rng.random(a.shape)
+        a[u < 0.08] = -np.inf
+        a[u > 0.97] = np.inf
+        assert_kernels_match_scipy(a.T if transpose else a)

@@ -77,6 +77,14 @@ class TestBuildCoverage:
         with pytest.raises(ValueError):
             build_coverage(a.complex, a.decomp, a.table, a.sal, p=150.0)
 
+    @pytest.mark.parametrize("weights", [{"lam_e": -1.0}, {"lam_t": -0.5},
+                                         {"lam_e": float("nan")}, {"lam_t": float("nan")}])
+    def test_invalid_weight(self, weights):
+        # a nan weight makes every marginal gain nan, and greedy_select never picks
+        a = self.analysis()
+        with pytest.raises(ValueError, match="non-negative"):
+            build_coverage(a.complex, a.decomp, a.table, a.sal, **weights)
+
 
 class TestPhi:
     def test_empty_set_scores_zero(self):
