@@ -18,7 +18,10 @@ is the rank of a column prefix of d2 over the complete edge set.  Those
 prefix ranks come from one incremental Gram-Schmidt pass
 (:func:`~hodgecover.complexes.prefix_ranks`), the component counts from one
 union-find over the sorted edges, and beta1(tau) = |E_tau| - n +
-components(tau) - rank(tau).  Only the chosen complex is built.
+components(tau) - rank(tau).  Only the chosen complex is built.  The same
+pass leaves an orthonormal basis of im(d2) at tau*, which the result keeps as
+``curl_basis`` so that the Hodge decomposition projects onto it instead of
+solving for it again.
 """
 
 from __future__ import annotations
@@ -41,11 +44,17 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True, eq=False)
 class FiltrationResult:
-    """Betti curve over the threshold grid and the chosen complex."""
+    """Betti curve over the threshold grid and the chosen complex.
+
+    ``curl_basis`` is an (|E|, rank(d2)) matrix with orthonormal columns
+    spanning im(d2) of the chosen complex, rows in its edge order.  It is
+    not part of :meth:`to_json`.
+    """
 
     tau_star: float
     betti_curve: tuple[tuple[float, int], ...]
     chosen_complex: Complex2
+    curl_basis: np.ndarray
 
     @property
     def beta1(self) -> int:
@@ -118,9 +127,13 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
     edges = complete_edges(n)
     edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
+    try:
+        triplets = [barriers.triplet[t] for t in map(tuple, candidates.tolist())]
+    except KeyError as exc:
+        raise ValueError(f"triplet barrier missing for candidate {exc.args[0]}") from None
     # a candidate's filtration value: its triplet barrier or its worst edge
     tri_vals = np.maximum.reduce([
-        np.array([_triplet_value(barriers, t) for t in candidates], dtype=np.float64),
+        np.array(triplets, dtype=np.float64),
         barriers.pairwise[candidates[:, 0], candidates[:, 1]],
         barriers.pairwise[candidates[:, 0], candidates[:, 2]],
         barriers.pairwise[candidates[:, 1], candidates[:, 2]],
@@ -135,15 +148,21 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     num_tris = np.searchsorted(tri_vals[tri_order], grid, side="right")
     d2 = build_incidence(Complex2(n, edges, candidates)).b2
     # rows of edges in no candidate are zero and cannot add to the rank
-    d2 = d2[d2.any(axis=1)][:, tri_order]
+    used = d2.any(axis=1)
     components = _prefix_components(n, edges[edge_order])[num_edges]
-    betas = num_edges - n + components - prefix_ranks(d2, num_tris)
+    ranks, basis = prefix_ranks(d2[used][:, tri_order], num_tris)
+    betas = num_edges - n + components - ranks
 
     curve = tuple((float(tau), int(beta)) for tau, beta in zip(grid, betas))
     best = max(range(GRID_POINTS), key=lambda g: (curve[g][1], num_edges[g], curve[g][0]))
     tau_star = curve[best][0]
-    chosen = Complex2(n, edges[edge_vals <= tau_star], candidates[tri_vals <= tau_star])
-    return FiltrationResult(tau_star, curve, chosen)
+    chosen_edges = edge_vals <= tau_star
+    chosen = Complex2(n, edges[chosen_edges], candidates[tri_vals <= tau_star])
+    # the first rank(tau*) basis columns span the chosen triangles' columns,
+    # which vanish off the chosen edges; the basis rows are the used edges
+    curl_basis = np.zeros((chosen.num_edges, int(ranks[best])))
+    curl_basis[used[chosen_edges]] = basis[chosen_edges[used], :ranks[best]]
+    return FiltrationResult(tau_star, curve, chosen, curl_basis)
 
 
 def _prefix_components(n: int, edges: np.ndarray) -> np.ndarray:
@@ -151,11 +170,3 @@ def _prefix_components(n: int, edges: np.ndarray) -> np.ndarray:
     uf = UnionFind(n)
     merges = [uf.union(i, j) for i, j in edges.tolist()]
     return n - np.concatenate([[0], np.cumsum(merges, dtype=np.int64)])
-
-
-def _triplet_value(barriers: BarrierTable, triple: np.ndarray) -> float:
-    key = tuple(int(v) for v in triple)
-    try:
-        return float(barriers.triplet[key])
-    except KeyError:
-        raise ValueError(f"triplet barrier missing for candidate {key}") from None

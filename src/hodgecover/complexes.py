@@ -160,16 +160,22 @@ def build_incidence(k: Complex2) -> SignedIncidence:
         b1[k.edges[:, 1], cols] = +1
 
     b2 = np.zeros((m, t), dtype=np.int64)
-    idx = k.edge_index
-    for col, (i, j, kk) in enumerate(map(tuple, k.triangles)):
-        try:
-            b2[idx[(j, kk)], col] = +1
-            b2[idx[(i, kk)], col] = -1
-            b2[idx[(i, j)], col] = +1
-        except KeyError:
+    if t:
+        # rows of the T ij edges, then the ik, then the jk, in the edge list
+        keys = _lex_keys(_triangle_edges(k.triangles), k.n)
+        edge_keys = _lex_keys(k.edges, k.n)
+        rows = np.searchsorted(edge_keys, keys)
+        found = rows < m
+        found[found] = edge_keys[rows[found]] == keys[found]
+        if not found.all():
+            i, j, kk = k.triangles[np.nonzero(~found.reshape(3, t).all(axis=0))[0][0]]
             raise ComplexStructureError(
-                f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list"
-            ) from None
+                f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list")
+        rows = rows.reshape(3, t)
+        cols = np.arange(t)
+        b2[rows[0], cols] = +1
+        b2[rows[1], cols] = -1
+        b2[rows[2], cols] = +1
     return SignedIncidence(b1=b1, b2=b2)
 
 
@@ -201,8 +207,8 @@ RANK_BLOCK = 64       # widest column block one Gram-Schmidt step takes
 RANK_CUTOFF = 1e-8    # relative to the block's largest column norm
 
 
-def prefix_ranks(matrix: np.ndarray, stops) -> np.ndarray:
-    """Numerical rank of each leading column block ``matrix[:, :s]``.
+def prefix_ranks(matrix: np.ndarray, stops) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical rank of each leading column block ``matrix[:, :s]``, and a basis.
 
     ``stops`` must be nondecreasing.  One pass over the columns keeps an
     orthonormal basis of the span seen so far: each new block of at most
@@ -213,6 +219,10 @@ def prefix_ranks(matrix: np.ndarray, stops) -> np.ndarray:
     dependent column leaves a residual near 1e-15 while an independent one
     leaves one of order one, so the cutoff sits far from both.  The rank is
     over the reals, never Z/2.
+
+    Returns the ranks and the basis, an (m, ranks[-1]) matrix with
+    orthonormal columns whose first ``ranks[i]`` columns span
+    ``matrix[:, :stops[i]]``.
     """
     m, cols = matrix.shape
     basis = np.empty((m, min(m, cols)))
@@ -232,7 +242,7 @@ def prefix_ranks(matrix: np.ndarray, stops) -> np.ndarray:
             rank_so_far += new
             done = end
         out[idx] = rank_so_far
-    return out
+    return out, basis[:, :rank_so_far]
 
 
 class UnionFind:

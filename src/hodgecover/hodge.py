@@ -7,15 +7,22 @@ plus triangle-boundary correction can explain, and its squared norm equals
 the joint least-squares residual min_{phi, psi} ||b - d1^T phi - d2 psi||^2
 (certified numerically by :func:`residual_certificate`).
 
-The projection is computed by two sequential least-squares solves rather
-than by forming any |E| x |E| projector:
+The split is computed without forming any |E| x |E| or |T| x |T| matrix:
 
-    1. alpha minimizes ||d1^T alpha - b||,          grad = d1^T alpha
-    2. beta  minimizes ||d2 beta - (b - grad)||,    curl = d2 beta
+    1. alpha minimizes ||d1^T alpha - b||,  grad = d1^T alpha
+    2. curl = Q Q^T (b - grad)
     3. harm = b - grad - curl
 
-using pseudoinverses of the small operators L0 (n x n) and L2 (|T| x |T|)
-with the same rank cutoff as :mod:`hodgecover.complexes`.
+Step 1 is a least-squares solve through the pseudoinverse of the n x n
+vertex Laplacian L0, with the rank cutoff of :mod:`hodgecover.complexes`.
+In step 2, Q is an orthonormal basis of im(d2), so Q Q^T is the orthogonal
+projector onto im(d2).  That is the same operator as d2 L2^+ d2^T, the
+least-squares fit of b - grad by triangle boundaries, so the two agree up
+to rounding whenever rank(Q) = rank(d2).  Because d1 d2 = 0, grad is
+orthogonal to im(d2), so Q Q^T (b - grad) is the curl part of b itself.
+Stage B's filtration builds Q at tau* (``FiltrationResult.curl_basis``);
+:func:`decompose` called without it takes Q from
+:func:`~hodgecover.complexes.prefix_ranks`.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex2, EdgeSignal, SignedIncidence, svd_rcond
+from .complexes import Complex2, EdgeSignal, SignedIncidence, prefix_ranks, svd_rcond
 
 
 class ZeroSignalError(ValueError):
@@ -61,25 +68,26 @@ class HodgeDecomp:
         })
 
 
-def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal) -> HodgeDecomp:
-    """Split ``b`` into its gradient, curl, and harmonic components."""
+def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
+              basis: np.ndarray | None = None) -> HodgeDecomp:
+    """Split ``b`` into its gradient, curl, and harmonic components.
+
+    ``basis`` is an orthonormal basis of im(d2), rows in the edge order of
+    ``k``; when it is None it is computed from ``inc.b2``.
+    """
     values = b.values
     if values.shape != (k.num_edges,):
         raise ValueError(f"signal has shape {values.shape}, complex has {k.num_edges} edges")
+    if basis is None:
+        basis = prefix_ranks(inc.b2, [k.num_triangles])[1]
+    elif basis.shape[0] != k.num_edges:
+        raise ValueError(f"basis has {basis.shape[0]} rows, complex has {k.num_edges} edges")
     b1 = inc.b1.astype(np.float64)
-    b2 = inc.b2.astype(np.float64)
 
     l0 = b1 @ b1.T
     alpha = np.linalg.pinv(l0, rcond=svd_rcond(l0.shape)) @ (b1 @ values)
     grad = b1.T @ alpha
-
-    if k.num_triangles:
-        l2 = b2.T @ b2
-        beta = np.linalg.pinv(l2, rcond=svd_rcond(l2.shape)) @ (b2.T @ (values - grad))
-        curl = b2 @ beta
-    else:
-        curl = np.zeros_like(values)
-
+    curl = basis @ (basis.T @ (values - grad))
     harm = values - grad - curl
     total = float(values @ values)
     if total > 0.0:

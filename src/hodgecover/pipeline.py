@@ -5,7 +5,8 @@ triangles, triplet barriers of those candidates alone (the pairwise cells
 are not evaluated again), Stage-B Betti-maximizing filtration, Hodge
 decomposition of the edge-barrier signal on the chosen complex, then
 survivor selection by the requested method.  The layer's beta1 is the
-filtration's Betti count at tau*, so no second rank computation runs.
+filtration's Betti count at tau*, and the decomposition projects onto the
+filtration's basis of im(d2), so no second rank computation runs.
 Layers are independent, so models are compressed layer by layer under a
 cross-layer budget allocator.
 """
@@ -89,7 +90,7 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
     return LayerAnalysis(
         layer=layer, table=table, candidates=candidates, filtration=filtration,
         complex=k, incidence=inc, signal=signal,
-        decomp=decompose(k, inc, signal),
+        decomp=decompose(k, inc, signal, basis=filtration.curl_basis),
         sal=saliency(layer, corpus),
         beta1=filtration.beta1,
     )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hodgecover.builder import (GRID_POINTS, FiltrationResult, stage_a_candidates,
                                 stage_b_filtration)
 from hodgecover.complexes import (Complex2, betti1, build_incidence, complete_edges,
-                                  kernel_dimension, prefix_ranks, random_complex)
+                                  kernel_dimension, prefix_ranks, random_complex, rank)
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep,
                             cluster_assignment, synth_layer)
 
@@ -40,7 +40,7 @@ def per_tau_oracle(barriers, candidates):
     else:
         worst_edge = np.zeros(0)
     top = 1.1 * float(edge_vals.max()) if len(edge_vals) else 0.0
-    curve, best, best_complex = [], None, None
+    curve, best, best_complex, best_inc = [], None, None, None
     for tau in np.linspace(0.0, top, GRID_POINTS):
         k_tau = Complex2(
             n,
@@ -48,12 +48,24 @@ def per_tau_oracle(barriers, candidates):
             candidates[(tri_vals <= tau) & (worst_edge <= tau)] if len(candidates)
             else candidates,
         )
-        beta = betti1(k_tau, build_incidence(k_tau))
+        inc = build_incidence(k_tau)
+        beta = betti1(k_tau, inc)
         curve.append((float(tau), beta))
         score = (beta, k_tau.num_edges, float(tau))
         if best is None or score > best:
-            best, best_complex = score, k_tau
-    return FiltrationResult(best[2], tuple(curve), best_complex)
+            best, best_complex, best_inc = score, k_tau, inc
+    basis = prefix_ranks(best_inc.b2, [best_complex.num_triangles])[1]
+    return FiltrationResult(best[2], tuple(curve), best_complex, basis)
+
+
+def assert_curl_basis(result):
+    """curl_basis is orthonormal, rank(d2) wide, and spans im(d2) of the chosen complex."""
+    k = result.chosen_complex
+    b2 = build_incidence(k).b2.astype(float)
+    q = result.curl_basis
+    assert q.shape == (k.num_edges, rank(b2))
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-12
+    assert np.abs(q @ (q.T @ b2) - b2).max(initial=0.0) <= 1e-12
 
 
 def assert_matches_oracle(table, candidates):
@@ -64,6 +76,7 @@ def assert_matches_oracle(table, candidates):
     assert result.chosen_complex.to_json() == oracle.chosen_complex.to_json()
     assert result.beta1 == betti1(result.chosen_complex,
                                   build_incidence(result.chosen_complex))
+    assert_curl_basis(result)
     return result
 
 
@@ -154,7 +167,8 @@ class TestStageB:
 
     def test_missing_triplet_barrier(self):
         table = all_equal_table(4, 1.0)
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError,
+                           match=r"^triplet barrier missing for candidate \(0, 1, 2\)$"):
             stage_b_filtration(table, np.array([[0, 1, 2]]))
 
     def test_deterministic(self):
@@ -180,6 +194,7 @@ class TestStageB:
         doc = FiltrationResult.__dict__  # noqa: F841  (method presence)
         text = result.to_json()
         assert '"tau_star"' in text
+        assert "curl_basis" not in text
         csv = result.curve_csv()
         assert csv.startswith("tau,beta1\n")
         assert len(csv.strip().split("\n")) == 81
@@ -250,7 +265,7 @@ def test_rp2_rank_is_taken_over_the_reals():
     k = Complex2(6, complete_edges(6), tris)
     inc = build_incidence(k)
     assert k.num_edges == 15
-    assert prefix_ranks(inc.b2, [10]).tolist() == [10]
+    assert prefix_ranks(inc.b2, [10])[0].tolist() == [10]
     assert betti1(k, inc) == kernel_dimension(inc) == 0
     table = all_equal_table(6, 1.0)
     table = BarrierTable(table.pairwise, {t: 1.0 for t in tris}, table.routing_freq)

@@ -88,7 +88,11 @@ class TestSynth:
         'model.ctx="abc"', "model.ctx=0", "model.vocab=1", "model.vocab=4.0",
         "model.clusters=0", "model.clusters=99", "model.clusters=true", 'model.seed="x"',
         "model.seed=-1", "corpus.seed=1.5", "corpus.seed=null",
-        "selector.triangle_seed=false"])
+        "selector.triangle_seed=false", 'model.noise="x"', "model.noise=-1",
+        "model.noise=NaN", "model.spread=-0.5", "model.spread=Infinity",
+        "model.router_scale=null", "model.router_scale=-1e-9", 'model.router_bias="2.5"',
+        "model.router_bias=-Infinity", "model.router_bias=true", "wanda.r1=1",
+        "wanda.r1=-0.1"])
     def test_bad_model_key_exits_before_synth_writes(self, tmp_path, capsys, override):
         out = tmp_path / "s"
         assert run(["synth", "--out", out, "--set", override]) == 2
@@ -101,7 +105,8 @@ class TestSynth:
         'selector.alpha="x"', "selector.alpha=null", "selector.alpha_t=Infinity",
         'selector.triangle_cap="x"', "selector.triangle_cap=-1", "selector.triangle_cap=2.5",
         "selector.lambda_e=nan", "selector.lambda_e=NaN", "selector.lambda_t=-0.5",
-        "selector.p=-1", "selector.p=100.5", "selector.q_t=true", "selector.q_t=[20]"])
+        "selector.p=-1", "selector.p=100.5", "selector.q_t=true", "selector.q_t=[20]",
+        "wanda.r1=5", "wanda.r1=NaN", 'wanda.r1="0.2"', "model.noise=-1"])
     def test_bad_selector_key_exits_before_compress_writes(self, tmp_path, model_dir, capsys,
                                                           override):
         out = tmp_path / "c"
@@ -115,7 +120,8 @@ class TestSynth:
     def test_selector_keys_at_their_bounds_run(self, tmp_path, model_dir):
         bounds = ["selector.p=0", "selector.q_t=100", "selector.lambda_e=0",
                   "selector.lambda_t=0.0", "selector.alpha=-1.5", "selector.alpha_t=0",
-                  "selector.triangle_cap=0"]
+                  "selector.triangle_cap=0", "model.noise=0", "model.spread=0",
+                  "model.router_scale=0.0", "model.router_bias=-3", "wanda.r1=0.999"]
         assert run(["compress", "--out", tmp_path / "c", "--model-dir", model_dir] + FAST
                    + [arg for b in bounds for arg in ("--set", b)]) == 0
 

@@ -5,8 +5,9 @@ from scipy.sparse.csgraph import connected_components
 
 from hodgecover import selector
 from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, betti1,
-                                  build_incidence, complete_edges, kernel_dimension, laplacians,
-                                  random_complex, rank, skeleton_components)
+                                  RANK_BLOCK, build_incidence, complete_edges, kernel_dimension,
+                                  laplacians, prefix_ranks, random_complex, rank,
+                                  skeleton_components)
 
 
 def k3(with_triangle=True):
@@ -43,6 +44,29 @@ class TestComplexValidation:
         assert np.array_equal(back.triangles, k.triangles)
 
 
+def b2_loop(k):
+    """d2 as first assembled: an edge-index lookup per triangle."""
+    b2 = np.zeros((k.num_edges, k.num_triangles), dtype=np.int64)
+    idx = k.edge_index
+    for col, (i, j, kk) in enumerate(map(tuple, k.triangles)):
+        try:
+            b2[idx[(j, kk)], col] = +1
+            b2[idx[(i, kk)], col] = -1
+            b2[idx[(i, j)], col] = +1
+        except KeyError:
+            raise ComplexStructureError(
+                f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list"
+            ) from None
+    return b2
+
+
+def drop_edge(k, edge):
+    """k with one edge removed behind the validator's back."""
+    object.__setattr__(k, "edges", np.delete(k.edges, edge, axis=0))
+    k.__dict__.pop("edge_index", None)
+    return k
+
+
 class TestIncidence:
     def test_single_edge_column(self):
         # boundary of [0, 1] is [1] - [0]
@@ -63,6 +87,37 @@ class TestIncidence:
             inc = build_incidence(k)
             assert inc.b1.dtype == np.int64 and inc.b2.dtype == np.int64
             assert not (inc.b1 @ inc.b2).any()
+
+    def test_b2_matches_loop_oracle(self):
+        rng = np.random.default_rng(3)
+        cases = [random_complex(rng, n_max=16) for _ in range(150)]
+        cases += [k3(), k3(False), Complex2(0, [], []), Complex2(4, complete_edges(4), [])]
+        for k in cases:
+            b2 = build_incidence(k).b2
+            assert b2.dtype == np.int64
+            assert np.array_equal(b2, b2_loop(k))
+
+    def test_missing_edge_message_matches_loop_oracle(self):
+        rng = np.random.default_rng(4)
+        checked = 0
+        while checked < 30:
+            k = random_complex(rng, n_max=10)
+            if k.num_triangles == 0:
+                continue
+            k = drop_edge(k, int(rng.integers(k.num_edges)))
+            try:
+                b2_loop(k)
+            except ComplexStructureError as exc:
+                expected = str(exc)
+            else:
+                continue
+            with pytest.raises(ComplexStructureError) as caught:
+                build_incidence(k)
+            assert str(caught.value) == expected
+            checked += 1
+        k = drop_edge(Complex2(3, [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]), [0, 1, 2])
+        with pytest.raises(ComplexStructureError, match=r"^triangle \(0, 1, 2\) has an edge"):
+            build_incidence(k)
 
     def test_missing_edge_reported(self):
         k = k3()
@@ -175,6 +230,43 @@ class TestSkeletonComponentsMatchesScipy:
 
     def test_one_union_find(self):
         assert selector.UnionFind is UnionFind
+
+
+class TestPrefixRanks:
+    @staticmethod
+    def check(matrix, stops):
+        ranks, basis = prefix_ranks(matrix, stops)
+        m = matrix.astype(np.float64)
+        assert basis.shape == (matrix.shape[0], ranks[-1] if len(stops) else 0)
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
+        for r, stop in zip(ranks, stops):
+            assert r == rank(m[:, :stop])
+            q = basis[:, :r]
+            # the leading r columns span the leading block: each column is
+            # reproduced by its projection, and r = rank means no more
+            assert np.abs(q @ (q.T @ m[:, :stop]) - m[:, :stop]).max(initial=0.0) <= 1e-12
+        return ranks
+
+    def test_basis_spans_every_prefix_of_random_boundaries(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            k = random_complex(rng, n_max=14)
+            t = k.num_triangles
+            stops = np.sort(rng.integers(0, t + 1, size=int(rng.integers(1, 6))))
+            self.check(build_incidence(k).b2, stops)
+
+    def test_blocks_wider_than_one_step(self):
+        # 84 triangles on 9 vertices: the pass takes two column blocks
+        n = 9
+        tris = [[i, j, l] for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
+        b2 = build_incidence(Complex2(n, complete_edges(n), tris)).b2
+        assert b2.shape[1] > RANK_BLOCK
+        ranks = self.check(b2, [0, 10, RANK_BLOCK, RANK_BLOCK + 5, len(tris)])
+        assert ranks[-1] == (n - 1) * (n - 2) // 2
+
+    def test_no_columns(self):
+        ranks, basis = prefix_ranks(np.zeros((6, 0), dtype=np.int64), [0])
+        assert ranks.tolist() == [0] and basis.shape == (6, 0)
 
 
 def test_rank_of_empty_matrix():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complete_edges,
-                                  random_complex)
-from hodgecover.hodge import (ZeroSignalError, decompose, harmonic_fraction,
+                                  random_complex, rank, svd_rcond)
+from hodgecover.hodge import (HodgeDecomp, ZeroSignalError, decompose, harmonic_fraction,
                               residual_certificate)
+from hodgecover.moe import CalibCorpus, synth_layer
+from hodgecover.pipeline import analyze_layer
 
 
 def random_pair(rng, n_max=14):
@@ -12,6 +14,97 @@ def random_pair(rng, n_max=14):
     while k.num_edges == 0:
         k = random_complex(rng, n_max=n_max)
     return k, build_incidence(k), EdgeSignal(rng.normal(size=k.num_edges))
+
+
+def decompose_pinv(k, inc, b):
+    """The decomposition as first written: pseudoinverses of L0 and L2."""
+    values = b.values
+    b1 = inc.b1.astype(np.float64)
+    b2 = inc.b2.astype(np.float64)
+    l0 = b1 @ b1.T
+    grad = b1.T @ (np.linalg.pinv(l0, rcond=svd_rcond(l0.shape)) @ (b1 @ values))
+    if k.num_triangles:
+        l2 = b2.T @ b2
+        curl = b2 @ (np.linalg.pinv(l2, rcond=svd_rcond(l2.shape)) @ (b2.T @ (values - grad)))
+    else:
+        curl = np.zeros_like(values)
+    harm = values - grad - curl
+    total = float(values @ values)
+    energies = ((float(grad @ grad) / total, float(curl @ curl) / total,
+                 float(harm @ harm) / total) if total > 0.0 else (0.0, 0.0, 0.0))
+    return HodgeDecomp(EdgeSignal(grad), EdgeSignal(curl), EdgeSignal(harm), *energies)
+
+
+def svd_basis(b2):
+    """An orthonormal basis of im(b2) independent of prefix_ranks."""
+    u, _, _ = np.linalg.svd(b2.astype(np.float64), full_matrices=False)
+    return u[:, :rank(b2)]
+
+
+def assert_matches_pinv(d, oracle, tol=1e-12):
+    for part in ("grad", "curl", "harm"):
+        assert np.abs(getattr(d, part).values - getattr(oracle, part).values).max(
+            initial=0.0) <= tol, part
+    for part in ("energy_grad", "energy_curl", "energy_harm"):
+        assert abs(getattr(d, part) - getattr(oracle, part)) <= tol, part
+
+
+def closed_tetrahedron():
+    # boundary of the 3-simplex: four triangles, rank(d2) = 3
+    return Complex2(4, complete_edges(4), [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
+class TestDecomposeMatchesPinvOracle:
+    """decompose projects onto an orthonormal basis; the pinv path is the oracle."""
+
+    def test_rank_deficient_d2(self):
+        rng = np.random.default_rng(20)
+        n = 5
+        tris = [[i, j, l] for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
+        for k in (closed_tetrahedron(), Complex2(n, complete_edges(n), tris)):
+            inc = build_incidence(k)
+            assert rank(inc.b2) < k.num_triangles
+            for _ in range(5):
+                b = EdgeSignal(rng.normal(size=k.num_edges))
+                oracle = decompose_pinv(k, inc, b)
+                assert_matches_pinv(decompose(k, inc, b), oracle)
+                assert_matches_pinv(decompose(k, inc, b, basis=svd_basis(inc.b2)), oracle)
+
+    def test_random_complexes(self):
+        rng = np.random.default_rng(21)
+        deficient = 0
+        for _ in range(100):
+            k, inc, b = random_pair(rng)
+            deficient += rank(inc.b2) < k.num_triangles
+            oracle = decompose_pinv(k, inc, b)
+            assert_matches_pinv(decompose(k, inc, b), oracle)
+            assert_matches_pinv(decompose(k, inc, b, basis=svd_basis(inc.b2)), oracle)
+        assert deficient > 0
+
+    def test_zero_signal(self):
+        k = closed_tetrahedron()
+        inc = build_incidence(k)
+        d = decompose(k, inc, EdgeSignal(np.zeros(k.num_edges)))
+        assert_matches_pinv(d, decompose_pinv(k, inc, EdgeSignal(np.zeros(k.num_edges))))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_analyze_layer(self, n):
+        corpus = CalibCorpus.sample(256, 2048, 42)
+        a = analyze_layer(synth_layer(n=n, seed=0), corpus)
+        k, inc, q = a.complex, a.incidence, a.filtration.curl_basis
+        b2 = inc.b2.astype(np.float64)
+        assert q.shape == (k.num_edges, rank(b2))
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+        assert np.abs(q @ (q.T @ b2) - b2).max() <= 1e-12
+        oracle = decompose_pinv(k, inc, a.signal)
+        assert_matches_pinv(a.decomp, oracle)
+        assert_matches_pinv(decompose(k, inc, a.signal), oracle)
+
+    def test_basis_rows_must_match_edges(self):
+        k = closed_tetrahedron()
+        inc = build_incidence(k)
+        with pytest.raises(ValueError, match="rows"):
+            decompose(k, inc, EdgeSignal(np.ones(6)), basis=np.zeros((5, 3)))
 
 
 class TestDecompose:
