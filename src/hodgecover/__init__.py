@@ -7,8 +7,8 @@ harmonic-critical edges and triplet-critical triangles.
 """
 
 from .complexes import (Complex2, ComplexStructureError, EdgeSignal, SignedIncidence,
-                        betti1, build_incidence, complete_edges, kernel_dimension,
-                        laplacians, random_complex)
+                        betti1, build_incidence, complete_edges, edge_laplacian,
+                        kernel_dimension, random_complex)
 from .hodge import HodgeDecomp, ZeroSignalError, decompose, harmonic_fraction, residual_certificate
 from .moe import (BarrierTable, CalibCorpus, MoeLayer, SaliencyVector, barrier_sweep,
                   compression_loss, layer_output, merge_experts, pairwise_barrier,

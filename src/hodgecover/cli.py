@@ -41,8 +41,7 @@ INT_KEYS = {("model", "n"): 1, ("model", "layers"): 1, ("model", "fanout"): 1,
             ("model", "ctx"): 1, ("model", "vocab"): 2, ("model", "clusters"): 1,
             ("corpus", "size"): 1, ("model", "seed"): 0, ("corpus", "seed"): 0,
             ("selector", "triangle_seed"): 0, ("selector", "triangle_cap"): 0}
-# float keys and the range each must lie in, closed unless the key is in
-# OPEN_ABOVE; every one must be finite
+# float keys and the closed range each must lie in; every one must be finite
 FLOAT_KEYS = {("model", "noise"): (0.0, math.inf), ("model", "spread"): (0.0, math.inf),
               ("model", "router_scale"): (0.0, math.inf),
               ("model", "router_bias"): (-math.inf, math.inf),
@@ -52,8 +51,6 @@ FLOAT_KEYS = {("model", "noise"): (0.0, math.inf), ("model", "spread"): (0.0, ma
               ("selector", "alpha"): (-math.inf, math.inf),
               ("selector", "alpha_t"): (-math.inf, math.inf),
               ("wanda", "r1"): (0.0, 1.0)}
-# wanda.residual_sparsity needs r1 < 1
-OPEN_ABOVE = {("wanda", "r1")}
 
 DEFAULT_CONFIG = {
     "model": {"layers": 4, "n": 16, "vocab": 32, "ctx": 256, "fanout": 2,
@@ -114,13 +111,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                            DATA_ERROR)
     for (section, field), (lo, hi) in FLOAT_KEYS.items():
         value = cfg[section][field]
-        open_above = (section, field) in OPEN_ABOVE
         # abs(value) <= float max rejects nan, +-inf and ints beyond float range
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (lo <= value <= hi and abs(value) <= sys.float_info.max)
-                or (open_above and value == hi)):
+                or not (lo <= value <= hi and abs(value) <= sys.float_info.max)):
             raise CliError(f"invalid {section}.{field} {value!r}; need a finite number "
-                           f"in [{lo:g}, {hi:g}{')' if open_above else ']'}", DATA_ERROR)
+                           f"in [{lo:g}, {hi:g}]", DATA_ERROR)
+    if cfg["wanda"]["r1"] == 1:  # wanda.residual_sparsity needs r1 < 1
+        raise CliError(f"invalid wanda.r1 {cfg['wanda']['r1']!r}; need a finite number "
+                       "in [0, 1)", DATA_ERROR)
     for field in ("fanout", "clusters"):
         if cfg["model"][field] > cfg["model"]["n"]:
             raise CliError(f"invalid model.{field} {cfg['model'][field]!r}; need at most "

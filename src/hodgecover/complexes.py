@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,15 +70,7 @@ class Complex2:
                 flat = _lex_keys(arr, self.n)
                 if not (np.diff(flat) > 0).all():
                     raise ComplexStructureError(f"{name} list is not strictly lex-sorted")
-        if self.triangles.size:
-            edge_keys = _lex_keys(self.edges, self.n) if self.edges.size else np.array([], dtype=np.int64)
-            # _triangle_edges stacks the T ij rows, then ik, then jk
-            missing = ~np.isin(_lex_keys(_triangle_edges(self.triangles), self.n), edge_keys)
-            if missing.any():
-                bad = missing.reshape(3, -1).any(axis=0)
-                t = self.triangles[np.nonzero(bad)[0][0]]
-                raise ComplexStructureError(
-                    f"triangle {tuple(int(v) for v in t)} has an edge missing from the edge list")
+        _triangle_edge_rows(self)
 
     @property
     def num_edges(self) -> int:
@@ -88,11 +79,6 @@ class Complex2:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map (i, j) with i < j to its row in ``edges``."""
-        return {(int(i), int(j)): e for e, (i, j) in enumerate(self.edges)}
 
     def to_json(self) -> str:
         return json.dumps({
@@ -161,17 +147,7 @@ def build_incidence(k: Complex2) -> SignedIncidence:
 
     b2 = np.zeros((m, t), dtype=np.int64)
     if t:
-        # rows of the T ij edges, then the ik, then the jk, in the edge list
-        keys = _lex_keys(_triangle_edges(k.triangles), k.n)
-        edge_keys = _lex_keys(k.edges, k.n)
-        rows = np.searchsorted(edge_keys, keys)
-        found = rows < m
-        found[found] = edge_keys[rows[found]] == keys[found]
-        if not found.all():
-            i, j, kk = k.triangles[np.nonzero(~found.reshape(3, t).all(axis=0))[0][0]]
-            raise ComplexStructureError(
-                f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list")
-        rows = rows.reshape(3, t)
+        rows = _triangle_edge_rows(k)
         cols = np.arange(t)
         b2[rows[0], cols] = +1
         b2[rows[1], cols] = -1
@@ -179,20 +155,16 @@ def build_incidence(k: Complex2) -> SignedIncidence:
     return SignedIncidence(b1=b1, b2=b2)
 
 
-def laplacians(inc: SignedIncidence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combinatorial Laplacians (L0, L1, L2) from the boundary operators.
+def edge_laplacian(inc: SignedIncidence) -> np.ndarray:
+    """The Hodge Laplacian L1 = b1^T b1 + b2 b2^T on edge signals.
 
-    L0 = b1 b1^T acts on vertex signals, L1 = b1^T b1 + b2 b2^T on edge
-    signals (its kernel is the harmonic subspace), L2 = b2^T b2 on triangle
-    signals.  All three are symmetric PSD.  L1 is dense |E| x |E|; call this
-    only at desk scale (n up to a few hundred edges).
+    Symmetric PSD, integer-valued, and its kernel is the harmonic subspace.
+    It is dense |E| x |E|; call this only at desk scale (n up to a few
+    hundred edges).
     """
     b1 = inc.b1.astype(np.float64)
     b2 = inc.b2.astype(np.float64)
-    l0 = b1 @ b1.T
-    l1 = b1.T @ b1 + b2 @ b2.T
-    l2 = b2.T @ b2
-    return l0, l1, l2
+    return b1.T @ b1 + b2 @ b2.T
 
 
 def rank(matrix: np.ndarray) -> int:
@@ -351,6 +323,25 @@ def _lex_keys(arr: np.ndarray, n: int) -> np.ndarray:
     for col in range(arr.shape[1]):
         key = key * base + arr[:, col]
     return key
+
+
+def _triangle_edge_rows(k: Complex2) -> np.ndarray:
+    """Rows in ``k.edges`` of each triangle's edges (i,j), (i,k), (j,k), shape (3, |T|).
+
+    Raises :class:`ComplexStructureError` naming the first triangle that has
+    an edge missing from the edge list, which must be lex-sorted.
+    """
+    keys = _lex_keys(_triangle_edges(k.triangles), k.n)
+    edge_keys = _lex_keys(k.edges, k.n)
+    rows = np.searchsorted(edge_keys, keys)
+    found = rows < k.num_edges
+    found[found] = edge_keys[rows[found]] == keys[found]
+    found = found.reshape(3, k.num_triangles).all(axis=0)
+    if not found.all():
+        i, j, kk = k.triangles[np.nonzero(~found)[0][0]]
+        raise ComplexStructureError(
+            f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list")
+    return rows.reshape(3, k.num_triangles)
 
 
 def _triangle_edges(triangles: np.ndarray) -> np.ndarray:

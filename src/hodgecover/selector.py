@@ -261,22 +261,12 @@ def redirect(k: Complex2, barriers: BarrierTable, decomp: HodgeDecomp,
         raise ValueError("survivor set is empty")
     signal = barriers.pairwise[k.edges[:, 0], k.edges[:, 1]]
     b_norm = float(np.linalg.norm(signal))
-    harm = decomp.harm.values
-    idx = k.edge_index
-
-    mapping: dict[int, int] = {}
-    for i in range(barriers.n):
-        if i in surv:
-            continue
-        best_j, best_cost = -1, np.inf
-        for j in surv:
-            e = idx.get((min(i, j), max(i, j)))
-            harm_e = abs(harm[e]) if e is not None else 0.0
-            cost = barriers.pairwise[i, j] * (1.0 + alpha * harm_e / max(b_norm, REDIRECT_GUARD))
-            if cost < best_cost:
-                best_j, best_cost = j, cost
-        mapping[i] = best_j
-    return mapping
+    harm = np.zeros((barriers.n, barriers.n))  # |harm| on edges, 0 off the complex
+    harm[k.edges[:, 0], k.edges[:, 1]] = np.abs(decomp.harm.values)
+    cost = barriers.pairwise * (1.0 + alpha * (harm + harm.T) / max(b_norm, REDIRECT_GUARD))
+    dropped = [i for i in range(barriers.n) if i not in surv]
+    best = np.argmin(cost[np.array(dropped, dtype=np.int64)][:, surv], axis=1)  # first minimum
+    return dict(zip(dropped, (surv[j] for j in best.tolist())))
 
 
 def select_random(n: int, k: int, seed: int) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .complexes import (Complex2, EdgeSignal, betti1, build_incidence, complete_edges,
-                        kernel_dimension, laplacians, random_complex)
+                        edge_laplacian, kernel_dimension, random_complex)
 from .hodge import decompose, residual_certificate
 from .moe import (CalibCorpus, MoeLayer, barrier_sweep, merged_distribution,
                   plant_discordant_triple, synth_layer)
@@ -93,7 +93,7 @@ def check_betti_agreement() -> tuple[bool, str]:
         inc = build_incidence(k)
         if betti1(k, inc) != expected or kernel_dimension(inc) != expected:
             return False, f"fixture with n={k.n} expected {expected}"
-        _, l1, _ = laplacians(inc)
+        l1 = edge_laplacian(inc)
         eig_dim = int((np.abs(np.linalg.eigvalsh(l1)) < 1e-8).sum())
         if eig_dim != expected:
             return False, f"dense eigendecomposition disagrees on n={k.n}"

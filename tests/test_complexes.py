@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import connected_components
 from hodgecover import selector
 from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, betti1,
                                   RANK_BLOCK, build_incidence, complete_edges, kernel_dimension,
-                                  laplacians, prefix_ranks, random_complex, rank,
+                                  edge_laplacian, prefix_ranks, random_complex, rank,
                                   skeleton_components)
 
 
@@ -47,7 +47,7 @@ class TestComplexValidation:
 def b2_loop(k):
     """d2 as first assembled: an edge-index lookup per triangle."""
     b2 = np.zeros((k.num_edges, k.num_triangles), dtype=np.int64)
-    idx = k.edge_index
+    idx = {(int(i), int(j)): e for e, (i, j) in enumerate(k.edges)}
     for col, (i, j, kk) in enumerate(map(tuple, k.triangles)):
         try:
             b2[idx[(j, kk)], col] = +1
@@ -63,7 +63,6 @@ def b2_loop(k):
 def drop_edge(k, edge):
     """k with one edge removed behind the validator's back."""
     object.__setattr__(k, "edges", np.delete(k.edges, edge, axis=0))
-    k.__dict__.pop("edge_index", None)
     return k
 
 
@@ -122,7 +121,6 @@ class TestIncidence:
     def test_missing_edge_reported(self):
         k = k3()
         object.__setattr__(k, "edges", np.array([[0, 1], [0, 2]]))
-        k.__dict__.pop("edge_index", None)
         with pytest.raises(ComplexStructureError, match="2"):
             build_incidence(k)
 
@@ -132,28 +130,25 @@ class TestLaplacians:
         rng = np.random.default_rng(1)
         for _ in range(20):
             k = random_complex(rng, n_max=12)
-            l0, l1, l2 = laplacians(build_incidence(k))
-            assert l0.shape == (k.n, k.n)
+            l1 = edge_laplacian(build_incidence(k))
             assert l1.shape == (k.num_edges, k.num_edges)
-            assert l2.shape == (k.num_triangles, k.num_triangles)
-            for m in (l0, l1, l2):
-                if m.size:
-                    assert np.abs(m - m.T).max() < 1e-10
-                    assert np.linalg.eigvalsh(m).min() > -1e-10
+            if l1.size:
+                assert np.abs(l1 - l1.T).max() < 1e-10
+                assert np.linalg.eigvalsh(l1).min() > -1e-10
 
     def test_filled_triangle_has_trivial_kernel(self):
-        _, l1, _ = laplacians(build_incidence(k3()))
+        l1 = edge_laplacian(build_incidence(k3()))
         assert np.linalg.eigvalsh(l1).min() > 1e-8
 
     def test_empty_triangle_has_one_cycle(self):
-        _, l1, _ = laplacians(build_incidence(k3(False)))
+        l1 = edge_laplacian(build_incidence(k3(False)))
         eig = np.linalg.eigvalsh(l1)
         assert (np.abs(eig) < 1e-10).sum() == 1
 
     def test_k4_kernel_dimension_matches_eigen_oracle(self):
         k = Complex2(4, complete_edges(4), [])
         inc = build_incidence(k)
-        _, l1, _ = laplacians(inc)
+        l1 = edge_laplacian(inc)
         eig_dim = int((np.abs(np.linalg.eigvalsh(l1)) < 1e-10).sum())
         assert eig_dim == 3  # |E| - n + 1 = 6 - 4 + 1
         assert kernel_dimension(inc) == 3
@@ -182,7 +177,7 @@ class TestBetti:
         for _ in range(25):
             k = random_complex(rng, n_max=10)
             inc = build_incidence(k)
-            _, l1, _ = laplacians(inc)
+            l1 = edge_laplacian(inc)
             if l1.size == 0:
                 continue
             eig_dim = int((np.abs(np.linalg.eigvalsh(l1)) < 1e-8).sum())

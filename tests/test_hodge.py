@@ -197,12 +197,12 @@ class TestDecompose:
         # barriers live in the signal, never inside the operator: the
         # Laplacians are integer matrices and the projection is linear in
         # the signal, so rescaling b rescales every component
-        from hodgecover.complexes import laplacians
+        from hodgecover.complexes import edge_laplacian
 
         rng = np.random.default_rng(19)
         k, inc, b = random_pair(rng)
-        for m in laplacians(inc):
-            assert np.array_equal(m, np.round(m))
+        l1 = edge_laplacian(inc)
+        assert np.array_equal(l1, np.round(l1))
         d1 = decompose(k, inc, b)
         d2 = decompose(k, inc, EdgeSignal(7.5 * b.values))
         assert np.allclose(d2.harm.values, 7.5 * d1.harm.values, atol=1e-10)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodgecover.complexes import Complex2, EdgeSignal, build_incidence, complete_edges
+from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complete_edges,
+                                  random_complex)
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             cluster_assignment, synth_layer)
@@ -162,7 +163,43 @@ class TestGreedy:
             assert phi(inst, greedy_select(inst, k)) >= bound * best - 1e-12
 
 
+def redirect_loop(k, barriers, decomp, survivors, alpha=3.0):
+    """redirect as first written: an edge-index lookup per (dropped, survivor) pair."""
+    surv = sorted(set(int(j) for j in survivors))
+    b_norm = float(np.linalg.norm(barriers.pairwise[k.edges[:, 0], k.edges[:, 1]]))
+    idx = {(int(i), int(j)): e for e, (i, j) in enumerate(k.edges)}
+    mapping = {}
+    for i in range(barriers.n):
+        if i in surv:
+            continue
+        best_j, best_cost = -1, np.inf
+        for j in surv:
+            e = idx.get((min(i, j), max(i, j)))
+            harm_e = abs(decomp.harm.values[e]) if e is not None else 0.0
+            cost = barriers.pairwise[i, j] * (1.0 + alpha * harm_e / max(b_norm, 1e-12))
+            if cost < best_cost:
+                best_j, best_cost = j, cost
+        mapping[i] = best_j
+    return mapping
+
+
 class TestRedirect:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(29)
+        for trial in range(120):
+            k = random_complex(rng, n_max=12)
+            pair = rng.random((k.n, k.n))
+            if trial % 3 == 0:  # coarse barriers force exact cost ties
+                pair = np.round(pair, 1)
+            pair = np.triu(pair, 1) + np.triu(pair, 1).T
+            table = BarrierTable(pair, {}, np.full(k.n, 1.0 / k.n))
+            d = decompose(k, build_incidence(k),
+                          EdgeSignal(pair[k.edges[:, 0], k.edges[:, 1]]))
+            survivors = rng.choice(k.n, size=int(rng.integers(1, k.n + 1)), replace=False)
+            for alpha in (0.0, 3.0, -0.5):
+                assert redirect(k, table, d, survivors, alpha) == \
+                    redirect_loop(k, table, d, survivors, alpha)
+
     def test_alpha_zero_is_nearest_barrier(self):
         layer = synth_layer(n=6, clusters=3, seed=23)
         corpus = CalibCorpus.sample(256, 512, 42)
