@@ -9,7 +9,7 @@ harmonic-critical edges and triplet-critical triangles.
 from .complexes import (Complex2, ComplexStructureError, EdgeSignal, SignedIncidence,
                         betti1, build_incidence, complete_edges, edge_laplacian,
                         kernel_dimension, random_complex)
-from .hodge import HodgeDecomp, ZeroSignalError, decompose, harmonic_fraction, residual_certificate
+from .hodge import HodgeDecomp, decompose, residual_certificate
 from .moe import (BarrierTable, CalibCorpus, MoeLayer, SaliencyVector, barrier_sweep,
                   compression_loss, layer_output, merge_experts, pairwise_barrier,
                   plant_discordant_triple, routing_frequencies, saliency, synth_layer,

@@ -16,12 +16,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import (diagnostics_csv, discordance, mechanism_table, retained_mass,
-                          series_json)
+from .diagnostics import (LayerDiagnostics, RetainedMass, diagnostics_csv, discordance,
+                          mechanism_table, retained_mass, series_json)
 from .moe import CalibCorpus, MoeLayer, synth_layer
 # plan_layer is unused here but stays importable: the benchmark's tracer
 # (perfbench/tracing.py) patches hodgecover.cli.plan_layer by name.
@@ -35,34 +36,39 @@ from .wanda import masks_to_json, prune_survivors  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-ALLOCATORS = ("uniform", "weighted")
-# integer keys and their least value; the generators reject negative seeds
-INT_KEYS = {("model", "n"): 1, ("model", "layers"): 1, ("model", "fanout"): 1,
-            ("model", "ctx"): 1, ("model", "vocab"): 2, ("model", "clusters"): 1,
-            ("corpus", "size"): 1, ("model", "seed"): 0, ("corpus", "seed"): 0,
-            ("selector", "triangle_seed"): 0, ("selector", "triangle_cap"): 0}
-# float keys and the closed range each must lie in; every one must be finite
-FLOAT_KEYS = {("model", "noise"): (0.0, math.inf), ("model", "spread"): (0.0, math.inf),
-              ("model", "router_scale"): (0.0, math.inf),
-              ("model", "router_bias"): (-math.inf, math.inf),
-              ("selector", "p"): (0.0, 100.0), ("selector", "q_t"): (0.0, 100.0),
-              ("selector", "lambda_e"): (0.0, math.inf),
-              ("selector", "lambda_t"): (0.0, math.inf),
-              ("selector", "alpha"): (-math.inf, math.inf),
-              ("selector", "alpha_t"): (-math.inf, math.inf),
-              ("wanda", "r1"): (0.0, 1.0)}
 
-DEFAULT_CONFIG = {
-    "model": {"layers": 4, "n": 16, "vocab": 32, "ctx": 256, "fanout": 2,
-              "clusters": 4, "seed": 0, "noise": 0.35, "spread": 2.0,
-              "router_scale": 3.0, "router_bias": 2.5},
-    "corpus": {"size": 2048, "seed": 42},
-    "selector": {"method": "hodgecover", "rate": 0.33, "allocator": "uniform",
-                 "p": 20.0, "q_t": 20.0, "lambda_e": 1.0, "lambda_t": 0.5,
-                 "alpha": 3.0, "alpha_t": 1.0, "triangle_cap": 500,
-                 "triangle_seed": 42},
-    "wanda": {"r1": 0.20, "hybrid": False},
+
+class Num(NamedTuple):
+    """An integer (``kind`` int) or a finite number in [lo, hi], or in
+    [lo, hi) when ``open_hi``."""
+
+    kind: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    open_hi: bool = False
+
+
+# Every config key with its default and its one check: a Num, bool, or a
+# tuple of the allowed values.  The generators reject negative seeds, and
+# wanda.residual_sparsity needs r1 < 1.
+SCHEMA = {
+    "model": {"layers": (4, Num(int, 1)), "n": (16, Num(int, 1)), "vocab": (32, Num(int, 2)),
+              "ctx": (256, Num(int, 1)), "fanout": (2, Num(int, 1)),
+              "clusters": (4, Num(int, 1)), "seed": (0, Num(int, 0)),
+              "noise": (0.35, Num(float, 0.0)), "spread": (2.0, Num(float, 0.0)),
+              "router_scale": (3.0, Num(float, 0.0)), "router_bias": (2.5, Num(float))},
+    "corpus": {"size": (2048, Num(int, 1)), "seed": (42, Num(int, 0))},
+    "selector": {"method": ("hodgecover", METHODS),
+                 "rate": (0.33, Num(float, 0.0, 1.0, open_hi=True)),
+                 "allocator": ("uniform", ("uniform", "weighted")),
+                 "p": (20.0, Num(float, 0.0, 100.0)), "q_t": (20.0, Num(float, 0.0, 100.0)),
+                 "lambda_e": (1.0, Num(float, 0.0)), "lambda_t": (0.5, Num(float, 0.0)),
+                 "alpha": (3.0, Num(float)), "alpha_t": (1.0, Num(float)),
+                 "triangle_cap": (500, Num(int, 0)), "triangle_seed": (42, Num(int, 0))},
+    "wanda": {"r1": (0.20, Num(float, 0.0, 1.0, open_hi=True)), "hybrid": (False, bool)},
 }
+DEFAULT_CONFIG = {section: {field: default for field, (default, _) in fields.items()}
+                  for section, fields in SCHEMA.items()}
 
 
 class CliError(Exception):
@@ -76,6 +82,27 @@ class Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def check_keys(cfg: dict, keys, code: int) -> None:
+    """Raise ``CliError(code)`` at the first (section, field) in ``keys``
+    whose value fails its check in ``SCHEMA``."""
+    for section, field in keys:
+        value, rule = cfg[section][field], SCHEMA[section][field][1]
+        if rule is bool:
+            ok, need = isinstance(value, bool), "need true or false"
+        elif isinstance(rule, Num):
+            kind, lo, hi, open_hi = rule
+            # abs(value) <= float max rejects nan, +-inf and ints beyond float range
+            ok = (not isinstance(value, bool) and isinstance(value, (int, kind))
+                  and lo <= value and (value < hi if open_hi else value <= hi)
+                  and abs(value) <= sys.float_info.max)
+            need = (f"need an integer >= {lo}" if kind is int else
+                    f"need a finite number in [{lo:g}, {hi:g}{')' if open_hi else ']'}")
+        else:
+            ok, need = value in rule, f"choose from {', '.join(rule)}"
+        if not ok:
+            raise CliError(f"invalid {section}.{field} {value!r}; {need}", code)
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -83,9 +110,14 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             loaded = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {path}: {exc}", DATA_ERROR)
+        if not isinstance(loaded, dict):
+            raise CliError(f"config {path} is not a JSON object", DATA_ERROR)
         for section, values in loaded.items():
             if section not in cfg or not isinstance(values, dict):
                 raise CliError(f"unknown config section {section!r}", DATA_ERROR)
+            unknown = sorted(values.keys() - cfg[section].keys())
+            if unknown:
+                raise CliError(f"unknown config key {section}.{unknown[0]}", DATA_ERROR)
             cfg[section].update(values)
     for item in overrides:
         try:
@@ -101,24 +133,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         except json.JSONDecodeError:
             value = raw
         current[field] = value
-    if cfg["selector"]["allocator"] not in ALLOCATORS:
-        raise CliError(f"invalid selector.allocator {cfg['selector']['allocator']!r}; "
-                       f"choose from {', '.join(ALLOCATORS)}", DATA_ERROR)
-    for (section, field), least in INT_KEYS.items():
-        value = cfg[section][field]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise CliError(f"invalid {section}.{field} {value!r}; need an integer >= {least}",
-                           DATA_ERROR)
-    for (section, field), (lo, hi) in FLOAT_KEYS.items():
-        value = cfg[section][field]
-        # abs(value) <= float max rejects nan, +-inf and ints beyond float range
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (lo <= value <= hi and abs(value) <= sys.float_info.max)):
-            raise CliError(f"invalid {section}.{field} {value!r}; need a finite number "
-                           f"in [{lo:g}, {hi:g}]", DATA_ERROR)
-    if cfg["wanda"]["r1"] == 1:  # wanda.residual_sparsity needs r1 < 1
-        raise CliError(f"invalid wanda.r1 {cfg['wanda']['r1']!r}; need a finite number "
-                       "in [0, 1)", DATA_ERROR)
+    check_keys(cfg, [(s, f) for s, fields in SCHEMA.items() for f in fields], DATA_ERROR)
     for field in ("fanout", "clusters"):
         if cfg["model"][field] > cfg["model"]["n"]:
             raise CliError(f"invalid model.{field} {cfg['model'][field]!r}; need at most "
@@ -218,8 +233,6 @@ def cmd_barriers(cfg: dict, out: Path, model_dir: str) -> int:
 
 
 def cmd_diagnose(cfg: dict, out: Path, model_dir: str) -> int:
-    from .diagnostics import LayerDiagnostics
-
     layers = load_model(model_dir)
     corpus, _ = corpora(cfg)
     write_manifest(out, "diagnose", cfg)
@@ -244,7 +257,7 @@ def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
     params = selector_params(cfg)
     if analyses is None:
         analyses = analyses_for(layers, cfg, corpus)
-    hybrid = bool(cfg["wanda"]["hybrid"])
+    hybrid = cfg["wanda"]["hybrid"]
     r1 = float(cfg["wanda"]["r1"])
     stage1_rate = r1 if hybrid else rate
     ks = allocate(cfg, stage1_rate, analyses)
@@ -267,18 +280,14 @@ def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
 
 def cmd_compress(cfg: dict, out: Path, model_dir: str) -> int:
     method = cfg["selector"]["method"]
-    rate = float(cfg["selector"]["rate"])
-    if method not in METHODS:
-        raise CliError(f"invalid method {method!r}; choose from {METHODS}", USAGE_ERROR)
-    if not (0.0 <= rate < 1.0):
-        raise CliError(f"invalid rate {rate!r}; need [0, 1)", USAGE_ERROR)
     if cfg["wanda"]["hybrid"] and method not in ("hodgecover", "no_triangle", "random"):
         raise CliError(f"hybrid stage 2 needs bit-exact survivors; {method!r} merges "
                        "expert groups instead", USAGE_ERROR)
     layers = load_model(model_dir)
     corpus, heldout = corpora(cfg)
     write_manifest(out, "compress", cfg)
-    _, plans, summary, masks = _compress(cfg, layers, corpus, heldout, method, rate)
+    _, plans, summary, masks = _compress(cfg, layers, corpus, heldout, method,
+                                         float(cfg["selector"]["rate"]))
     plan_dir = out / "plans"
     plan_dir.mkdir(parents=True, exist_ok=True)
     for idx, plan in enumerate(plans):
@@ -303,17 +312,11 @@ def cmd_ablate(cfg: dict, out: Path, model_dir: str) -> int:
         analyses, plans, summary, _ = _compress(cfg, layers, corpus, heldout, method,
                                                 rate, analyses=shared)
         grid[method] = summary
-        per_layer = []
-        for analysis, plan in zip(analyses, plans):
-            tri = {tuple(int(v) for v in t): analysis.table.triplet[tuple(int(v) for v in t)]
-                   for t in analysis.complex.triangles}
-            per_layer.append(retained_mass(analysis.complex, analysis.decomp,
-                                           tri, plan.survivors))
+        per_layer = [retained_mass(a.complex, a.decomp, a.table.triplet, plan.survivors)
+                     for a, plan in zip(analyses, plans)]
         macro = {key: float(np.mean([m.as_dict()[key] for m in per_layer]))
                  for key in ("harm", "grad", "curl", "triplet")}
         retained[method] = macro
-    from .diagnostics import RetainedMass
-
     deviations = mechanism_table(
         {m: RetainedMass(**vals) for m, vals in retained.items()})
     doc = {"rate": rate, "grid": grid, "retained_mass": retained,
@@ -390,7 +393,7 @@ def build_parser() -> Parser:
     common(compress, model=True)
     compress.add_argument("--method", help="selector method override")
     compress.add_argument("--rate", type=float, help="global drop rate override")
-    compress.add_argument("--hybrid", action="store_true",
+    compress.add_argument("--hybrid", action="store_const", const=True,
                           help="stage-1 at wanda.r1 then weight pruning to the rate")
     ablate = sub.add_parser("ablate", help="run every selector at one rate")
     common(ablate, model=True)
@@ -418,15 +421,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_report(args.run_dir)
 
         cfg = load_config(args.config, args.overrides)
-        if args.command == "compress":
-            if args.method is not None:
-                cfg["selector"]["method"] = args.method
-            if args.rate is not None:
-                cfg["selector"]["rate"] = args.rate
-            if args.hybrid:
-                cfg["wanda"]["hybrid"] = True
-        if args.command == "ablate" and args.rate is not None:
-            cfg["selector"]["rate"] = args.rate
+        # a flag overrides the config key of its name; a bad flag value is a usage error
+        flags = {(section, field): getattr(args, field, None) for section, field in
+                 (("selector", "method"), ("selector", "rate"), ("wanda", "hybrid"))}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        for (section, field), value in flags.items():
+            cfg[section][field] = value
+        check_keys(cfg, flags, USAGE_ERROR)
 
         out = Path(args.out)
         if args.command == "synth":

@@ -113,9 +113,6 @@ class EdgeSignal:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def to_json(self) -> str:
-        return json.dumps(self.values.tolist())
-
 
 @dataclass(frozen=True, eq=False)
 class SignedIncidence:

@@ -145,16 +145,12 @@ def mechanism_table(retained: Mapping[str, RetainedMass],
     return {method: mass.deviation_from(ref) for method, mass in retained.items()}
 
 
-def plot_series(diags: Sequence[LayerDiagnostics]) -> dict[str, list[list[float]]]:
+def series_json(diags: Sequence[LayerDiagnostics]) -> str:
     """(x, y) series for the per-layer diagnostic curves, ready to plot."""
     xs = [float(d.layer) for d in diags]
-    return {
+    return json.dumps({
         "rho_harm": [xs, [d.rho_harm for d in diags]],
         "rho_grad": [xs, [d.rho_grad for d in diags]],
         "rho_curl": [xs, [d.rho_curl for d in diags]],
         "delta": [xs, [d.delta for d in diags]],
-    }
-
-
-def series_json(diags: Sequence[LayerDiagnostics]) -> str:
-    return json.dumps(plot_series(diags))
+    })

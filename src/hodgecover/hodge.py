@@ -35,10 +35,6 @@ import numpy as np
 from .complexes import Complex2, EdgeSignal, SignedIncidence, prefix_ranks, svd_rcond
 
 
-class ZeroSignalError(ValueError):
-    """Energy fractions of the zero signal are undefined."""
-
-
 @dataclass(frozen=True, eq=False)
 class HodgeDecomp:
     """The orthogonal triple of an edge signal plus its energy fractions.
@@ -53,9 +49,6 @@ class HodgeDecomp:
     energy_grad: float
     energy_curl: float
     energy_harm: float
-
-    def reconstruction(self) -> np.ndarray:
-        return self.grad.values + self.curl.values + self.harm.values
 
     def to_json(self) -> str:
         return json.dumps({
@@ -96,19 +89,6 @@ def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
     else:
         energies = (0.0, 0.0, 0.0)
     return HodgeDecomp(EdgeSignal(grad), EdgeSignal(curl), EdgeSignal(harm), *energies)
-
-
-def harmonic_fraction(b: EdgeSignal, d: HodgeDecomp) -> float:
-    """Share of signal energy in the harmonic component, ||harm||^2 / ||b||^2.
-
-    Raises :class:`ZeroSignalError` on the zero signal; callers should treat
-    such a layer as trivially compressible rather than diagnose it.
-    """
-    total = float(b.values @ b.values)
-    if total == 0.0:
-        raise ZeroSignalError("harmonic fraction undefined for the zero signal")
-    h = d.harm.values
-    return float(h @ h) / total
 
 
 def residual_certificate(k: Complex2, inc: SignedIncidence, b: EdgeSignal,

@@ -113,10 +113,6 @@ class CalibCorpus:
         symbols, counts = np.unique(self.contexts, return_counts=True)
         return symbols, counts / self.size
 
-    def to_json(self) -> str:
-        return json.dumps({"seed": self.seed, "size": self.size,
-                           "contexts": self.contexts.tolist()})
-
 
 def synth_layer(n: int = 16, vocab: int = 32, ctx: int = 256, fanout: int = 2,
                 clusters: int = 4, seed: int = 0, *, noise: float = 0.35,
@@ -307,8 +303,8 @@ class MergedLayer:
     """The layer with one expert group replaced by its merged expert.
 
     The merged expert occupies the slot of the group's lowest index; its
-    router logit row is the log-sum-exp of the group's rows.  Calling the
-    object evaluates the merged layer's output distribution.
+    router logit row is the log-sum-exp of the group's rows.  ``outputs``
+    evaluates the merged layer's output distributions at given symbols.
     """
 
     dists: np.ndarray            # (n - |group| + 1, vocab)
@@ -318,9 +314,6 @@ class MergedLayer:
     def outputs(self, symbols: np.ndarray) -> np.ndarray:
         cols = self.router_logits[:, np.asarray(symbols, dtype=np.int64)]
         return _mixture_outputs(self.dists, cols, self.fanout)
-
-    def __call__(self, context: int) -> np.ndarray:
-        return self.outputs(np.array([context]))[0]
 
 
 def _merge_group(layer: MoeLayer, group: Sequence[int], freqs: np.ndarray) -> MergedLayer:

@@ -319,8 +319,7 @@ def check_diagnostics_closure() -> tuple[bool, str]:
             if abs(total - 1.0) > 1e-8:
                 return False, f"energy fractions sum to {total!r} on seed {layer.seed}"
             analysis = a
-    tri = {tuple(int(v) for v in t): analysis.table.triplet[tuple(int(v) for v in t)]
-           for t in analysis.complex.triangles}
+    tri = analysis.table.triplet
     rng = np.random.default_rng(1012)
     for _ in range(100):
         small = set(rng.choice(16, rng.integers(0, 12), replace=False).tolist())

@@ -97,13 +97,6 @@ def expert_weight_matrix(layer: MoeLayer, expert: int) -> np.ndarray:
     return np.repeat(layer.expert_logits[expert][:, None], layer.ctx, axis=1)
 
 
-def onehot_activations(corpus: CalibCorpus, ctx: int) -> np.ndarray:
-    """One-hot context features, one row per calibration token."""
-    x = np.zeros((corpus.size, ctx))
-    x[np.arange(corpus.size), corpus.contexts] = 1.0
-    return x
-
-
 def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[int],
                     r2: float) -> tuple[dict[int, np.ndarray], dict[int, PruneMask]]:
     """Stage-2 pass over every survivor's weight matrix at sparsity r2.

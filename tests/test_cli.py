@@ -106,7 +106,8 @@ class TestSynth:
         'selector.triangle_cap="x"', "selector.triangle_cap=-1", "selector.triangle_cap=2.5",
         "selector.lambda_e=nan", "selector.lambda_e=NaN", "selector.lambda_t=-0.5",
         "selector.p=-1", "selector.p=100.5", "selector.q_t=true", "selector.q_t=[20]",
-        "wanda.r1=5", "wanda.r1=NaN", 'wanda.r1="0.2"', "model.noise=-1"])
+        "wanda.r1=5", "wanda.r1=NaN", 'wanda.r1="0.2"', "model.noise=-1",
+        "selector.rate=true", "selector.rate=1", 'wanda.hybrid="no"', "selector.method=5"])
     def test_bad_selector_key_exits_before_compress_writes(self, tmp_path, model_dir, capsys,
                                                           override):
         out = tmp_path / "c"
@@ -129,6 +130,17 @@ class TestSynth:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["synth", "--config", bad, "--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("text", ["[1]", '{"selector": {"rtae": 0.5}}'])
+    def test_config_not_an_object_or_with_unknown_key_is_data_error(self, tmp_path, capsys,
+                                                                    text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "x"
+        assert run(["synth", "--config", bad, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBarriersAndDiagnose:
@@ -242,6 +254,16 @@ class TestAblateVerifyReport:
         assert all(v == 0.0 for v in dev.values())
         csv = (out / "ablation_grid.csv").read_text().strip().split("\n")
         assert len(csv) == 7
+
+    @pytest.mark.parametrize("arg, code", [
+        ("--rate=1.5", 1), ("--set=selector.rate=1.5", 2), ("--set=selector.method=5", 2)])
+    def test_bad_rate_or_method_exits_before_ablate_writes(self, tmp_path, model_dir, capsys,
+                                                           arg, code):
+        out = tmp_path / "ab"
+        assert run(["ablate", "--out", out, "--model-dir", model_dir] + FAST + [arg]) == code
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_verify_subset_and_artifact(self, tmp_path, capsys):
         out = tmp_path / "v"

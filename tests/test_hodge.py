@@ -3,8 +3,7 @@ import pytest
 
 from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complete_edges,
                                   random_complex, rank, svd_rcond)
-from hodgecover.hodge import (HodgeDecomp, ZeroSignalError, decompose, harmonic_fraction,
-                              residual_certificate)
+from hodgecover.hodge import HodgeDecomp, decompose, residual_certificate
 from hodgecover.moe import CalibCorpus, synth_layer
 from hodgecover.pipeline import analyze_layer
 
@@ -222,24 +221,25 @@ class TestDecompose:
 
 
 class TestHarmonicFraction:
+    """``energy_harm`` is the harmonic share ||harm||^2 / ||b||^2."""
+
     def test_pure_gradient_is_zero(self):
         rng = np.random.default_rng(16)
         k, inc, _ = random_pair(rng)
         b = EdgeSignal(inc.b1.T @ rng.normal(size=k.n))
-        assert harmonic_fraction(b, decompose(k, inc, b)) < 1e-12
+        assert decompose(k, inc, b).energy_harm < 1e-12
 
     def test_pure_harmonic_is_one(self):
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
         inc = build_incidence(k)
         b = EdgeSignal([1.0, -1.0, 1.0])
-        assert harmonic_fraction(b, decompose(k, inc, b)) == pytest.approx(1.0, abs=1e-12)
+        assert decompose(k, inc, b).energy_harm == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_signal_raises(self):
+    def test_zero_signal_is_zero(self):
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
         inc = build_incidence(k)
         b = EdgeSignal([0.0, 0.0, 0.0])
-        with pytest.raises(ZeroSignalError):
-            harmonic_fraction(b, decompose(k, inc, b))
+        assert decompose(k, inc, b).energy_harm == 0.0
 
 
 class TestResidualCertificate:

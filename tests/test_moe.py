@@ -181,7 +181,7 @@ class TestMerge:
         layer = synth_layer(seed=6)
         corpus = small_corpus()
         merged = merge_experts(layer, [0, 1], routing_frequencies(layer, corpus))
-        out = merged(3)
+        out = merged.outputs([3])[0]
         assert out.sum() == pytest.approx(1.0, abs=1e-10)
 
 

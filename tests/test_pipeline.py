@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hodgecover.complexes import betti1
-from hodgecover.hodge import harmonic_fraction
 from hodgecover.moe import CalibCorpus, compression_loss, synth_layer
 from hodgecover import pipeline
 from hodgecover.pipeline import (COVERAGE_METHODS, METHODS, SelectorParams, analyze_layer,
@@ -30,8 +29,7 @@ class TestAnalyzeLayer:
         # the per-layer share of barrier energy that is harmonic sits in
         # the 29-62% band on the default planted layer
         a, _ = default_analysis
-        rho = harmonic_fraction(a.signal, a.decomp)
-        assert 0.29 <= rho <= 0.62
+        assert 0.29 <= a.decomp.energy_harm <= 0.62
 
     def test_signal_alignment(self, default_analysis):
         a, _ = default_analysis

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgecover.moe import CalibCorpus, MoeLayer, synth_layer
-from hodgecover.wanda import (PruneMask, expert_weight_matrix, onehot_activations,
-                              prune_survivors, residual_sparsity, wanda_prune)
+from hodgecover.wanda import (PruneMask, expert_weight_matrix, prune_survivors,
+                              residual_sparsity, wanda_prune)
 
 
 class TestResidualSparsity:
@@ -133,6 +133,13 @@ class TestStageTwoIntegration:
         assert len(kept_cols) == math.ceil(0.425 * 256)
         w = pruned[0]
         assert np.array_equal(w[:, kept_cols[0]], layer.expert_logits[0])
+
+
+def onehot_activations(corpus: CalibCorpus, ctx: int) -> np.ndarray:
+    """One-hot context features, one row per calibration token."""
+    x = np.zeros((corpus.size, ctx))
+    x[np.arange(corpus.size), corpus.contexts] = 1.0
+    return x
 
 
 def assert_prune_matches_oracle(layer, corpus, survivors, r2):
