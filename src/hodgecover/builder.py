@@ -87,16 +87,12 @@ def stage_a_candidates(barriers: BarrierTable, cap: int = DEFAULT_CAP,
     if n < 3:
         return np.zeros((0, 3), dtype=np.int64)
     tau_cand = float(np.median(barriers.upper_entries()))
-    adj = barriers.pairwise <= tau_cand
-    np.fill_diagonal(adj, False)
-
-    triples: list[tuple[int, int, int]] = []
-    for i in range(n - 2):
-        for j in np.nonzero(adj[i, i + 1:])[0] + i + 1:
-            common = np.nonzero(adj[i, j + 1:] & adj[j, j + 1:])[0] + j + 1
-            triples.extend((i, int(j), int(c)) for c in common)
-
-    out = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    # edges (i, j), i < j, in row-major order; a third vertex k of theirs is
+    # adjacent to both and above j, so the triples come out lexicographically
+    upper = np.triu(barriers.pairwise <= tau_cand, k=1)
+    ii, jj = np.nonzero(upper)
+    edge, kk = np.nonzero(upper[ii] & upper[jj])
+    out = np.stack([ii[edge], jj[edge], kk], axis=1).astype(np.int64, copy=False)
     if len(out) > cap:
         rng = np.random.default_rng(seed)
         keep = rng.choice(len(out), size=cap, replace=False)

@@ -278,11 +278,17 @@ def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
     return analyses, plans, summary, masks
 
 
+def check_hybrid(cfg: dict, methods) -> None:
+    """Refuse the hybrid recipe for a merge method before anything is written."""
+    merging = [m for m in methods if m not in ("hodgecover", "no_triangle", "random")]
+    if cfg["wanda"]["hybrid"] and merging:
+        raise CliError(f"hybrid stage 2 needs bit-exact survivors; {merging[0]!r} merges "
+                       "expert groups instead", USAGE_ERROR)
+
+
 def cmd_compress(cfg: dict, out: Path, model_dir: str) -> int:
     method = cfg["selector"]["method"]
-    if cfg["wanda"]["hybrid"] and method not in ("hodgecover", "no_triangle", "random"):
-        raise CliError(f"hybrid stage 2 needs bit-exact survivors; {method!r} merges "
-                       "expert groups instead", USAGE_ERROR)
+    check_hybrid(cfg, [method])
     layers = load_model(model_dir)
     corpus, heldout = corpora(cfg)
     write_manifest(out, "compress", cfg)
@@ -302,6 +308,7 @@ def cmd_compress(cfg: dict, out: Path, model_dir: str) -> int:
 
 def cmd_ablate(cfg: dict, out: Path, model_dir: str) -> int:
     rate = float(cfg["selector"]["rate"])
+    check_hybrid(cfg, METHODS)
     layers = load_model(model_dir)
     corpus, heldout = corpora(cfg)
     write_manifest(out, "ablate", cfg)

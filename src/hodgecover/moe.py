@@ -15,14 +15,26 @@ frequency-weighted merge; the merged expert's router logit is the
 log-sum-exp of the absorbed logits, which preserves total pre-softmax
 routing mass.
 
-The barrier sweep evaluates a merge only on its touched cells: the (group,
-symbol) pairs where a member is routed, or where the group's log-sum-exp
-logit reaches the fanout-th logit (a tie counts, because the merged slot
-keeps the group's lowest index and can win it).  At every other symbol the
-merged layer routes the same experts with the same logits in the same
-order, so its output equals the original bit for bit and the KL term is
-exactly 0.  With fanout 2 that leaves about 6 % of the (pair, symbol) cells
-at 64 experts.
+The barrier sweep (``_merge_kls``) gives every group the same barrier as
+the merged layer does, bit for bit, while evaluating only the touched
+cells: the (group, symbol) pairs where a member is routed, or where the
+group's log-sum-exp logit reaches the fanout-th logit (a tie counts,
+because the merged slot keeps the group's lowest index and can win it).
+
+- Untouched cells.  There the merged layer routes the same experts with the
+  same logits in the same order, so its output equals the original and the
+  KL term is exactly 0.
+- The lse bound.  lse(g) <= max(g) + log|g|, so a group with no routed
+  member can reach the threshold only where some member's logit is at least
+  threshold - log|g|, less a margin of 1e-6 (1 + |threshold|) that covers
+  the rounding of both sides at any logit magnitude.  The exact log-sum-exp
+  runs on those cells and the routed ones alone.
+- Touched cells.  They go through the merged layer's own routing, softmax,
+  mixture and ``kl_rows`` arithmetic, elementwise, and each group's mean is
+  the same dot product of its dense KL row with the symbol weights.
+
+With fanout 2 about 6 % of the (pair, symbol) cells are touched at 64
+experts, and about 9 % pass the bound.
 """
 
 from __future__ import annotations
@@ -39,7 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 KL_FLOOR = 1e-12        # probability floor on the merged (second) argument
 FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain average
-BLOCK_FLOATS = 1 << 20  # float64 entries of one block's (fanout, cell, vocab) mixture: 8 MiB
+# float64 entries of one sweep block's largest array: 512 KiB.  Blocks of a few MiB
+# ran slower: each one's temporaries fell out of cache and were page-faulted anew.
+BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +97,21 @@ class MoeLayer:
 
     @classmethod
     def from_json(cls, text: str) -> "MoeLayer":
+        """Parse a layer file; a field of the wrong type raises ``ValueError``."""
         doc = json.loads(text)
-        return cls(doc["n"], doc["vocab"], doc["ctx"], doc["fanout"],
-                   np.array(doc["expert_logits"]), np.array(doc["router_logits"]),
-                   doc["seed"])
+        if not isinstance(doc, dict):
+            raise ValueError("a layer file holds one JSON object")
+        for key in ("n", "vocab", "ctx", "fanout", "seed"):
+            if type(doc[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+        logits = []
+        for key in ("expert_logits", "router_logits"):
+            rows = np.array(doc[key])
+            if rows.ndim != 2 or rows.dtype.kind not in "iuf" or any(
+                    type(v) is bool for row in doc[key] for v in row):
+                raise ValueError(f"{key} must be a table of numbers")
+            logits.append(rows)
+        return cls(doc["n"], doc["vocab"], doc["ctx"], doc["fanout"], *logits, doc["seed"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,10 +367,18 @@ def merge_experts(layer: MoeLayer, group: Iterable[int], freqs: np.ndarray) -> M
 # Barriers
 
 
-def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL(p || q) in nats with the 1e-12 floor on q."""
-    q = np.maximum(q, KL_FLOOR)
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, KL_FLOOR)) - np.log(q)), 0.0)
+def kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise KL(p || q) in nats with the 1e-12 floor on q; ``log_p``, when
+    given, is ``log(max(p, 1e-12))`` taken beforehand."""
+    if log_p is None:
+        log_p = np.log(np.maximum(p, KL_FLOOR))
+    # p * (log_p - log(max(q, floor))) where p > 0, else 0, in one buffer: in the
+    # sweep a fresh temporary per step cost more than the arithmetic
+    terms = np.maximum(q, KL_FLOOR)
+    np.log(terms, out=terms)
+    np.subtract(log_p, terms, out=terms)
+    np.multiply(p, terms, out=terms)
+    np.copyto(terms, 0.0, where=~(p > 0.0))
     return terms.sum(axis=-1)
 
 
@@ -451,11 +484,9 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
                freqs: np.ndarray) -> list[float]:
     """Mean merge KL of every group, evaluated only on the cells a merge can change.
 
-    Bit-identical to ``_mean_merge_kl`` per group: every touched cell goes
-    through the same routing, softmax, mixture and ``kl_rows`` arithmetic as
-    the merged layer, untouched cells contribute exactly 0, and each group's
-    mean is the same ``weights @ row`` dot product over the corpus symbols.
-    Groups must all have the same size.
+    Bit-identical to ``_mean_merge_kl`` per group, by the argument in the
+    module docstring: touched cells go through the merged layer's arithmetic,
+    the others add exactly 0.  Groups must all have the same size.
     """
     if not len(groups):
         return []
@@ -465,33 +496,51 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     u = len(symbols)
     cols = layer.router_logits[:, symbols]                       # (n, u)
     originals = layer_symbol_outputs(layer, symbols)
+    log_originals = np.log(np.maximum(originals, KL_FLOOR))
     order = np.argsort(-cols, axis=0, kind="stable")             # routing order per symbol
     routed = np.zeros(cols.shape, dtype=bool)
     np.put_along_axis(routed, order[:layer.fanout], True, axis=0)
     threshold = np.take_along_axis(cols, order[layer.fanout - 1][None, :], axis=0)[0]
+    # lse(g) <= max(g) + log|g|, so a cell is touched only if some member is live
+    reach = threshold - np.log(size) - 1e-6 * (1.0 + np.abs(threshold))
+    live = routed | (cols >= reach)
     fanout = min(layer.fanout, layer.n - size + 1)                # of the merged layer
     # the merged top-fanout lies in the original top-(fanout + |g|) plus the merged slot
     top = order[:min(layer.fanout + size, layer.n)]
-    step = max(1, BLOCK_FLOATS // (fanout * u * layer.vocab))
+    w = freqs[groups]
+    total = w.sum(axis=1, keepdims=True)
+    w = np.divide(w, total, out=np.full(w.shape, 1.0 / size), where=total >= FREQ_GUARD)
+    group_step = max(1, BLOCK_FLOATS // (size * max(u, layer.n)))
+    cell_step = max(1, BLOCK_FLOATS // (fanout * layer.vocab))
     vals: list[float] = []
-    for start in range(0, len(groups), step):
-        block = groups[start:start + step]
-        merged_logit = _logsumexp(cols[block.T], axis=0)          # (block, u)
-        touched = routed[block].any(axis=1) | (merged_logit >= threshold)
-        gi, si = np.nonzero(touched)
-        cand = top[:, si]                                          # (fanout + |g|, cells)
-        member = (cand[None, :, :] == block[gi].T[:, None, :]).any(axis=0)
-        ids = np.vstack([cand, layer.n + gi])
-        logit = np.vstack([np.where(member, -np.inf, cols[cand, si]), merged_logit[gi, si]])
-        key = np.vstack([cand, block[gi, 0]])
-        pick = np.lexsort((key, -logit), axis=0)[:fanout]
-        gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
+    for start in range(0, len(groups), group_step):
+        block = groups[start:start + group_step]
+        gi, si = np.nonzero(live[block].any(axis=1))
+        members = block[gi].T                                      # (|g|, cells)
+        merged_logit = _logsumexp(cols[members, si], axis=0)
+        touched = routed[members, si].any(axis=0) | (merged_logit >= threshold[si])
+        gi, si, merged_logit = gi[touched], si[touched], merged_logit[touched]
+        in_group = np.zeros((len(block), layer.n), dtype=bool)
+        in_group[np.arange(len(block))[:, None], block] = True
         bank = np.vstack([layer.expert_dists,
-                          [merged_distribution(layer.expert_dists, g, freqs) for g in block]])
-        chosen = bank[np.take_along_axis(ids, pick, axis=0)]       # (fanout, cells, vocab)
+                          np.matmul(w[start:start + group_step, None, :],
+                                    layer.expert_dists[block])[:, 0]])
         rows = np.zeros((len(block), u))
-        rows[gi, si] = kl_rows(originals[si], np.einsum("fu,fuv->uv", gates, chosen))
-        vals.extend(float(weights @ row) for row in rows)
+        for lo in range(0, len(gi), cell_step):
+            g, s = gi[lo:lo + cell_step], si[lo:lo + cell_step]
+            cand = top[:, s]                                       # (fanout + |g|, cells)
+            member = in_group[g, cand]
+            ids = np.vstack([cand, layer.n + g])
+            logit = np.vstack([np.where(member, -np.inf, cols[cand, s]),
+                               merged_logit[lo:lo + cell_step]])
+            key = np.vstack([cand, block[g, 0]])
+            pick = np.lexsort((key, -logit), axis=0)[:fanout]
+            gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
+            chosen = bank[np.take_along_axis(ids, pick, axis=0)]   # (fanout, cells, vocab)
+            rows[g, s] = kl_rows(originals[s], np.einsum("fu,fuv->uv", gates, chosen),
+                                 log_originals[s])
+        # one dot per row, as ``weights @ row``; ``rows @ weights`` (gemv) rounds differently
+        vals.extend(np.matmul(rows[:, None, :], weights)[:, 0].tolist())
     return vals
 
 

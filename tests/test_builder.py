@@ -24,6 +24,27 @@ def all_equal_table(n, value=1.0):
     return table_from_matrix(m)
 
 
+def loop_stage_a(barriers, cap=500, seed=42):
+    """Stage A as first written: a Python double loop over the adjacency rows."""
+    n = barriers.n
+    if n < 3:
+        return np.zeros((0, 3), dtype=np.int64)
+    tau_cand = float(np.median(barriers.upper_entries()))
+    adj = barriers.pairwise <= tau_cand
+    np.fill_diagonal(adj, False)
+    triples = []
+    for i in range(n - 2):
+        for j in np.nonzero(adj[i, i + 1:])[0] + i + 1:
+            common = np.nonzero(adj[i, j + 1:] & adj[j, j + 1:])[0] + j + 1
+            triples.extend((i, int(j), int(c)) for c in common)
+    out = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    if len(out) > cap:
+        rng = np.random.default_rng(seed)
+        keep = rng.choice(len(out), size=cap, replace=False)
+        out = out[np.sort(keep)]
+    return out
+
+
 def per_tau_oracle(barriers, candidates):
     """Stage B as first written: rebuild the complex and take betti1 at every tau."""
     n = barriers.n
@@ -118,6 +139,35 @@ class TestStageA:
         assign = cluster_assignment(16, 4, (10, 2, 2, 2))
         in_cluster = [assign[i] == assign[j] == assign[k] for i, j, k in cand]
         assert np.mean(in_cluster) > 0.8
+
+
+class TestStageAMatchesLoopOracle:
+    @staticmethod
+    def assert_matches(table, **kwargs):
+        got, want = stage_a_candidates(table, **kwargs), loop_stage_a(table, **kwargs)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 24), st.sampled_from([1, 3, 10**6]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_tables(self, seed, n, levels):
+        # few barrier levels make many entries tie with the median
+        rng = np.random.default_rng(seed)
+        m = np.triu(rng.integers(0, levels, size=(n, n)).astype(float), 1)
+        self.assert_matches(table_from_matrix(m + m.T))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 16])
+    def test_all_equal_tables(self, n):
+        self.assert_matches(all_equal_table(n))
+
+    @pytest.mark.parametrize("cap, seed", [(500, 42), (17, 3), (0, 42)])
+    def test_above_the_cap(self, cap, seed):
+        # C(20, 3) = 1140 triples qualify in an all-equal 20-expert table
+        self.assert_matches(all_equal_table(20), cap=cap, seed=seed)
+
+    def test_swept_64_expert_layer(self):
+        layer = synth_layer(n=64, seed=3)
+        self.assert_matches(barrier_sweep(layer, CalibCorpus.sample(256, 512, 42)))
 
 
 class TestStageB:

@@ -178,6 +178,29 @@ class TestBarriersAndDiagnose:
         (broken / "layer_000.json").write_text("{broken")
         assert run(["diagnose", "--out", tmp_path / "d", "--model-dir", broken] + FAST) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("fanout", 2.5), ("n", 6.0), ("seed", "x"), ("fanout", True),
+        ("expert_logits", "1.5"), ("router_logits", None), ("router_logits", False)])
+    def test_malformed_model_field_exits_before_compress_writes(self, tmp_path, capsys,
+                                                                field, value):
+        src = tmp_path / "src"
+        assert run(["synth", "--out", src, "--set", "model.layers=1", "--set", "model.n=6",
+                    "--set", "model.clusters=2"]) == 0
+        path = src / "model" / "layer_000.json"
+        doc = json.loads(path.read_text())
+        if field.endswith("_logits"):
+            doc[field][0][0] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert run(["compress", "--out", out, "--model-dir", src / "model",
+                    "--set", "corpus.size=512"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err and field in err
+        assert not out.exists()
+
     def test_missing_model_dir_is_data_error(self, tmp_path):
         assert run(["diagnose", "--out", tmp_path / "d",
                     "--model-dir", tmp_path / "nope"] + FAST) == 2
@@ -256,7 +279,8 @@ class TestAblateVerifyReport:
         assert len(csv) == 7
 
     @pytest.mark.parametrize("arg, code", [
-        ("--rate=1.5", 1), ("--set=selector.rate=1.5", 2), ("--set=selector.method=5", 2)])
+        ("--rate=1.5", 1), ("--set=selector.rate=1.5", 2), ("--set=selector.method=5", 2),
+        ("--set=wanda.hybrid=true", 1)])
     def test_bad_rate_or_method_exits_before_ablate_writes(self, tmp_path, model_dir, capsys,
                                                            arg, code):
         out = tmp_path / "ab"

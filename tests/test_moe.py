@@ -221,6 +221,18 @@ class TestBarriers:
                     for a, b in ((0, 1), (0, 2), (1, 2)))
         assert joint > 1.2 * worst
 
+    def test_kl_rows_matches_the_where_form(self):
+        # kl_rows as first written, one temporary per step
+        rng = np.random.default_rng(11)
+        p = rng.dirichlet(np.ones(7), size=40)
+        q = rng.dirichlet(np.full(7, 0.05), size=40)
+        p[:5, :3] = 0.0
+        q[5:9, 2:] = 1e-300
+        log_p = np.log(np.maximum(p, 1e-12))
+        want = np.where(p > 0.0, p * (log_p - np.log(np.maximum(q, 1e-12))), 0.0).sum(axis=-1)
+        assert np.array_equal(kl_rows(p, q), want)
+        assert np.array_equal(kl_rows(p, q, log_p), want)
+
     def test_distinct_indices_required(self):
         layer = synth_layer(seed=0)
         with pytest.raises(ValueError):
@@ -292,15 +304,58 @@ class TestSweep:
         assert float(rows[0][1]) == table.pairwise[0, 1]
 
 
+def blocked_merge_kls(layer, corpus, groups, freqs):
+    """The sweep kernel as first vectorised: the merged log-sum-exp on every
+    (group, symbol) cell, one ``merged_distribution`` and one ``weights @ row``
+    per group, in blocks of groups."""
+    if not len(groups):
+        return []
+    groups = np.sort(np.asarray(groups, dtype=np.int64), axis=1)
+    size = groups.shape[1]
+    symbols, weights = corpus.symbol_weights
+    u = len(symbols)
+    cols = layer.router_logits[:, symbols]
+    originals = layer_symbol_outputs(layer, symbols)
+    order = np.argsort(-cols, axis=0, kind="stable")
+    routed = np.zeros(cols.shape, dtype=bool)
+    np.put_along_axis(routed, order[:layer.fanout], True, axis=0)
+    threshold = np.take_along_axis(cols, order[layer.fanout - 1][None, :], axis=0)[0]
+    fanout = min(layer.fanout, layer.n - size + 1)
+    top = order[:min(layer.fanout + size, layer.n)]
+    step = max(1, (1 << 20) // (fanout * u * layer.vocab))
+    vals = []
+    for start in range(0, len(groups), step):
+        block = groups[start:start + step]
+        merged_logit = _logsumexp(cols[block.T], axis=0)
+        touched = routed[block].any(axis=1) | (merged_logit >= threshold)
+        gi, si = np.nonzero(touched)
+        cand = top[:, si]
+        member = (cand[None, :, :] == block[gi].T[:, None, :]).any(axis=0)
+        ids = np.vstack([cand, layer.n + gi])
+        logit = np.vstack([np.where(member, -np.inf, cols[cand, si]), merged_logit[gi, si]])
+        key = np.vstack([cand, block[gi, 0]])
+        pick = np.lexsort((key, -logit), axis=0)[:fanout]
+        gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
+        bank = np.vstack([layer.expert_dists,
+                          [merged_distribution(layer.expert_dists, g, freqs) for g in block]])
+        chosen = bank[np.take_along_axis(ids, pick, axis=0)]
+        rows = np.zeros((len(block), u))
+        rows[gi, si] = kl_rows(originals[si], np.einsum("fu,fuv->uv", gates, chosen))
+        vals.extend(float(weights @ row) for row in rows)
+    return vals
+
+
 def all_groups(n, size):
     return list(itertools.combinations(range(n), size))
 
 
 def assert_kernel_matches_oracle(layer, corpus, groups):
-    """The vectorised sweep kernel equals the per-group merged layer bit for bit."""
+    """The sweep kernel equals the per-group merged layer and the blocked
+    kernel bit for bit."""
     freqs = routing_frequencies(layer, corpus)
-    oracle = [_mean_merge_kl(layer, corpus, g, freqs) for g in groups]
-    assert np.array_equal(_merge_kls(layer, corpus, groups, freqs), oracle)
+    got = _merge_kls(layer, corpus, groups, freqs)
+    assert np.array_equal(got, [_mean_merge_kl(layer, corpus, g, freqs) for g in groups])
+    assert np.array_equal(got, blocked_merge_kls(layer, corpus, groups, freqs))
 
 
 def starved_layer():
@@ -369,8 +424,48 @@ class TestSweepKernelMatchesOracle:
     def test_sparse_64_expert_layer(self):
         # about 6 % of (pair, symbol) cells are touched here, so nearly every
         # cell takes the untouched path
-        layer = synth_layer(n=64, seed=24)
-        assert_kernel_matches_oracle(layer, small_corpus(), all_groups(64, 2)[::7])
+        layer, corpus = synth_layer(n=64, seed=24), small_corpus()
+        freqs = routing_frequencies(layer, corpus)
+        pairs = all_groups(64, 2)
+        triples = stage_a_candidates(barrier_sweep(layer, corpus))
+        assert len(pairs) == 2016 and len(triples) == 500
+        for groups in (pairs, triples):
+            assert np.array_equal(_merge_kls(layer, corpus, groups, freqs),
+                                  blocked_merge_kls(layer, corpus, groups, freqs))
+        assert_kernel_matches_oracle(layer, corpus, pairs[::7])
+
+    def test_router_logits_near_1e12(self):
+        # a = 2**40 - 2**-13 sits just below a binade edge, so lse(a, a) rounds
+        # onto the coarser grid above it, and lse - log 2 rounds above a.  An
+        # absolute margin (1e-6 is below one ulp, 1.2e-4) would call the
+        # unrouted pair {0, 1} unable to reach expert 2's tied logit and skip
+        # the cell, where the merged slot keeps index 0 and wins the tie.
+        a = 2.0**40 - 2.0**-13
+        tie = float(logsumexp([a, a]))
+        assert a < tie - math.log(2) - 1e-6
+        router = np.array([[a, a - 3.0], [a, 1e12], [tie, 1e12 - 2.0], [1e12 - 9.0, a]])
+        layer = MoeLayer(4, 3, 2, 1, np.arange(12.0).reshape(4, 3) % 5, router)
+        corpus = CalibCorpus(np.array([0, 0, 1]), seed=0, size=3)
+        for size in (2, 3):
+            assert_kernel_matches_oracle(layer, corpus, all_groups(4, size))
+        freqs = routing_frequencies(layer, corpus)
+        assert _merge_kls(layer, CalibCorpus(np.array([0]), seed=0, size=1),
+                          [(0, 1)], freqs)[0] > 0.0
+
+    def test_unrouted_triple_reaches_the_threshold_through_log_3(self):
+        # three equal unrouted logits a merge to lse = a + log 3, tied with
+        # expert 3's routed logit; a + log 2 stays below it.  Here the rounded
+        # lse - log 3 exceeds a, so a bound with no margin would skip the cell
+        # too.  The merged slot keeps index 0 and wins the tie.
+        a = 0.912088349469447
+        tie = float(logsumexp([a, a, a]))
+        assert a + math.log(2) < tie and a < tie - math.log(3)
+        router = np.array([[a], [a], [a], [tie], [-4.0]])
+        layer = MoeLayer(5, 4, 1, 1, np.arange(20.0).reshape(5, 4) % 3, router)
+        corpus = CalibCorpus(np.array([0]), seed=0, size=1)
+        assert_kernel_matches_oracle(layer, corpus, all_groups(5, 3))
+        freqs = routing_frequencies(layer, corpus)
+        assert _merge_kls(layer, corpus, [(0, 1, 2)], freqs)[0] > 0.0
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
     @settings(max_examples=60, deadline=None)
