@@ -35,7 +35,7 @@ import numpy as np
 # (perfbench/tracing.py) patches hodgecover.builder.betti1 by name.
 from .complexes import (Complex2, UnionFind, betti1, build_incidence,  # noqa: F401
                         complete_edges, prefix_ranks)
-from .moe import BarrierTable
+from .moe import BarrierTable, triplet_values
 
 GRID_POINTS = 80
 DEFAULT_CAP = 500
@@ -123,13 +123,9 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
     edges = complete_edges(n)
     edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
-    try:
-        triplets = [barriers.triplet[t] for t in map(tuple, candidates.tolist())]
-    except KeyError as exc:
-        raise ValueError(f"triplet barrier missing for candidate {exc.args[0]}") from None
     # a candidate's filtration value: its triplet barrier or its worst edge
     tri_vals = np.maximum.reduce([
-        np.array(triplets, dtype=np.float64),
+        triplet_values(barriers.triplet, candidates),
         barriers.pairwise[candidates[:, 0], candidates[:, 1]],
         barriers.pairwise[candidates[:, 0], candidates[:, 2]],
         barriers.pairwise[candidates[:, 1], candidates[:, 2]],

@@ -21,17 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .diagnostics import (LayerDiagnostics, RetainedMass, diagnostics_csv, discordance,
-                          mechanism_table, retained_mass, series_json)
+# discordance, plan_layer and prune_survivors are unused here but stay importable:
+# the benchmark's tracer (perfbench/tracing.py) patches them as hodgecover.cli.<name>.
+from .diagnostics import (RetainedMass, diagnose_model, diagnostics_csv,  # noqa: F401
+                          discordance, mechanism_table, retained_mass, series_json)
 from .moe import CalibCorpus, MoeLayer, synth_layer
-# plan_layer is unused here but stays importable: the benchmark's tracer
-# (perfbench/tracing.py) patches hodgecover.cli.plan_layer by name.
-from .pipeline import (METHODS, SelectorParams, analyze_layer, compress_model,  # noqa: F401
-                       hybrid_prune, model_loss, plan_layer)
+from .pipeline import (METHODS, REDIRECT_METHODS, SelectorParams, analyze_layer,  # noqa: F401
+                       compress_model, hybrid_prune, model_loss, plan_layer)
 from .selector import allocate_uniform, allocate_weighted
 from .verification import run_checks
-# prune_survivors is unused here but stays importable: the benchmark's tracer
-# (perfbench/tracing.py) patches hodgecover.cli.prune_survivors by name.
 from .wanda import masks_to_json, prune_survivors  # noqa: F401
 
 USAGE_ERROR = 1
@@ -154,8 +152,7 @@ def write_manifest(out: Path, command: str, cfg: dict) -> None:
 
 
 def load_model(model_dir: str) -> list[MoeLayer]:
-    folder = Path(model_dir)
-    files = sorted(folder.glob("layer_*.json"))
+    files = sorted(Path(model_dir).glob("layer_*.json"))
     if not files:
         raise CliError(f"no layer_*.json files under {model_dir}", DATA_ERROR)
     layers = []
@@ -190,12 +187,6 @@ def model_layers(cfg: dict) -> list[MoeLayer]:
             for idx in range(m["layers"])]
 
 
-def analyses_for(layers, cfg, corpus):
-    sel = cfg["selector"]
-    return [analyze_layer(layer, corpus, cap=sel["triangle_cap"],
-                          seed=sel["triangle_seed"]) for layer in layers]
-
-
 def allocate(cfg: dict, rate: float, analyses) -> tuple[int, ...]:
     sizes = [a.layer.n for a in analyses]
     if cfg["selector"]["allocator"] == "weighted":
@@ -218,32 +209,20 @@ def cmd_synth(cfg: dict, out: Path) -> int:
     return 0
 
 
-def cmd_barriers(cfg: dict, out: Path, model_dir: str) -> int:
-    layers = load_model(model_dir)
-    corpus, _ = corpora(cfg)
-    write_manifest(out, "barriers", cfg)
+def cmd_barriers(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
     barrier_dir = out / "barriers"
     barrier_dir.mkdir(parents=True, exist_ok=True)
-    for idx, analysis in enumerate(analyses_for(layers, cfg, corpus)):
+    for idx, analysis in enumerate(analyses):
         (barrier_dir / f"layer_{idx:03d}.json").write_text(analysis.table.to_json() + "\n")
         (barrier_dir / f"layer_{idx:03d}_pairwise.csv").write_text(
             analysis.table.pairwise_csv())
-    print(f"wrote barrier tables for {len(layers)} layers under {barrier_dir}")
+    print(f"wrote barrier tables for {len(analyses)} layers under {barrier_dir}")
     return 0
 
 
-def cmd_diagnose(cfg: dict, out: Path, model_dir: str) -> int:
-    layers = load_model(model_dir)
-    corpus, _ = corpora(cfg)
-    write_manifest(out, "diagnose", cfg)
-    diags = []
-    for idx, analysis in enumerate(analyses_for(layers, cfg, corpus)):
-        delta = discordance(analysis.table, analysis.candidates) \
-            if len(analysis.candidates) else 0.0
-        diags.append(LayerDiagnostics(
-            layer=idx, rho_harm=analysis.decomp.energy_harm,
-            rho_grad=analysis.decomp.energy_grad, rho_curl=analysis.decomp.energy_curl,
-            delta=delta, beta1=analysis.beta1))
+def cmd_diagnose(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
+    diags = diagnose_model(analyses)
+    for idx, analysis in enumerate(analyses):
         (out / f"betti_curve_layer_{idx:03d}.csv").write_text(
             analysis.filtration.curve_csv())
     (out / "diagnostics.csv").write_text(diagnostics_csv(diags))
@@ -252,16 +231,13 @@ def cmd_diagnose(cfg: dict, out: Path, model_dir: str) -> int:
     return 0
 
 
-def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
-              analyses=None):
-    params = selector_params(cfg)
-    if analyses is None:
-        analyses = analyses_for(layers, cfg, corpus)
+def _compress(cfg: dict, analyses, corpus, heldout, method: str, rate: float):
+    layers = [a.layer for a in analyses]
     hybrid = cfg["wanda"]["hybrid"]
     r1 = float(cfg["wanda"]["r1"])
-    stage1_rate = r1 if hybrid else rate
-    ks = allocate(cfg, stage1_rate, analyses)
-    plans = compress_model(analyses, ks, method, params, seed=cfg["model"]["seed"])
+    ks = allocate(cfg, r1 if hybrid else rate, analyses)
+    plans = compress_model(analyses, ks, method, selector_params(cfg),
+                           seed=cfg["model"]["seed"])
     summary = {
         "method": method,
         "rate": rate,
@@ -275,25 +251,21 @@ def _compress(cfg: dict, layers, corpus, heldout, method: str, rate: float,
         r2, pruned_all, masks = hybrid_prune(layers, corpus, plans, rate, r1)
         summary.update(r1=r1, r2=r2)
     summary["heldout_loss"] = model_loss(layers, heldout, plans, pruned_all)
-    return analyses, plans, summary, masks
+    return plans, summary, masks
 
 
 def check_hybrid(cfg: dict, methods) -> None:
     """Refuse the hybrid recipe for a merge method before anything is written."""
-    merging = [m for m in methods if m not in ("hodgecover", "no_triangle", "random")]
+    merging = [m for m in methods if m not in REDIRECT_METHODS]
     if cfg["wanda"]["hybrid"] and merging:
         raise CliError(f"hybrid stage 2 needs bit-exact survivors; {merging[0]!r} merges "
                        "expert groups instead", USAGE_ERROR)
 
 
-def cmd_compress(cfg: dict, out: Path, model_dir: str) -> int:
-    method = cfg["selector"]["method"]
-    check_hybrid(cfg, [method])
-    layers = load_model(model_dir)
-    corpus, heldout = corpora(cfg)
-    write_manifest(out, "compress", cfg)
-    _, plans, summary, masks = _compress(cfg, layers, corpus, heldout, method,
-                                         float(cfg["selector"]["rate"]))
+def cmd_compress(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
+    plans, summary, masks = _compress(cfg, analyses, corpus, heldout,
+                                      cfg["selector"]["method"],
+                                      float(cfg["selector"]["rate"]))
     plan_dir = out / "plans"
     plan_dir.mkdir(parents=True, exist_ok=True)
     for idx, plan in enumerate(plans):
@@ -306,24 +278,16 @@ def cmd_compress(cfg: dict, out: Path, model_dir: str) -> int:
     return 0
 
 
-def cmd_ablate(cfg: dict, out: Path, model_dir: str) -> int:
+def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
     rate = float(cfg["selector"]["rate"])
-    check_hybrid(cfg, METHODS)
-    layers = load_model(model_dir)
-    corpus, heldout = corpora(cfg)
-    write_manifest(out, "ablate", cfg)
     grid = {}
     retained = {}
-    shared = analyses_for(layers, cfg, corpus)
     for method in METHODS:
-        analyses, plans, summary, _ = _compress(cfg, layers, corpus, heldout, method,
-                                                rate, analyses=shared)
-        grid[method] = summary
+        plans, grid[method], _ = _compress(cfg, analyses, corpus, heldout, method, rate)
         per_layer = [retained_mass(a.complex, a.decomp, a.table.triplet, plan.survivors)
                      for a, plan in zip(analyses, plans)]
-        macro = {key: float(np.mean([m.as_dict()[key] for m in per_layer]))
-                 for key in ("harm", "grad", "curl", "triplet")}
-        retained[method] = macro
+        retained[method] = {key: float(np.mean([m.as_dict()[key] for m in per_layer]))
+                            for key in ("harm", "grad", "curl", "triplet")}
     deviations = mechanism_table(
         {m: RetainedMass(**vals) for m, vals in retained.items()})
     doc = {"rate": rate, "grid": grid, "retained_mass": retained,
@@ -337,6 +301,12 @@ def cmd_ablate(cfg: dict, out: Path, model_dir: str) -> int:
     (out / "ablation_grid.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote ablation grid over {len(METHODS)} methods at rate {rate} under {out}")
     return 0
+
+
+# the commands that analyse a model: each gets every layer's analysis and both
+# corpora, and only writes its artifacts
+MODEL_COMMANDS = {"barriers": cmd_barriers, "diagnose": cmd_diagnose,
+                  "compress": cmd_compress, "ablate": cmd_ablate}
 
 
 def cmd_verify(only: list[int] | None, out: Path | None) -> int:
@@ -439,15 +409,21 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         if args.command == "synth":
             return cmd_synth(cfg, out)
-        if args.command == "barriers":
-            return cmd_barriers(cfg, out, args.model_dir)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, out, args.model_dir)
-        if args.command == "compress":
-            return cmd_compress(cfg, out, args.model_dir)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, out, args.model_dir)
-        raise CliError(f"unhandled command {args.command}", USAGE_ERROR)
+        if args.command in ("compress", "ablate"):
+            check_hybrid(cfg, [cfg["selector"]["method"]] if args.command == "compress"
+                         else METHODS)
+        layers = load_model(args.model_dir)
+        # the corpora sample contexts below model.ctx, so every layer must route that many
+        for path, layer in zip(sorted(Path(args.model_dir).glob("layer_*.json")), layers):
+            if layer.ctx != cfg["model"]["ctx"]:
+                raise CliError(f"model file {path} has ctx {layer.ctx}; need model.ctx = "
+                               f"{cfg['model']['ctx']}", DATA_ERROR)
+        corpus, heldout = corpora(cfg)
+        write_manifest(out, args.command, cfg)
+        sel = cfg["selector"]
+        analyses = [analyze_layer(layer, corpus, cap=sel["triangle_cap"],
+                                  seed=sel["triangle_seed"]) for layer in layers]
+        return MODEL_COMMANDS[args.command](cfg, out, analyses, corpus, heldout)
     except CliError as exc:
         print(f"hodgecover: error: {exc}", file=sys.stderr)
         return exc.code

@@ -23,7 +23,8 @@ import numpy as np
 
 from .complexes import Complex2
 from .hodge import HodgeDecomp
-from .moe import BarrierTable, CalibCorpus, MoeLayer
+from .moe import BarrierTable, triplet_values
+from .pipeline import LayerAnalysis
 
 DISCORDANCE_MARGIN = 1.2
 
@@ -76,12 +77,10 @@ def discordance(barriers: BarrierTable, candidates: np.ndarray,
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
     if len(candidates) == 0:
         raise ValueError("discordance is undefined on an empty candidate set")
-    hits = 0
-    for i, j, k in map(tuple, candidates):
-        joint = barriers.triplet[(i, j, k)]
-        worst = max(barriers.pairwise[i, j], barriers.pairwise[i, k], barriers.pairwise[j, k])
-        if joint > margin * worst:
-            hits += 1
+    i, j, k = candidates.T
+    pw = barriers.pairwise
+    worst = np.maximum.reduce([pw[i, j], pw[i, k], pw[j, k]])
+    hits = int(np.count_nonzero(triplet_values(barriers.triplet, candidates) > margin * worst))
     return hits / len(candidates)
 
 
@@ -99,8 +98,7 @@ def retained_mass(k: Complex2, decomp: HodgeDecomp,
             return 0.0 if not surv else 1.0
         return float(mass[edge_hit].sum()) / total
 
-    tri_vals = np.array([abs(triplets[tuple(int(v) for v in t)]) for t in k.triangles]) \
-        if k.num_triangles else np.zeros(0)
+    tri_vals = np.abs(triplet_values(triplets, k.triangles))
     tri_hit = np.isin(k.triangles, sorted(surv)).any(axis=1) if k.num_triangles else np.zeros(0, bool)
     tri_total = float(tri_vals.sum())
     if tri_total == 0.0:
@@ -116,14 +114,10 @@ def retained_mass(k: Complex2, decomp: HodgeDecomp,
     )
 
 
-def diagnose_model(layers: Sequence[MoeLayer], corpus: CalibCorpus, *,
-                   cap: int = 500, seed: int = 42) -> list[LayerDiagnostics]:
-    """Sweep, build, decompose, and diagnose every layer of a model."""
-    from .pipeline import analyze_layer
-
+def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:
+    """Diagnose every analyzed layer of a model."""
     out = []
-    for idx, layer in enumerate(layers):
-        a = analyze_layer(layer, corpus, cap=cap, seed=seed)
+    for idx, a in enumerate(analyses):
         delta = discordance(a.table, a.candidates) if len(a.candidates) else 0.0
         out.append(LayerDiagnostics(
             layer=idx,

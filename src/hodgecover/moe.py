@@ -449,6 +449,16 @@ class BarrierTable:
         return "\n".join(lines) + "\n"
 
 
+def triplet_values(triplet: Mapping[tuple[int, int, int], float],
+                   triangles: np.ndarray) -> np.ndarray:
+    """The triplet barriers of the (m, 3) sorted vertex triples, in row order."""
+    rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).tolist()
+    try:
+        return np.array([triplet[t] for t in map(tuple, rows)], dtype=np.float64)
+    except KeyError as exc:
+        raise ValueError(f"triplet barrier missing for candidate {exc.args[0]}") from None
+
+
 def barrier_sweep(layer: MoeLayer, corpus: CalibCorpus,
                   triangle_candidates: Iterable[Sequence[int]] = ()) -> BarrierTable:
     """Fill every pairwise barrier plus the candidate triplet barriers.

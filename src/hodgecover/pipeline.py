@@ -13,6 +13,7 @@ cross-layer budget allocator.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -35,9 +36,10 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("hodgecover", "random", "no_triangle", "greedy_barrier",
            "triplet_penalty", "triplet_hypergraph")
-# the methods whose plans read the coverage instance (a random plan records phi);
-# the union-find ablations never do
-COVERAGE_METHODS = ("hodgecover", "random", "no_triangle")
+# the methods that keep exact survivors and redirect the dropped experts; their
+# plans read the coverage instance (a random plan records phi).  The others merge
+# expert groups by union-find.
+REDIRECT_METHODS = ("hodgecover", "random", "no_triangle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +104,14 @@ def plan_layer(analysis: LayerAnalysis, k: int, method: str,
     """Select survivors for one analyzed layer with the requested method."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    inst = coverage_for(analysis, params) if method in COVERAGE_METHODS else None
-    if method == "hodgecover":
-        survivors = greedy_select(inst, k)
-    elif method == "random":
-        survivors = select_random(analysis.layer.n, k, seed)
-    else:
-        return select_ablation(method, analysis.table, k, coverage=inst,
-                               complex_=analysis.complex, decomp=analysis.decomp,
-                               alpha=params.alpha, alpha_t=params.alpha_t,
+    if method not in REDIRECT_METHODS:
+        return select_ablation(method, analysis.table, k, alpha_t=params.alpha_t,
                                layer=layer_id)
+    if method == "no_triangle":  # the coverage objective without its triangle term
+        params = dataclasses.replace(params, lam_t=0.0)
+    inst = coverage_for(analysis, params)
+    survivors = select_random(analysis.layer.n, k, seed) if method == "random" \
+        else greedy_select(inst, k)
     return SurvivorPlan(
         n=analysis.layer.n, k=k, survivors=survivors,
         redirect=redirect(analysis.complex, analysis.table, analysis.decomp,

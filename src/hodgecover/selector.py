@@ -25,7 +25,6 @@ aggregates by frequency-weighted average instead of redirecting.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,10 +34,10 @@ import numpy as np
 
 from .complexes import Complex2, UnionFind
 from .hodge import HodgeDecomp
-from .moe import BarrierTable, SaliencyVector
+from .moe import BarrierTable, SaliencyVector, triplet_values
 
 REDIRECT_GUARD = 1e-12
-ABLATION_VARIANTS = ("no_triangle", "greedy_barrier", "triplet_penalty", "triplet_hypergraph")
+ABLATION_VARIANTS = ("greedy_barrier", "triplet_penalty", "triplet_hypergraph")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +172,7 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
 
     n_tris = k.num_triangles
     n_crit_t = math.ceil(q_t / 100.0 * n_tris) if n_tris else 0
-    tri_vals = np.abs([barriers.triplet[tuple(int(v) for v in t)] for t in k.triangles]) \
-        if n_tris else np.zeros(0)
+    tri_vals = np.abs(triplet_values(barriers.triplet, k.triangles))
     crit_tris = frozenset(int(t) for t in np.argsort(-tri_vals, kind="stable")[:n_crit_t])
 
     edge_inc = [set() for _ in range(k.n)]
@@ -360,31 +358,15 @@ def _unionfind_plan(barriers: BarrierTable, k: int, costs: np.ndarray,
 
 
 def select_ablation(variant: str, barriers: BarrierTable, k: int, *,
-                    coverage: CoverageInstance | None = None,
-                    complex_: Complex2 | None = None,
-                    decomp: HodgeDecomp | None = None,
-                    alpha: float = 3.0, alpha_t: float = 1.0,
-                    layer: int = 0) -> SurvivorPlan:
-    """One of the four matched ablation selectors.
+                    alpha_t: float = 1.0, layer: int = 0) -> SurvivorPlan:
+    """One of the three union-find merge sorts over ascending edge cost.
 
-    ``no_triangle`` reuses the coverage machinery with the triangle weight
-    zeroed (needs ``coverage``, ``complex_`` and ``decomp`` for the
-    redirect).  The other three are union-find merge sorts over ascending
-    edge cost; they emit merge groups rather than redirects.
+    They emit merge groups rather than redirects.  The fourth matched
+    ablation, ``no_triangle``, is coverage selection with the triangle
+    weight zeroed (see :func:`hodgecover.pipeline.plan_layer`).
     """
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-
-    if variant == "no_triangle":
-        if coverage is None or complex_ is None or decomp is None:
-            raise ValueError("no_triangle needs coverage, complex_ and decomp")
-        inst = dataclasses.replace(coverage, lam_t=0.0)
-        survivors = greedy_select(inst, k)
-        return SurvivorPlan(
-            n=barriers.n, k=k, survivors=survivors,
-            redirect=redirect(complex_, barriers, decomp, survivors, alpha),
-            method=variant, phi=phi(inst, survivors), alpha=alpha, layer=layer,
-        )
     if variant == "greedy_barrier":
         return _unionfind_plan(barriers, k, barriers.pairwise, variant, layer=layer)
     if variant == "triplet_penalty":

@@ -22,7 +22,7 @@ from .complexes import (Complex2, EdgeSignal, betti1, build_incidence, complete_
 from .hodge import decompose, residual_certificate
 from .moe import (CalibCorpus, MoeLayer, barrier_sweep, merged_distribution,
                   plant_discordant_triple, synth_layer)
-from .pipeline import SelectorParams, analyze_layer, model_loss, plan_layer
+from .pipeline import SelectorParams, analyze_layer, compress_model, model_loss
 from .selector import (CoverageInstance, allocate_uniform, allocate_weighted,
                        greedy_select, phi)
 from .wanda import residual_sparsity, wanda_prune
@@ -291,8 +291,7 @@ def check_planted_benefit() -> tuple[bool, str]:
         budget = allocate_uniform(0.66, [16] * 4)
         losses = {}
         for method in ("hodgecover", "random", "greedy_barrier"):
-            plans = [plan_layer(a, k, method, params, layer_id=i, seed=seed * 100 + i)
-                     for i, (a, k) in enumerate(zip(analyses, budget.survivors))]
+            plans = compress_model(analyses, budget.survivors, method, params, seed=seed * 100)
             losses[method] = model_loss(layers, heldout, plans)
         wins += losses["hodgecover"] <= losses["random"]
         if discordant:

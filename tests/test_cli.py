@@ -201,6 +201,21 @@ class TestBarriersAndDiagnose:
         assert "\n" not in err and "Traceback" not in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ctx", [8, 300])
+    def test_layer_ctx_other_than_model_ctx_exits_before_compress_writes(self, tmp_path,
+                                                                         capsys, ctx):
+        src = tmp_path / "src"
+        assert run(["synth", "--out", src, "--set", "model.layers=1", "--set", "model.n=6",
+                    "--set", "model.clusters=2", "--set", f"model.ctx={ctx}"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert run(["compress", "--out", out, "--model-dir", src / "model",
+                    "--set", "corpus.size=512"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert "layer_000.json" in err and f"ctx {ctx}" in err
+        assert not out.exists()
+
     def test_missing_model_dir_is_data_error(self, tmp_path):
         assert run(["diagnose", "--out", tmp_path / "d",
                     "--model-dir", tmp_path / "nope"] + FAST) == 2
@@ -351,6 +366,15 @@ def test_python_dash_m_runs_cli():
     version = python_m("--version")
     assert version.returncode == 0
     assert version.stdout.strip() == hodgecover.__version__
+
+
+def test_benchmark_tracer_sites_resolve(monkeypatch):
+    # perfbench/tracing.py patches hodgecover names from outside; a dropped or
+    # renamed name stops every traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    tracing = importlib.import_module("tracing")
+    assert len(tracing.resolve_sites()) == len(tracing.SITES)
 
 
 def test_import_loads_no_scipy():

@@ -8,6 +8,7 @@ from hodgecover.diagnostics import (CSV_HEADER, RetainedMass, diagnose_model,
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             plant_discordant_triple, synth_layer)
+from hodgecover.pipeline import analyze_layer
 
 
 def table_with_triplets(n, pairwise_value, triplets):
@@ -32,6 +33,16 @@ class TestDiscordance:
         corpus = CalibCorpus.sample(256, 2048, 42)
         table = barrier_sweep(layer, corpus, [(0, 1, 2)])
         assert discordance(table, np.array([[0, 1, 2]])) == 1.0
+
+    def test_matches_literal_count_on_swept_layer(self):
+        corpus = CalibCorpus.sample(256, 1024, 42)
+        a = analyze_layer(synth_layer(seed=3), corpus)
+        pw = a.table.pairwise
+        hits = sum(a.table.triplet[(i, j, k)] > 1.2 * max(pw[i, j], pw[i, k], pw[j, k])
+                   for i, j, k in a.candidates.tolist())
+        got = discordance(a.table, a.candidates)
+        assert type(got) is float  # diagnostics.csv writes its repr
+        assert got == hits / len(a.candidates)
 
     def test_empty_candidates_rejected(self):
         table = table_with_triplets(4, 1.0, {})
@@ -78,11 +89,15 @@ class TestRetainedMass:
             assert all(lo[key] <= hi[key] + 1e-12 for key in lo)
 
 
+def diagnose_layers(layers, corpus):
+    return diagnose_model([analyze_layer(layer, corpus) for layer in layers])
+
+
 class TestDiagnoseModel:
     def test_energy_closure_and_schema(self):
         corpus = CalibCorpus.sample(256, 1024, 42)
         layers = [synth_layer(seed=s) for s in (0, 1)]
-        diags = diagnose_model(layers, corpus)
+        diags = diagnose_layers(layers, corpus)
         assert [d.layer for d in diags] == [0, 1]
         for d in diags:
             assert d.rho_harm + d.rho_grad + d.rho_curl == pytest.approx(1.0, abs=1e-8)
@@ -95,8 +110,8 @@ class TestDiagnoseModel:
     def test_deterministic(self):
         corpus = CalibCorpus.sample(256, 1024, 42)
         layers = [synth_layer(seed=9)]
-        a = diagnose_model(layers, corpus)[0]
-        b = diagnose_model(layers, corpus)[0]
+        a = diagnose_layers(layers, corpus)[0]
+        b = diagnose_layers(layers, corpus)[0]
         assert (a.rho_harm, a.rho_grad, a.rho_curl, a.delta, a.beta1) == \
                (b.rho_harm, b.rho_grad, b.rho_curl, b.delta, b.beta1)
 
@@ -113,8 +128,8 @@ class TestDiagnoseModel:
         logits = rng.normal(0, 1.0, vocab) + np.outer(np.linspace(0, 1, n), direction) * 2.0
         layer = MoeLayer(n, vocab, ctx, 2, logits, rng.normal(0, 3.0, (n, ctx)))
         corpus = CalibCorpus.sample(256, 1024, 42)
-        d = diagnose_model([layer], corpus)[0]
-        easy = diagnose_model([synth_layer(seed=9)], corpus)[0]
+        d = diagnose_layers([layer], corpus)[0]
+        easy = diagnose_layers([synth_layer(seed=9)], corpus)[0]
         assert d.delta < 0.3 < easy.delta
         assert d.rho_harm < 0.15 < easy.rho_harm
 

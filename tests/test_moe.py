@@ -14,7 +14,7 @@ from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _
                             compression_loss, extend_triplets, kl_rows, layer_output,
                             layer_symbol_outputs, merge_experts, merged_distribution,
                             pairwise_barrier, plant_discordant_triple, routing_frequencies,
-                            saliency, synth_layer, triplet_barrier)
+                            saliency, synth_layer, triplet_barrier, triplet_values)
 from hodgecover.selector import SurvivorPlan
 from hodgecover.wanda import prune_survivors
 
@@ -291,6 +291,15 @@ class TestSweep:
             layer = synth_layer(fanout=fanout, seed=15)
             freq = routing_frequencies(layer, small_corpus())
             assert freq.sum() == pytest.approx(fanout, abs=1e-12)
+
+    def test_triplet_values_in_row_order(self):
+        triplet = {(0, 1, 2): 0.5, (0, 1, 3): 1.5, (1, 2, 3): 2.5}
+        got = triplet_values(triplet, np.array([[1, 2, 3], [0, 1, 2]]))
+        assert got.dtype == np.float64 and got.tolist() == [2.5, 0.5]
+        assert triplet_values(triplet, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+        with pytest.raises(ValueError,
+                           match=r"^triplet barrier missing for candidate \(0, 2, 3\)$"):
+            triplet_values(triplet, np.array([[0, 1, 2], [0, 2, 3]]))
 
     def test_json_and_csv_round_trip(self):
         layer = synth_layer(n=4, clusters=2, seed=16)

@@ -4,7 +4,7 @@ import pytest
 from hodgecover.complexes import betti1
 from hodgecover.moe import CalibCorpus, compression_loss, synth_layer
 from hodgecover import pipeline
-from hodgecover.pipeline import (COVERAGE_METHODS, METHODS, SelectorParams, analyze_layer,
+from hodgecover.pipeline import (REDIRECT_METHODS, METHODS, SelectorParams, analyze_layer,
                                  compress_model, hybrid_prune, hybrid_stage2, model_loss,
                                  plan_layer)
 from hodgecover.selector import allocate_uniform
@@ -63,8 +63,8 @@ class TestPlanLayer:
         for method in METHODS:
             before = len(built)
             plan = plan_layer(a, 6, method)
-            assert len(built) - before == (method in COVERAGE_METHODS)
-            assert (plan.phi is not None) == (method in COVERAGE_METHODS)
+            assert len(built) - before == (method in REDIRECT_METHODS)
+            assert (plan.phi is not None) == (method in REDIRECT_METHODS)
 
     def test_hodgecover_phi_recorded(self, default_analysis):
         a, _ = default_analysis

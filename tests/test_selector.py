@@ -10,7 +10,7 @@ from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complet
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             cluster_assignment, synth_layer)
-from hodgecover.pipeline import analyze_layer, coverage_for
+from hodgecover.pipeline import analyze_layer, coverage_for, plan_layer
 from hodgecover.selector import (CoverageInstance, LayerBudget, SurvivorPlan, UnionFind,
                                  _unionfind_plan, allocate_uniform, allocate_weighted,
                                  build_coverage, greedy_select, phi, redirect,
@@ -287,8 +287,7 @@ class TestAblations:
     def test_no_triangle_equals_hodgecover_when_triangle_set_empty(self):
         a = self.planted()
         inst = coverage_for(a)
-        no_tri = select_ablation("no_triangle", a.table, 5, coverage=inst,
-                                 complex_=a.complex, decomp=a.decomp)
+        no_tri = plan_layer(a, 5, "no_triangle")
         bare = CoverageInstance(
             n=inst.n, crit_edges=inst.crit_edges, crit_triangles=frozenset(),
             edge_incidence=inst.edge_incidence,
