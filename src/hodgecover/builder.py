@@ -26,7 +26,6 @@ solving for it again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 # (perfbench/tracing.py) patches hodgecover.builder.betti1 by name.
 from .complexes import (Complex2, UnionFind, betti1, build_incidence,  # noqa: F401
                         complete_edges, prefix_ranks)
-from .moe import BarrierTable, triplet_values
+from .moe import BarrierTable
 
 GRID_POINTS = 80
 DEFAULT_CAP = 500
@@ -47,8 +46,7 @@ class FiltrationResult:
     """Betti curve over the threshold grid and the chosen complex.
 
     ``curl_basis`` is an (|E|, rank(d2)) matrix with orthonormal columns
-    spanning im(d2) of the chosen complex, rows in its edge order.  It is
-    not part of :meth:`to_json`.
+    spanning im(d2) of the chosen complex, rows in its edge order.
     """
 
     tau_star: float
@@ -60,13 +58,6 @@ class FiltrationResult:
     def beta1(self) -> int:
         """First Betti number of the chosen complex, read off the curve at tau*."""
         return next(beta for tau, beta in self.betti_curve if tau == self.tau_star)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "tau_star": self.tau_star,
-            "betti_curve": [[tau, beta] for tau, beta in self.betti_curve],
-            "chosen_complex": json.loads(self.chosen_complex.to_json()),
-        })
 
     def curve_csv(self) -> str:
         lines = ["tau,beta1"]
@@ -125,7 +116,7 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
     # a candidate's filtration value: its triplet barrier or its worst edge
     tri_vals = np.maximum.reduce([
-        triplet_values(barriers.triplet, candidates),
+        barriers.triplet_values(candidates),
         barriers.pairwise[candidates[:, 0], candidates[:, 1]],
         barriers.pairwise[candidates[:, 0], candidates[:, 2]],
         barriers.pairwise[candidates[:, 1], candidates[:, 2]],

@@ -284,7 +284,7 @@ def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
     retained = {}
     for method in METHODS:
         plans, grid[method], _ = _compress(cfg, analyses, corpus, heldout, method, rate)
-        per_layer = [retained_mass(a.complex, a.decomp, a.table.triplet, plan.survivors)
+        per_layer = [retained_mass(a.complex, a.decomp, a.table, plan.survivors)
                      for a, plan in zip(analyses, plans)]
         retained[method] = {key: float(np.mean([m.as_dict()[key] for m in per_layer]))
                             for key in ("harm", "grad", "curl", "triplet")}
@@ -429,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except (ValueError, KeyError) as exc:
         print(f"hodgecover: invalid data: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except MemoryError as exc:  # a size too large to hold, such as corpus.size
+        print(f"hodgecover: out of memory: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -18,7 +18,6 @@ and independently as dim ker(L1) for cross-checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +78,6 @@ class Complex2:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "edges": self.edges.tolist(),
-            "triangles": self.triangles.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Complex2":
-        doc = json.loads(text)
-        return cls(doc["n"], doc["edges"], doc["triangles"])
 
 
 def complete_edges(n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import Complex2
 from .hodge import HodgeDecomp
-from .moe import BarrierTable, triplet_values
+from .moe import BarrierTable
 from .pipeline import LayerAnalysis
 
 DISCORDANCE_MARGIN = 1.2
@@ -80,12 +80,11 @@ def discordance(barriers: BarrierTable, candidates: np.ndarray,
     i, j, k = candidates.T
     pw = barriers.pairwise
     worst = np.maximum.reduce([pw[i, j], pw[i, k], pw[j, k]])
-    hits = int(np.count_nonzero(triplet_values(barriers.triplet, candidates) > margin * worst))
+    hits = int(np.count_nonzero(barriers.triplet_values(candidates) > margin * worst))
     return hits / len(candidates)
 
 
-def retained_mass(k: Complex2, decomp: HodgeDecomp,
-                  triplets: Mapping[tuple[int, int, int], float],
+def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
                   survivors: Iterable[int]) -> RetainedMass:
     """l1 mass fractions of each component on simplices meeting the survivors."""
     surv = set(int(i) for i in survivors)
@@ -98,7 +97,7 @@ def retained_mass(k: Complex2, decomp: HodgeDecomp,
             return 0.0 if not surv else 1.0
         return float(mass[edge_hit].sum()) / total
 
-    tri_vals = np.abs(triplet_values(triplets, k.triangles))
+    tri_vals = np.abs(barriers.triplet_values(k.triangles))
     tri_hit = np.isin(k.triangles, sorted(surv)).any(axis=1) if k.num_triangles else np.zeros(0, bool)
     tri_total = float(tri_vals.sum())
     if tri_total == 0.0:

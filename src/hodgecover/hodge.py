@@ -27,7 +27,6 @@ Stage B's filtration builds Q at tau* (``FiltrationResult.curl_basis``);
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +48,6 @@ class HodgeDecomp:
     energy_grad: float
     energy_curl: float
     energy_harm: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "grad": self.grad.values.tolist(),
-            "curl": self.curl.values.tolist(),
-            "harm": self.harm.values.tolist(),
-            "energy_grad": self.energy_grad,
-            "energy_curl": self.energy_curl,
-            "energy_harm": self.energy_harm,
-        })
 
 
 def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,

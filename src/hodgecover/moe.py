@@ -46,6 +46,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .complexes import _lex_keys
+
 if TYPE_CHECKING:  # pragma: no cover
     from .selector import SurvivorPlan
 
@@ -408,19 +410,37 @@ def triplet_barrier(layer: MoeLayer, corpus: CalibCorpus, i: int, j: int, k: int
 
 @dataclass(frozen=True, eq=False)
 class BarrierTable:
-    """All pairwise barriers, candidate triplet barriers, routing frequencies."""
+    """All pairwise barriers, candidate triplet barriers, routing frequencies.
+
+    The triplet barriers are two arrays: ``triples``, (m, 3) int64 vertex rows
+    with i < j < k, distinct and in lexicographic order, and ``triplet``, (m,)
+    float64, the barrier of each row.  :meth:`triplet_values` looks rows up by
+    binary search over their lexicographic keys, which needs that order.
+    """
 
     pairwise: np.ndarray                              # (n, n) symmetric, zero diagonal
-    triplet: Mapping[tuple[int, int, int], float]
     routing_freq: np.ndarray                          # (n,)
+    triples: np.ndarray = ()
+    triplet: np.ndarray = ()
 
     def __post_init__(self):
         object.__setattr__(self, "pairwise", np.asarray(self.pairwise, dtype=np.float64))
         object.__setattr__(self, "routing_freq", np.asarray(self.routing_freq, dtype=np.float64))
+        object.__setattr__(self, "triples", np.asarray(self.triples, dtype=np.int64).reshape(-1, 3))
+        object.__setattr__(self, "triplet", np.asarray(self.triplet, dtype=np.float64))
         if not np.isfinite(self.pairwise).all():
             raise ValueError("pairwise barriers must be finite")
-        if self.triplet and not all(np.isfinite(v) for v in self.triplet.values()):
+        t = self.triples
+        if self.triplet.shape != (len(t),):
+            raise ValueError("need one triplet barrier per triple")
+        if not np.isfinite(self.triplet).all():
             raise ValueError("triplet barriers must be finite")
+        if len(t) and (t.min() < 0 or t.max() >= self.n):
+            raise ValueError("triple vertex outside expert range")
+        if not ((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all():
+            raise ValueError("triple rows must have i < j < k")
+        if not (np.diff(_lex_keys(t, self.n)) > 0).all():
+            raise ValueError("triple rows must be distinct and lexicographically sorted")
 
     @property
     def n(self) -> int:
@@ -430,33 +450,28 @@ class BarrierTable:
         i, j = np.triu_indices(self.n, k=1)
         return self.pairwise[i, j]
 
+    def triplet_values(self, triangles: np.ndarray) -> np.ndarray:
+        """The triplet barriers of the (m, 3) sorted vertex triples, in row order."""
+        rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+        at = np.searchsorted(_lex_keys(self.triples, self.n), _lex_keys(rows, self.n))
+        found = at < len(self.triples)
+        found[found] = (self.triples[at[found]] == rows[found]).all(axis=1)
+        if not found.all():
+            i, j, k = rows[np.argmin(found)].tolist()
+            raise ValueError(f"triplet barrier missing for candidate ({i}, {j}, {k})")
+        return self.triplet.take(at)
+
     def to_json(self) -> str:
         return json.dumps({
             "pairwise": self.pairwise.tolist(),
-            "triplet": {",".join(map(str, key)): val for key, val in self.triplet.items()},
+            "triplet": {f"{i},{j},{k}": val for (i, j, k), val
+                        in zip(self.triples.tolist(), self.triplet.tolist())},
             "routing_freq": self.routing_freq.tolist(),
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "BarrierTable":
-        doc = json.loads(text)
-        triplet = {tuple(int(v) for v in key.split(",")): val
-                   for key, val in doc["triplet"].items()}
-        return cls(np.array(doc["pairwise"]), triplet, np.array(doc["routing_freq"]))
 
     def pairwise_csv(self) -> str:
         lines = [",".join(repr(float(v)) for v in row) for row in self.pairwise]
         return "\n".join(lines) + "\n"
-
-
-def triplet_values(triplet: Mapping[tuple[int, int, int], float],
-                   triangles: np.ndarray) -> np.ndarray:
-    """The triplet barriers of the (m, 3) sorted vertex triples, in row order."""
-    rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).tolist()
-    try:
-        return np.array([triplet[t] for t in map(tuple, rows)], dtype=np.float64)
-    except KeyError as exc:
-        raise ValueError(f"triplet barrier missing for candidate {exc.args[0]}") from None
 
 
 def barrier_sweep(layer: MoeLayer, corpus: CalibCorpus,
@@ -472,7 +487,7 @@ def barrier_sweep(layer: MoeLayer, corpus: CalibCorpus,
     pairwise = np.zeros((layer.n, layer.n))
     for (i, j), val in zip(pairs, _merge_kls(layer, corpus, pairs, freqs)):
         pairwise[i, j] = pairwise[j, i] = val
-    return extend_triplets(layer, corpus, BarrierTable(pairwise, {}, freqs),
+    return extend_triplets(layer, corpus, BarrierTable(pairwise, freqs),
                            triangle_candidates)
 
 
@@ -484,10 +499,14 @@ def extend_triplets(layer: MoeLayer, corpus: CalibCorpus, table: BarrierTable,
     frequencies, so a pairwise table extended here equals the table
     :func:`barrier_sweep` fills for the same candidates.
     """
-    triples = [tuple(sorted(int(v) for v in t)) for t in triangle_candidates]
-    vals = _merge_kls(layer, corpus, triples, table.routing_freq)
-    return BarrierTable(table.pairwise, {**table.triplet, **dict(zip(triples, vals))},
-                        table.routing_freq)
+    triples = np.sort(np.asarray(list(triangle_candidates), dtype=np.int64).reshape(-1, 3),
+                      axis=1)
+    vals = np.asarray(_merge_kls(layer, corpus, triples, table.routing_freq), dtype=np.float64)
+    # np.unique keeps each triple's first row: a candidate's value over the table's own
+    rows = np.concatenate([triples, table.triples])
+    _, first = np.unique(_lex_keys(rows, table.n), return_index=True)
+    return BarrierTable(table.pairwise, table.routing_freq, rows[first],
+                        np.concatenate([vals, table.triplet])[first])
 
 
 def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[int]],

@@ -9,9 +9,10 @@ The selection objective over a candidate survivor set S is
 with the convention that an empty critical set contributes 0.  Phi is a
 non-negative monotone submodular set function (a weighted sum of a modular
 term and two maximum-coverage terms), so plain greedy selection carries the
-(1 - (1 - 1/k)^k) approximation guarantee.  Coverage is set-valued: when
-critical edges are shared between experts no per-expert score can express
-it, which is what separates this selector from saliency-style rankings.
+(1 - (1 - 1/k)^k) approximation guarantee.  Coverage counts the union of
+the chosen experts' critical simplices: when critical edges are shared
+between experts no per-expert score can express it, which is what separates
+this selector from saliency-style rankings.
 
 Dropped experts are redirected to the nearest survivor under the
 Hodge-weighted barrier b_ij * (1 + alpha * |harm_ij| / ||b||): edges that
@@ -32,9 +33,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, UnionFind
+from .complexes import Complex2
 from .hodge import HodgeDecomp
-from .moe import BarrierTable, SaliencyVector, triplet_values
+from .moe import BarrierTable, SaliencyVector
 
 REDIRECT_GUARD = 1e-12
 ABLATION_VARIANTS = ("greedy_barrier", "triplet_penalty", "triplet_hypergraph")
@@ -42,16 +43,31 @@ ABLATION_VARIANTS = ("greedy_barrier", "triplet_penalty", "triplet_hypergraph")
 
 @dataclass(frozen=True, eq=False)
 class CoverageInstance:
-    """Critical simplices and per-expert incidence for one layer."""
+    """Critical simplices and per-expert incidence for one layer.
 
-    n: int
-    crit_edges: frozenset[int]
-    crit_triangles: frozenset[int]
-    edge_incidence: tuple[frozenset[int], ...]
-    tri_incidence: tuple[frozenset[int], ...]
+    ``crit_edges`` and ``crit_triangles`` index the complex's edges and
+    triangles.  ``edge_incidence`` is the (n, |E*|) boolean matrix whose entry
+    (i, c) is true when expert i is a vertex of critical edge ``crit_edges[c]``,
+    and ``tri_incidence`` the (n, |T*|) one of the critical triangles.  A set
+    of experts covers the columns where any of its rows is true.
+    """
+
+    crit_edges: np.ndarray
+    crit_triangles: np.ndarray
+    edge_incidence: np.ndarray
+    tri_incidence: np.ndarray
     sal: np.ndarray
     lam_e: float
     lam_t: float
+
+    @property
+    def n(self) -> int:
+        return len(self.sal)
+
+    def coverage_terms(self) -> list[tuple[np.ndarray, float]]:
+        """(incidence, weight) of each coverage term whose critical set is non-empty."""
+        return [(inc, lam) for inc, lam in ((self.edge_incidence, self.lam_e),
+                                            (self.tri_incidence, self.lam_t)) if inc.shape[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +156,6 @@ class LayerBudget:
     survivors: tuple[int, ...]
     drops: tuple[int, ...]
 
-    def to_json(self) -> str:
-        return json.dumps({"rate": self.rate, "total_drops": self.total_drops,
-                           "survivors": list(self.survivors), "drops": list(self.drops)})
-
 
 # ---------------------------------------------------------------------------
 # Coverage objective
@@ -165,88 +177,60 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
     if not (lam_e >= 0.0 and lam_t >= 0.0):  # a nan weight would stall greedy_select
         raise ValueError("coverage weights must be non-negative")
 
-    n_edges = k.num_edges
-    n_crit_e = math.ceil(p / 100.0 * n_edges) if n_edges else 0
-    harm = np.abs(decomp.harm.values)
-    crit_edges = frozenset(int(e) for e in np.argsort(-harm, kind="stable")[:n_crit_e])
-
-    n_tris = k.num_triangles
-    n_crit_t = math.ceil(q_t / 100.0 * n_tris) if n_tris else 0
-    tri_vals = np.abs(triplet_values(barriers.triplet, k.triangles))
-    crit_tris = frozenset(int(t) for t in np.argsort(-tri_vals, kind="stable")[:n_crit_t])
-
-    edge_inc = [set() for _ in range(k.n)]
-    for e in crit_edges:
-        for v in k.edges[e]:
-            edge_inc[int(v)].add(e)
-    tri_inc = [set() for _ in range(k.n)]
-    for t in crit_tris:
-        for v in k.triangles[t]:
-            tri_inc[int(v)].add(t)
-
+    crit_edges = np.argsort(-np.abs(decomp.harm.values), kind="stable")
+    crit_edges = crit_edges[:math.ceil(p / 100.0 * k.num_edges)]
+    crit_tris = np.argsort(-np.abs(barriers.triplet_values(k.triangles)), kind="stable")
+    crit_tris = crit_tris[:math.ceil(q_t / 100.0 * k.num_triangles)]
     return CoverageInstance(
-        n=k.n,
         crit_edges=crit_edges,
         crit_triangles=crit_tris,
-        edge_incidence=tuple(frozenset(s) for s in edge_inc),
-        tri_incidence=tuple(frozenset(s) for s in tri_inc),
+        edge_incidence=_incidence(k.n, k.edges[crit_edges]),
+        tri_incidence=_incidence(k.n, k.triangles[crit_tris]),
         sal=np.asarray(sal.values, dtype=np.float64),
         lam_e=float(lam_e),
         lam_t=float(lam_t),
     )
 
 
+def _incidence(n: int, simplices: np.ndarray) -> np.ndarray:
+    """(n, m) boolean matrix: entry (i, c) is true when vertex i lies in simplex c."""
+    inc = np.zeros((n, len(simplices)), dtype=bool)
+    inc[simplices, np.arange(len(simplices))[:, None]] = True
+    return inc
+
+
 def phi(inst: CoverageInstance, s: Iterable[int]) -> float:
     """The selection objective: saliency sum plus normalized coverage."""
-    s = set(s)
-    value = float(inst.sal[sorted(s)].sum()) if s else 0.0
-    if inst.crit_edges:
-        covered = set().union(*(inst.edge_incidence[i] for i in s)) if s else set()
-        value += inst.lam_e * len(covered) / len(inst.crit_edges)
-    if inst.crit_triangles:
-        covered = set().union(*(inst.tri_incidence[i] for i in s)) if s else set()
-        value += inst.lam_t * len(covered) / len(inst.crit_triangles)
+    member = np.zeros(inst.n, dtype=bool)
+    member[np.fromiter(s, dtype=np.int64)] = True
+    value = float(inst.sal[member].sum())
+    for inc, lam in inst.coverage_terms():
+        value += lam * np.count_nonzero(inc[member].any(axis=0)) / inc.shape[1]
     return value
 
 
-def marginal_gain(inst: CoverageInstance, i: int, covered_e: set[int],
-                  covered_t: set[int]) -> float:
-    """Gain of adding expert i given the currently covered critical sets."""
-    gain = float(inst.sal[i])
-    if inst.crit_edges:
-        gain += inst.lam_e * len(inst.edge_incidence[i] - covered_e) / len(inst.crit_edges)
-    if inst.crit_triangles:
-        gain += inst.lam_t * len(inst.tri_incidence[i] - covered_t) / len(inst.crit_triangles)
-    return gain
-
-
-def greedy_select(inst: CoverageInstance, k: int,
-                  protected: Iterable[int] = ()) -> tuple[int, ...]:
+def greedy_select(inst: CoverageInstance, k: int) -> tuple[int, ...]:
     """Greedy maximization of the coverage objective to exactly k survivors.
 
-    Starts from the protected set, repeatedly adds the expert with the
-    largest marginal gain, ties to the lowest index.  With an empty
-    protected set the result carries the (1 - (1 - 1/k)^k) guarantee.
+    Each pick adds the expert with the largest marginal gain, ties to the
+    lowest index, so the result carries the (1 - (1 - 1/k)^k) guarantee.
     """
-    selected = sorted(set(int(i) for i in protected))
-    if any(i < 0 or i >= inst.n for i in selected):
-        raise ValueError("protected expert outside range")
-    if not (len(selected) <= k <= inst.n):
-        raise ValueError(f"need |protected| <= k <= n, got k={k}")
-    chosen = set(selected)
-    covered_e: set[int] = set().union(*(inst.edge_incidence[i] for i in chosen)) if chosen else set()
-    covered_t: set[int] = set().union(*(inst.tri_incidence[i] for i in chosen)) if chosen else set()
-    while len(chosen) < k:
-        best_i, best_gain = -1, -np.inf
-        for i in range(inst.n):
-            if i in chosen:
-                continue
-            gain = marginal_gain(inst, i, covered_e, covered_t)
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        chosen.add(best_i)
-        covered_e |= inst.edge_incidence[best_i]
-        covered_t |= inst.tri_incidence[best_i]
+    if not (0 <= k <= inst.n):
+        raise ValueError(f"need 0 <= k <= n, got k={k}")
+    # (incidence, weight, uncovered columns) as floats: one product counts a term
+    terms = [(inc.astype(np.float64), lam, np.ones(inc.shape[1]))
+             for inc, lam in inst.coverage_terms()]
+    score = inst.sal.copy()  # -inf once chosen
+    chosen = []
+    for _ in range(k):
+        gain = score
+        for inc, lam, uncovered in terms:
+            gain = gain + lam * (inc @ uncovered) / len(uncovered)
+        best = int(gain.argmax())  # the first maximum
+        chosen.append(best)
+        score[best] = -np.inf
+        for inc, _, uncovered in terms:
+            uncovered[inc[best] > 0] = 0.0
     return tuple(sorted(chosen))
 
 
@@ -254,17 +238,18 @@ def redirect(k: Complex2, barriers: BarrierTable, decomp: HodgeDecomp,
              survivors: Sequence[int], alpha: float = 3.0) -> dict[int, int]:
     """Map each dropped expert to its nearest survivor under the
     Hodge-weighted barrier, ties to the lowest survivor index."""
-    surv = sorted(set(int(j) for j in survivors))
-    if not surv:
+    kept = np.zeros(barriers.n, dtype=bool)
+    kept[np.asarray(survivors, dtype=np.int64)] = True
+    if not kept.any():
         raise ValueError("survivor set is empty")
     signal = barriers.pairwise[k.edges[:, 0], k.edges[:, 1]]
     b_norm = float(np.linalg.norm(signal))
     harm = np.zeros((barriers.n, barriers.n))  # |harm| on edges, 0 off the complex
     harm[k.edges[:, 0], k.edges[:, 1]] = np.abs(decomp.harm.values)
     cost = barriers.pairwise * (1.0 + alpha * (harm + harm.T) / max(b_norm, REDIRECT_GUARD))
-    dropped = [i for i in range(barriers.n) if i not in surv]
-    best = np.argmin(cost[np.array(dropped, dtype=np.int64)][:, surv], axis=1)  # first minimum
-    return dict(zip(dropped, (surv[j] for j in best.tolist())))
+    surv, dropped = np.flatnonzero(kept), np.flatnonzero(~kept)
+    best = cost[dropped][:, surv].argmin(axis=1)  # first minimum
+    return dict(zip(dropped.tolist(), surv[best].tolist()))
 
 
 def select_random(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -279,29 +264,53 @@ def select_random(n: int, k: int, seed: int) -> tuple[int, ...]:
 # Union-find ablation selectors
 
 
-def _edge_order(costs: np.ndarray) -> list[tuple[int, int]]:
-    n = costs.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs.sort(key=lambda e: (costs[e[0], e[1]], e[0], e[1]))
-    return pairs
+def _edge_order(costs: np.ndarray) -> np.ndarray:
+    """Pairs (i, j), i < j, by ascending cost, ties to the lexicographically earlier."""
+    i, j = np.triu_indices(costs.shape[0], k=1)
+    order = np.lexsort((j, i, costs[i, j]))
+    return np.column_stack([i[order], j[order]])
 
 
 def _triplet_penalty_costs(barriers: BarrierTable, alpha_t: float) -> np.ndarray:
     """Edge costs b_ij * (1 + alpha_t * mean incident triplet barrier),
     the mean normalized by the layer's maximum triplet barrier."""
-    n = barriers.n
+    n, t, vals = barriers.n, barriers.triples, barriers.triplet
+    # each triple's pairs (i, j), (i, k), (j, k), summed in table order
+    cells = (t[:, [0, 0, 1]].ravel(), t[:, [1, 2, 2]].ravel())
     acc = np.zeros((n, n))
     cnt = np.zeros((n, n))
-    for (i, j, k), val in barriers.triplet.items():
-        for a, b in ((i, j), (i, k), (j, k)):
-            acc[a, b] += val
-            cnt[a, b] += 1
-    top = max(barriers.triplet.values()) if barriers.triplet else 0.0
+    np.add.at(acc, cells, np.repeat(vals, 3))
+    np.add.at(cnt, cells, 1.0)
+    top = float(vals.max()) if len(vals) else 0.0
     with np.errstate(invalid="ignore"):
         mean = np.where(cnt > 0, acc / np.maximum(cnt, 1), 0.0)
     norm = mean / top if top > 0 else np.zeros_like(mean)
     norm = norm + norm.T
     return barriers.pairwise * (1.0 + alpha_t * norm)
+
+
+def _merge_until(label: np.ndarray, pairs: np.ndarray, k: int,
+                 veto: np.ndarray | None = None) -> int:
+    """Merge the groups of ``label`` along ``pairs`` in order until k remain.
+
+    ``label`` names each expert's group by its lowest member and is updated
+    in place; returns the number of merges.  A merge that would put all
+    three vertices of a ``veto`` row in one group is skipped.
+    """
+    groups = len(np.unique(label))
+    merges = 0
+    for a, b in pairs.tolist():
+        if groups == k:
+            break
+        ra, rb = label[a], label[b]
+        if ra == rb:
+            continue
+        if veto is not None and (((label == ra) | (label == rb))[veto].all(axis=1)).any():
+            continue
+        label[label == max(ra, rb)] = min(ra, rb)
+        groups -= 1
+        merges += 1
+    return merges
 
 
 def _unionfind_plan(barriers: BarrierTable, k: int, costs: np.ndarray,
@@ -310,48 +319,24 @@ def _unionfind_plan(barriers: BarrierTable, k: int, costs: np.ndarray,
     n = barriers.n
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    uf = UnionFind(n)
-    order = _edge_order(costs)
-    high_triples = [(frozenset(t), v) for t, v in barriers.triplet.items()
-                    if veto_tau is not None and v > veto_tau]
-    rejected: list[tuple[int, int]] = []
+    pairs = _edge_order(costs)
+    label = np.arange(n)
+    veto = None if veto_tau is None else barriers.triples[barriers.triplet > veto_tau]
+    _merge_until(label, pairs, k, veto)
+    # a veto that made the budget unreachable: finish by ascending cost, veto off
+    forced = _merge_until(label, pairs, k)
 
-    def violates(a: int, b: int) -> bool:
-        if veto_tau is None:
-            return False
-        merged = {x for x in range(n) if uf.find(x) in (uf.find(a), uf.find(b))}
-        if len(merged) < 3:
-            return False
-        return any(t <= merged for t, _ in high_triples)
-
-    for a, b in order:
-        if uf.components == k:
-            break
-        if uf.find(a) == uf.find(b):
-            continue
-        if violates(a, b):
-            rejected.append((a, b))
-            continue
-        uf.union(a, b)
-
-    forced = 0
-    if uf.components > k:
-        # veto made the budget unreachable; finish by ascending cost, veto off
-        for a, b in order:
-            if uf.components == k:
-                break
-            if uf.union(a, b):
-                forced += 1
-
-    groups = [tuple(g) for g in uf.groups()]
-    survivors = tuple(min(g) for g in groups)
-    redirect_map = {i: min(g) for g in groups for i in g if i != min(g)}
+    # keyed by lowest member, which each group meets first, so keys ascend
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(label.tolist()):
+        groups.setdefault(r, []).append(i)
+    redirect_map = {i: r for r, g in groups.items() for i in g[1:]}
     extra = dict(params or {})
     if veto_tau is not None:
         extra.update(veto_tau=veto_tau, forced_merges=forced)
     return SurvivorPlan(
-        n=n, k=k, survivors=survivors, redirect=redirect_map, method=method,
-        layer=layer, merge_groups=tuple(groups),
+        n=n, k=k, survivors=tuple(groups), redirect=redirect_map, method=method,
+        layer=layer, merge_groups=tuple(map(tuple, groups.values())),
         merge_weights=tuple(float(v) for v in barriers.routing_freq),
         params=extra,
     )
@@ -373,8 +358,7 @@ def select_ablation(variant: str, barriers: BarrierTable, k: int, *,
         costs = _triplet_penalty_costs(barriers, alpha_t)
         return _unionfind_plan(barriers, k, costs, variant, layer=layer,
                                params={"alpha_t": alpha_t})
-    tau_t = float(np.percentile(list(barriers.triplet.values()), 50)) \
-        if barriers.triplet else np.inf
+    tau_t = float(np.percentile(barriers.triplet, 50)) if len(barriers.triplet) else np.inf
     return _unionfind_plan(barriers, k, barriers.pairwise, variant,
                            veto_tau=tau_t, layer=layer)
 

@@ -135,13 +135,16 @@ def check_residual_minimality() -> tuple[bool, str]:
 def _random_coverage_instance(rng: np.random.Generator, n: int = 10) -> CoverageInstance:
     n_edges = int(rng.integers(8, 30))
     n_tris = int(rng.integers(0, 10))
-    edge_inc = [frozenset(rng.choice(n_edges, rng.integers(1, max(2, n_edges // 2)),
-                                     replace=False).tolist()) for _ in range(n)]
-    tri_inc = [frozenset(rng.choice(n_tris, rng.integers(0, n_tris + 1), replace=False).tolist())
-               if n_tris else frozenset() for _ in range(n)]
+    edge_inc = np.zeros((n, n_edges), dtype=bool)
+    tri_inc = np.zeros((n, n_tris), dtype=bool)
+    for i in range(n):
+        edge_inc[i, rng.choice(n_edges, rng.integers(1, max(2, n_edges // 2)),
+                               replace=False)] = True
+    for i in range(n if n_tris else 0):
+        tri_inc[i, rng.choice(n_tris, rng.integers(0, n_tris + 1), replace=False)] = True
     return CoverageInstance(
-        n=n, crit_edges=frozenset(range(n_edges)), crit_triangles=frozenset(range(n_tris)),
-        edge_incidence=tuple(edge_inc), tri_incidence=tuple(tri_inc),
+        crit_edges=np.arange(n_edges), crit_triangles=np.arange(n_tris),
+        edge_incidence=edge_inc, tri_incidence=tri_inc,
         sal=rng.uniform(size=n), lam_e=1.0, lam_t=0.5)
 
 
@@ -156,12 +159,13 @@ def check_greedy_guarantee() -> tuple[bool, str]:
         # independent exhaustive oracle over all C(10, 4) = 210 subsets
         best = 0.0
         for subset in itertools.combinations(range(10), k):
-            val = float(inst.sal[list(subset)].sum())
-            covered_e = set().union(*(inst.edge_incidence[i] for i in subset))
-            val += inst.lam_e * len(covered_e) / len(inst.crit_edges)
-            if inst.crit_triangles:
-                covered_t = set().union(*(inst.tri_incidence[i] for i in subset))
-                val += inst.lam_t * len(covered_t) / len(inst.crit_triangles)
+            rows = list(subset)
+            val = float(inst.sal[rows].sum())
+            covered_e = int(inst.edge_incidence[rows].any(axis=0).sum())
+            val += inst.lam_e * covered_e / len(inst.crit_edges)
+            if len(inst.crit_triangles):
+                covered_t = int(inst.tri_incidence[rows].any(axis=0).sum())
+                val += inst.lam_t * covered_t / len(inst.crit_triangles)
             best = max(best, val)
         achieved = phi(inst, greedy_select(inst, k))
         worst = min(worst, achieved / best)
@@ -180,18 +184,16 @@ def check_k4_inexpressibility() -> tuple[bool, str]:
         if worst != Fraction(1, 2):
             return False, f"fixed pair {pair} has worst-case coverage {worst}"
     for matching in matchings:
-        incidence = [set() for _ in range(4)]
+        incidence = np.zeros((4, 2), dtype=bool)
         for e, (a, b) in enumerate(matching):
-            incidence[a].add(e)
-            incidence[b].add(e)
+            incidence[[a, b], e] = True
         inst = CoverageInstance(
-            n=4, crit_edges=frozenset({0, 1}), crit_triangles=frozenset(),
-            edge_incidence=tuple(frozenset(s) for s in incidence),
-            tri_incidence=(frozenset(),) * 4, sal=np.zeros(4), lam_e=1.0, lam_t=0.5)
-        chosen = greedy_select(inst, 2)
-        covered = set().union(*(incidence[i] for i in chosen))
-        if Fraction(len(covered), 2) != 1:
-            return False, f"greedy covered {len(covered)}/2 on {matching}"
+            crit_edges=np.arange(2), crit_triangles=np.zeros(0, dtype=np.int64),
+            edge_incidence=incidence, tri_incidence=np.zeros((4, 0), dtype=bool),
+            sal=np.zeros(4), lam_e=1.0, lam_t=0.5)
+        covered = int(incidence[list(greedy_select(inst, 2))].any(axis=0).sum())
+        if Fraction(covered, 2) != 1:
+            return False, f"greedy covered {covered}/2 on {matching}"
     return True, "all 6 fixed pairs stuck at 1/2; greedy covers 1 on each instance"
 
 
@@ -206,7 +208,7 @@ def check_merge_guard() -> tuple[bool, str]:
     table = barrier_sweep(layer, corpus, [(3, 4, 5), (0, 4, 5)])
     if not np.isfinite(table.pairwise).all():
         return False, "pairwise table has non-finite entries"
-    if not all(np.isfinite(v) for v in table.triplet.values()):
+    if not np.isfinite(table.triplet_values([(0, 4, 5), (3, 4, 5)])).all():
         return False, "triplet table has non-finite entries"
     if table.routing_freq[4] != 0.0 or table.routing_freq[5] != 0.0:
         return False, "starved experts still routed"
@@ -318,13 +320,12 @@ def check_diagnostics_closure() -> tuple[bool, str]:
             if abs(total - 1.0) > 1e-8:
                 return False, f"energy fractions sum to {total!r} on seed {layer.seed}"
             analysis = a
-    tri = analysis.table.triplet
     rng = np.random.default_rng(1012)
     for _ in range(100):
         small = set(rng.choice(16, rng.integers(0, 12), replace=False).tolist())
         big = small | set(rng.choice(16, 4).tolist())
-        lo = retained_mass(analysis.complex, analysis.decomp, tri, small).as_dict()
-        hi = retained_mass(analysis.complex, analysis.decomp, tri, big).as_dict()
+        lo = retained_mass(analysis.complex, analysis.decomp, analysis.table, small).as_dict()
+        hi = retained_mass(analysis.complex, analysis.decomp, analysis.table, big).as_dict()
         if any(lo[key] > hi[key] + 1e-12 for key in lo):
             return False, f"retained mass shrank when growing {sorted(small)}"
     return True, "closure holds on 6 layers; retained mass monotone on 100 nested pairs"

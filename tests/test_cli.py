@@ -1,14 +1,18 @@
+import hashlib
 import importlib.metadata
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hodgecover
-from hodgecover.cli import main
+from hodgecover.cli import METHODS, SCHEMA, main
 
 FAST = ["--set", "model.layers=2", "--set", "model.n=8", "--set", "model.clusters=2",
         "--set", "corpus.size=512"]
@@ -383,3 +387,122 @@ def test_import_loads_no_scipy():
                               "if m == 'scipy' or m.startswith('scipy.')])")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# sha256 of every artifact on the default 4 x 16 model, recorded before the
+# triplet table and the selector moved onto arrays.  These artifacts do not move
+# with the BLAS thread count; those of a 1 x 64 model's diagnose and ablate do.
+GOLDEN = Path(__file__).with_name("golden_artifacts.json")
+GOLDEN_RUNS = {
+    "barriers": ["barriers"],
+    "diagnose": ["diagnose"],
+    "ablate": ["ablate", "--rate", "0.5"],
+    **{f"compress_{m}": ["compress", "--rate", "0.66", "--method", m] for m in METHODS},
+    "compress_hybrid": ["compress", "--rate", "0.66", "--hybrid"],
+}
+
+
+def artifact_digests(root: Path) -> dict[str, str]:
+    """Run every golden command in-process under ``root``; relative path -> sha256."""
+    assert run(["synth", "--out", root / "synth"]) == 0
+    for name, args in GOLDEN_RUNS.items():
+        assert run([*args, "--out", root / name, "--model-dir", root / "synth" / "model"]) == 0
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_artifacts_match_golden_digests(tmp_path):
+    assert artifact_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs: any --set value and any damaged model file exits 0 or 2 with
+# one message line, never a traceback, and leaves no run directory on failure
+
+TINY = ["--set", "model.layers=1", "--set", "model.n=5", "--set", "model.vocab=4",
+        "--set", "model.ctx=8", "--set", "model.clusters=2", "--set", "corpus.size=64"]
+# integers between 41 and 2**62 are left out: as a corpus size they are valid and
+# allocate memory in proportion (up to exabytes); beyond it numpy refuses the size
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.integers(min_value=2**62),
+    st.integers(max_value=-2**62), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(-2, 6), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+
+
+@pytest.fixture(scope="module")
+def tiny_layer(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert run(["synth", "--out", out] + TINY) == 0
+    return (out / "model" / "layer_000.json").read_text()
+
+
+def run_fuzzed(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = run([*args, "--out", out])
+    text = capsys.readouterr()
+    assert code in (0, 2), (code, text.err)
+    assert "Traceback" not in text.out + text.err
+    if code:
+        assert len(text.err.strip().splitlines()) == 1, text.err
+        assert not out.exists()
+
+
+@given(key=st.sampled_from([f"{s}.{f}" for s, fields in SCHEMA.items() for f in fields]),
+       value=st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=8)))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_set_values(tmp_path, capsys, tiny_layer, key, value):
+    model = tmp_path / "model"
+    model.mkdir(exist_ok=True)
+    (model / "layer_000.json").write_text(tiny_layer)
+    run_fuzzed(tmp_path, capsys, ["barriers", "--model-dir", model, *TINY,
+                                  "--set", f"{key}={value}"])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_model_files(tmp_path, capsys, tiny_layer, data):
+    doc = json.loads(tiny_layer)
+    how = data.draw(st.sampled_from(["truncate", "field", "drop", "logit", "row"]))
+    if how == "truncate":
+        text = tiny_layer[:data.draw(st.integers(0, len(tiny_layer) - 1))]
+    else:
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if how == "field":
+            doc[key] = data.draw(JSON_VALUES)
+        elif how == "drop":
+            del doc[key]
+        else:
+            table = data.draw(st.sampled_from(["expert_logits", "router_logits"]))
+            row = data.draw(st.integers(0, len(doc[table]) - 1))
+            if how == "logit":
+                col = data.draw(st.integers(0, len(doc[table][row]) - 1))
+                doc[table][row][col] = data.draw(JSON_VALUES)
+            else:
+                doc[table][row] = data.draw(JSON_VALUES)
+        text = json.dumps(doc)
+    model = tmp_path / "model"
+    model.mkdir(exist_ok=True)
+    (model / "layer_000.json").write_text(text)
+    run_fuzzed(tmp_path, capsys, ["barriers", "--model-dir", model, *TINY])
+
+
+def test_size_too_large_to_hold_is_data_error(tmp_path, capsys, tiny_layer, monkeypatch):
+    # CalibCorpus.sample raises MemoryError on a corpus.size such as 1121654963
+    def sample(*args):
+        raise MemoryError("Unable to allocate 8.36 GiB for an array")
+
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "layer_000.json").write_text(tiny_layer)
+    monkeypatch.setattr("hodgecover.cli.CalibCorpus.sample", sample)
+    out = tmp_path / "out"
+    assert run(["barriers", "--model-dir", model, "--out", out, *TINY,
+                "--set", "corpus.size=1121654963"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hodgecover: out of memory: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -6,15 +6,15 @@ from hodgecover.diagnostics import (CSV_HEADER, RetainedMass, diagnose_model,
                                     diagnostics_csv, discordance, mechanism_table,
                                     retained_mass)
 from hodgecover.hodge import decompose
-from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
-                            plant_discordant_triple, synth_layer)
+from hodgecover.moe import CalibCorpus, barrier_sweep, plant_discordant_triple, synth_layer
 from hodgecover.pipeline import analyze_layer
+from set_oracle import table_from_dict
 
 
 def table_with_triplets(n, pairwise_value, triplets):
     m = np.full((n, n), pairwise_value)
     np.fill_diagonal(m, 0.0)
-    return BarrierTable(m, triplets, np.full(n, 0.25))
+    return table_from_dict(m, triplets, np.full(n, 0.25))
 
 
 class TestDiscordance:
@@ -38,7 +38,8 @@ class TestDiscordance:
         corpus = CalibCorpus.sample(256, 1024, 42)
         a = analyze_layer(synth_layer(seed=3), corpus)
         pw = a.table.pairwise
-        hits = sum(a.table.triplet[(i, j, k)] > 1.2 * max(pw[i, j], pw[i, k], pw[j, k])
+        triplet = dict(zip(map(tuple, a.table.triples.tolist()), a.table.triplet.tolist()))
+        hits = sum(triplet[(i, j, k)] > 1.2 * max(pw[i, j], pw[i, k], pw[j, k])
                    for i, j, k in a.candidates.tolist())
         got = discordance(a.table, a.candidates)
         assert type(got) is float  # diagnostics.csv writes its repr
@@ -57,19 +58,19 @@ class TestRetainedMass:
         inc = build_incidence(k)
         b = EdgeSignal(rng.uniform(0.1, 2.0, size=k.num_edges))
         triplets = {(0, 1, 2): 0.9, (1, 2, 3): 0.4, (2, 3, 4): 1.5}
-        return k, decompose(k, inc, b), triplets
+        return k, decompose(k, inc, b), triplets, table_with_triplets(6, 1.0, triplets)
 
     def test_full_and_empty_survivor_sets(self):
-        k, d, triplets = self.fixture()
-        full = retained_mass(k, d, triplets, range(6))
+        k, d, triplets, table = self.fixture()
+        full = retained_mass(k, d, table, range(6))
         assert full.as_dict() == {"harm": 1.0, "grad": 1.0, "curl": 1.0, "triplet": 1.0}
-        empty = retained_mass(k, d, triplets, [])
+        empty = retained_mass(k, d, table, [])
         assert empty.as_dict() == {"harm": 0.0, "grad": 0.0, "curl": 0.0, "triplet": 0.0}
 
     def test_matches_literal_summation(self):
-        k, d, triplets = self.fixture()
+        k, d, triplets, table = self.fixture()
         survivors = {1, 4}
-        got = retained_mass(k, d, triplets, survivors)
+        got = retained_mass(k, d, table, survivors)
         for name, values in (("harm", d.harm.values), ("grad", d.grad.values),
                              ("curl", d.curl.values)):
             num = sum(abs(values[e]) for e, (i, j) in enumerate(k.edges)
@@ -79,13 +80,13 @@ class TestRetainedMass:
         assert got.triplet == pytest.approx(tri_num / sum(abs(v) for v in triplets.values()))
 
     def test_monotone_under_growth(self):
-        k, d, triplets = self.fixture()
+        k, d, triplets, table = self.fixture()
         rng = np.random.default_rng(51)
         for _ in range(50):
             small = set(rng.choice(6, rng.integers(0, 4), replace=False).tolist())
             big = small | set(rng.choice(6, 2).tolist())
-            lo = retained_mass(k, d, triplets, small).as_dict()
-            hi = retained_mass(k, d, triplets, big).as_dict()
+            lo = retained_mass(k, d, table, small).as_dict()
+            hi = retained_mass(k, d, table, big).as_dict()
             assert all(lo[key] <= hi[key] + 1e-12 for key in lo)
 
 

@@ -207,18 +207,6 @@ class TestDecompose:
         assert np.allclose(d2.harm.values, 7.5 * d1.harm.values, atol=1e-10)
         assert d2.energy_harm == pytest.approx(d1.energy_harm, abs=1e-12)
 
-    def test_json_serialization(self):
-        import json
-
-        k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
-        inc = build_incidence(k)
-        d = decompose(k, inc, EdgeSignal([1.0, -1.0, 1.0]))
-        doc = json.loads(d.to_json())
-        assert set(doc) == {"grad", "curl", "harm",
-                            "energy_grad", "energy_curl", "energy_harm"}
-        assert doc["harm"] == [1.0, -1.0, 1.0]
-        assert doc["energy_harm"] == 1.0
-
 
 class TestHarmonicFraction:
     """``energy_harm`` is the harmonic share ||harm||^2 / ||b||^2."""

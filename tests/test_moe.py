@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _
                             compression_loss, extend_triplets, kl_rows, layer_output,
                             layer_symbol_outputs, merge_experts, merged_distribution,
                             pairwise_barrier, plant_discordant_triple, routing_frequencies,
-                            saliency, synth_layer, triplet_barrier, triplet_values)
+                            saliency, synth_layer, triplet_barrier)
 from hodgecover.selector import SurvivorPlan
 from hodgecover.wanda import prune_survivors
 
@@ -248,7 +249,7 @@ class TestSweep:
         tris = [(0, 1, 2), (1, 2, 3)]
         table = barrier_sweep(layer, corpus, tris)
         assert table.pairwise[0, 3] == pairwise_barrier(layer, corpus, 0, 3)
-        assert table.triplet[(1, 2, 3)] == triplet_barrier(layer, corpus, 1, 2, 3)
+        assert table.triplet_values([(1, 2, 3)])[0] == triplet_barrier(layer, corpus, 1, 2, 3)
         assert np.allclose(table.pairwise, table.pairwise.T)
         assert not table.pairwise.diagonal().any()
 
@@ -258,7 +259,7 @@ class TestSweep:
         a = barrier_sweep(layer, corpus, [(0, 1, 2)])
         b = barrier_sweep(layer, corpus, [(0, 1, 2)])
         assert np.array_equal(a.pairwise, b.pairwise)
-        assert a.triplet == b.triplet
+        assert np.array_equal(a.triples, b.triples) and np.array_equal(a.triplet, b.triplet)
 
     def test_extend_triplets_matches_full_sweep(self):
         corpus = small_corpus()
@@ -272,7 +273,7 @@ class TestSweep:
             extended = extend_triplets(layer, corpus, pairs, tris)
             assert extended.to_json() == full.to_json()
             assert extended.pairwise_csv() == full.pairwise_csv()
-            assert pairs.triplet == {}
+            assert pairs.triples.shape == (0, 3) and pairs.triplet.shape == (0,)
 
     def test_never_routed_experts_stay_finite(self):
         layer = synth_layer(n=6, clusters=3, seed=14)
@@ -283,7 +284,7 @@ class TestSweep:
         corpus = small_corpus()
         table = barrier_sweep(starved, corpus, [(3, 4, 5)])
         assert np.isfinite(table.pairwise).all()
-        assert all(np.isfinite(v) for v in table.triplet.values())
+        assert np.isfinite(table.triplet).all()
         assert table.routing_freq[4] == 0.0 and table.routing_freq[5] == 0.0
 
     def test_routing_frequencies_sum_to_fanout(self):
@@ -293,20 +294,54 @@ class TestSweep:
             assert freq.sum() == pytest.approx(fanout, abs=1e-12)
 
     def test_triplet_values_in_row_order(self):
-        triplet = {(0, 1, 2): 0.5, (0, 1, 3): 1.5, (1, 2, 3): 2.5}
-        got = triplet_values(triplet, np.array([[1, 2, 3], [0, 1, 2]]))
+        table = BarrierTable(np.zeros((4, 4)), np.full(4, 0.5),
+                             [(0, 1, 2), (0, 1, 3), (1, 2, 3)], [0.5, 1.5, 2.5])
+        got = table.triplet_values(np.array([[1, 2, 3], [0, 1, 2]]))
         assert got.dtype == np.float64 and got.tolist() == [2.5, 0.5]
-        assert triplet_values(triplet, np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+        assert table.triplet_values(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
         with pytest.raises(ValueError,
                            match=r"^triplet barrier missing for candidate \(0, 2, 3\)$"):
-            triplet_values(triplet, np.array([[0, 1, 2], [0, 2, 3]]))
+            table.triplet_values(np.array([[0, 1, 2], [0, 2, 3]]))
+        # past the last row, and rows whose lexicographic key aliases a tabled one
+        for missing in ([1, 2, 4], [0, 0, 7], [0, 2, 1], [-1, 1, 2]):
+            with pytest.raises(ValueError, match="missing"):
+                table.triplet_values(np.array([missing]))
+        empty = BarrierTable(np.zeros((4, 4)), np.full(4, 0.5))
+        with pytest.raises(ValueError, match=r"\(0, 1, 2\)"):
+            empty.triplet_values(np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("triples, values, message", [
+        ([(0, 2, 1)], [1.0], "i < j < k"),
+        ([(1, 1, 2)], [1.0], "i < j < k"),
+        ([(0, 1, 3), (0, 1, 2)], [1.0, 2.0], "sorted"),
+        ([(0, 1, 2), (0, 1, 2)], [1.0, 1.0], "distinct"),
+        ([(0, 1, 4)], [1.0], "range"),
+        ([(-1, 0, 1)], [1.0], "range"),
+        ([(0, 1, 2), (0, 1, 3)], [1.0], "one triplet barrier per triple"),
+        ([(0, 1, 2)], [1.0, 2.0], "one triplet barrier per triple"),
+        ([(0, 1, 2)], [np.nan], "finite"),
+    ])
+    def test_table_rejects_malformed_triples(self, triples, values, message):
+        with pytest.raises(ValueError, match=message):
+            BarrierTable(np.zeros((4, 4)), np.full(4, 0.5), triples, values)
+
+    def test_triples_come_out_sorted_and_distinct(self):
+        layer = synth_layer(n=6, clusters=3, seed=17)
+        corpus = small_corpus()
+        table = barrier_sweep(layer, corpus, [(3, 4, 5), (2, 1, 0), (0, 1, 2), (5, 0, 4)])
+        assert table.triples.tolist() == [[0, 1, 2], [0, 4, 5], [3, 4, 5]]
+        assert table.triplet.tolist() == [triplet_barrier(layer, corpus, *t)
+                                          for t in table.triples.tolist()]
 
     def test_json_and_csv_round_trip(self):
         layer = synth_layer(n=4, clusters=2, seed=16)
-        table = barrier_sweep(layer, small_corpus(), [(0, 1, 2)])
-        back = BarrierTable.from_json(table.to_json())
-        assert np.allclose(back.pairwise, table.pairwise, atol=0)
-        assert back.triplet == table.triplet
+        table = barrier_sweep(layer, small_corpus(), [(1, 2, 3), (0, 1, 2)])
+        doc = json.loads(table.to_json())
+        assert doc["pairwise"] == table.pairwise.tolist()
+        assert doc["routing_freq"] == table.routing_freq.tolist()
+        # "i,j,k" keys with i < j < k, in lexicographic order
+        assert list(doc["triplet"].items()) == [("0,1,2", table.triplet[0]),
+                                                ("1,2,3", table.triplet[1])]
         csv = table.pairwise_csv()
         rows = [line.split(",") for line in csv.strip().split("\n")]
         assert len(rows) == 4 and all(len(r) == 4 for r in rows)

@@ -1,42 +1,54 @@
 import itertools
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complete_edges,
-                                  random_complex)
+import set_oracle
+from hodgecover.complexes import (Complex2, EdgeSignal, UnionFind, build_incidence,
+                                  complete_edges, random_complex)
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             cluster_assignment, synth_layer)
-from hodgecover.pipeline import analyze_layer, coverage_for, plan_layer
-from hodgecover.selector import (CoverageInstance, LayerBudget, SurvivorPlan, UnionFind,
-                                 _unionfind_plan, allocate_uniform, allocate_weighted,
-                                 build_coverage, greedy_select, phi, redirect,
-                                 select_ablation, select_random)
+from hodgecover.pipeline import METHODS, analyze_layer, coverage_for, plan_layer
+from hodgecover.selector import (CoverageInstance, LayerBudget, SurvivorPlan,
+                                 _edge_order, _triplet_penalty_costs, _unionfind_plan,
+                                 allocate_uniform, allocate_weighted, build_coverage,
+                                 greedy_select, phi, redirect, select_ablation, select_random)
+
+
+def incidence(n, sets, cols):
+    """(n, len(cols)) boolean matrix: expert i covers column c when cols[c] is in sets[i]."""
+    cols = list(cols)
+    inc = np.zeros((n, len(cols)), dtype=bool)
+    for i, s in enumerate(sets):
+        for e in s:
+            inc[i, cols.index(e)] = True
+    return inc
 
 
 def manual_instance(n, crit_edges_by_expert, sal=None, lam_e=1.0, lam_t=0.0,
                     n_crit=None, tris_by_expert=None, n_crit_t=0):
     """Coverage instance assembled directly from incidence sets."""
-    edges = frozenset(e for s in crit_edges_by_expert for e in s)
-    tris = frozenset(t for s in (tris_by_expert or [()] * n) for t in s)
+    tris_by_expert = tris_by_expert or [()] * n
+    edges = range(n_crit) if n_crit is not None else \
+        sorted(set().union(*map(set, crit_edges_by_expert)))
+    tris = range(n_crit_t) if n_crit_t else sorted(set().union(*map(set, tris_by_expert)))
     return CoverageInstance(
-        n=n,
-        crit_edges=frozenset(range(n_crit)) if n_crit is not None else edges,
-        crit_triangles=frozenset(range(n_crit_t)) if n_crit_t else tris,
-        edge_incidence=tuple(frozenset(s) for s in crit_edges_by_expert),
-        tri_incidence=tuple(frozenset(s) for s in (tris_by_expert or [()] * n)),
+        crit_edges=np.array(edges, dtype=np.int64),
+        crit_triangles=np.array(tris, dtype=np.int64),
+        edge_incidence=incidence(n, crit_edges_by_expert, edges),
+        tri_incidence=incidence(n, tris_by_expert, tris),
         sal=np.zeros(n) if sal is None else np.asarray(sal, dtype=float),
         lam_e=lam_e, lam_t=lam_t,
     )
 
 
-def uniform_table(n, value=1.0):
+def uniform_table(n, value=1.0, triples=()):
+    """Every pairwise barrier ``value``; each of ``triples`` has triplet barrier 1."""
     m = np.full((n, n), value)
     np.fill_diagonal(m, 0.0)
-    return BarrierTable(m, {}, np.full(n, 0.25))
+    return BarrierTable(m, np.full(n, 0.25), triples, np.ones(len(triples)))
 
 
 class TestBuildCoverage:
@@ -50,7 +62,8 @@ class TestBuildCoverage:
         assert len(full.crit_edges) == a.complex.num_edges
         assert len(full.crit_triangles) == a.complex.num_triangles
         empty = build_coverage(a.complex, a.decomp, a.table, a.sal, p=0.0, q_t=0.0)
-        assert not empty.crit_edges and not empty.crit_triangles
+        assert not len(empty.crit_edges) and not len(empty.crit_triangles)
+        assert empty.edge_incidence.shape == (16, 0) and empty.tri_incidence.shape == (16, 0)
         assert phi(empty, range(16)) == pytest.approx(float(a.sal.values.sum()))
 
     def test_ceil_cardinality(self):
@@ -72,6 +85,15 @@ class TestBuildCoverage:
         cross = [assign[a.complex.edges[e][0]] != assign[a.complex.edges[e][1]]
                  for e in inst.crit_edges]
         assert np.mean(cross) > 0.5
+
+    def test_incidence_columns_are_the_critical_simplices(self):
+        a = self.analysis()
+        inst = build_coverage(a.complex, a.decomp, a.table, a.sal)
+        for inc, simplices in ((inst.edge_incidence, a.complex.edges[inst.crit_edges]),
+                               (inst.tri_incidence, a.complex.triangles[inst.crit_triangles])):
+            assert inc.dtype == bool and inc.shape == (16, len(simplices))
+            for c, simplex in enumerate(simplices):
+                assert np.flatnonzero(inc[:, c]).tolist() == sorted(simplex.tolist())
 
     def test_invalid_percent(self):
         a = self.analysis()
@@ -142,13 +164,13 @@ class TestGreedy:
         inst = manual_instance(4, [{0}, {0}, {1}, {1}], lam_e=1.0)
         assert greedy_select(inst, 2) == (0, 2)
 
-    def test_protected_seed_set(self):
-        inst = manual_instance(4, [{0}, {0}, {1}, {1}], sal=[0.0, 0.0, 0.0, 0.0])
-        assert 3 in greedy_select(inst, 2, protected=[3])
+    def test_k_outside_range(self):
+        inst = manual_instance(4, [{0}, {0}, {1}, {1}])
+        assert greedy_select(inst, 0) == ()
         with pytest.raises(ValueError):
-            greedy_select(inst, 1, protected=[0, 1])
+            greedy_select(inst, 5)
         with pytest.raises(ValueError):
-            greedy_select(inst, 9)
+            greedy_select(inst, -1)
 
     def test_guarantee_against_exhaustive_optimum(self):
         rng = np.random.default_rng(31)
@@ -192,7 +214,7 @@ class TestRedirect:
             if trial % 3 == 0:  # coarse barriers force exact cost ties
                 pair = np.round(pair, 1)
             pair = np.triu(pair, 1) + np.triu(pair, 1).T
-            table = BarrierTable(pair, {}, np.full(k.n, 1.0 / k.n))
+            table = BarrierTable(pair, np.full(k.n, 1.0 / k.n))
             d = decompose(k, build_incidence(k),
                           EdgeSignal(pair[k.edges[:, 0], k.edges[:, 1]]))
             survivors = rng.choice(k.n, size=int(rng.integers(1, k.n + 1)), replace=False)
@@ -230,7 +252,7 @@ class TestRedirect:
         d = decompose(k, build_incidence(k), flow)
         assert abs(d.harm.values[0]) > 0.5 and abs(d.harm.values[1]) < 1e-12
         pair = np.ones((5, 5)) - np.eye(5)
-        table = BarrierTable(pair, {}, np.full(5, 0.4))
+        table = BarrierTable(pair, np.full(5, 0.4))
         mapping = redirect(k, table, d, [1, 2], alpha=3.0)
         assert mapping[0] == 2
         # with alpha = 0 the tie falls to the lower survivor index instead
@@ -263,16 +285,14 @@ class TestAblations:
 
     def test_hypergraph_veto_below_all_binds_only_on_triples(self):
         # every tabled triple vetoed: only pair components can form
-        table = uniform_table(6)
-        table.triplet.update({t: 1.0 for t in itertools.combinations(range(6), 3)})
+        table = uniform_table(6, triples=list(itertools.combinations(range(6), 3)))
         plan = _unionfind_plan(table, 3, table.pairwise, "triplet_hypergraph",
                                veto_tau=0.5)
         assert all(len(g) <= 2 for g in plan.merge_groups)
         assert plan.params["forced_merges"] == 0
 
     def test_hypergraph_forced_completion_when_budget_unreachable(self):
-        table = uniform_table(5)
-        table.triplet.update({t: 1.0 for t in itertools.combinations(range(5), 3)})
+        table = uniform_table(5, triples=list(itertools.combinations(range(5), 3)))
         plan = _unionfind_plan(table, 1, table.pairwise, "triplet_hypergraph",
                                veto_tau=0.5)
         assert len(plan.merge_groups) == 1
@@ -282,16 +302,15 @@ class TestAblations:
         a = self.planted()
         plan = select_ablation("triplet_hypergraph", a.table, 6)
         tau = plan.params["veto_tau"]
-        assert tau == pytest.approx(float(np.percentile(list(a.table.triplet.values()), 50)))
+        assert tau == pytest.approx(float(np.median(a.table.triplet)))
 
     def test_no_triangle_equals_hodgecover_when_triangle_set_empty(self):
         a = self.planted()
         inst = coverage_for(a)
         no_tri = plan_layer(a, 5, "no_triangle")
         bare = CoverageInstance(
-            n=inst.n, crit_edges=inst.crit_edges, crit_triangles=frozenset(),
-            edge_incidence=inst.edge_incidence,
-            tri_incidence=tuple(frozenset() for _ in range(inst.n)),
+            crit_edges=inst.crit_edges, crit_triangles=np.zeros(0, dtype=np.int64),
+            edge_incidence=inst.edge_incidence, tri_incidence=np.zeros((inst.n, 0), bool),
             sal=inst.sal, lam_e=inst.lam_e, lam_t=inst.lam_t)
         assert no_tri.survivors == greedy_select(bare, 5)
 
@@ -403,8 +422,84 @@ class TestAllocators:
                 assert sum(budget.drops) == total
                 assert all(1 <= k <= s for k, s in zip(budget.survivors, sizes))
 
-    def test_budget_json(self):
+    def test_budget_record(self):
         budget = allocate_uniform(0.25, [8, 8])
-        doc = json.loads(budget.to_json())
-        assert doc["total_drops"] == 4
         assert isinstance(budget, LayerBudget)
+        assert (budget.rate, budget.total_drops) == (0.25, 4)
+        assert budget.survivors == (6, 6) and budget.drops == (2, 2)
+
+
+@pytest.fixture(scope="module")
+def synth_analyses():
+    """Every layer of the default 4-layer synth models seeded 0 to 5: layer seeds 0 to 8."""
+    corpus = CalibCorpus.sample(256, 2048, 42)
+    return {seed: analyze_layer(synth_layer(seed=seed), corpus) for seed in range(9)}
+
+
+class TestArraysMatchSetOracle:
+    """The array selector and triplet table against the set-based code in set_oracle."""
+
+    @pytest.mark.parametrize("model_seed", range(6))
+    def test_plans_identical_for_every_method_and_k(self, synth_analyses, model_seed):
+        for idx in range(4):
+            a = synth_analyses[model_seed + idx]
+            for k in range(1, 17):
+                for method in METHODS:
+                    got = plan_layer(a, k, method, layer_id=idx, seed=model_seed + idx)
+                    want = set_oracle.plan_layer(a, k, method, layer_id=idx,
+                                                 seed=model_seed + idx)
+                    # survivors, redirects, merge groups, params; phi by its repr
+                    assert got.to_json() == want.to_json(), (model_seed, idx, k, method)
+                    assert got.phi == want.phi
+
+    def test_phi_bit_for_bit_on_random_sets(self, synth_analyses):
+        rng = np.random.default_rng(40)
+        for a in synth_analyses.values():
+            for lam_t in (0.0, 0.5):
+                inst = build_coverage(a.complex, a.decomp, a.table, a.sal, lam_t=lam_t)
+                oracle = set_oracle.build_coverage(a.complex, a.decomp,
+                                                   set_oracle.triplet_dict(a.table), a.sal,
+                                                   lam_t=lam_t)
+                assert sorted(inst.crit_edges.tolist()) == sorted(oracle.crit_edges)
+                assert sorted(inst.crit_triangles.tolist()) == sorted(oracle.crit_triangles)
+                for _ in range(20):
+                    s = rng.choice(16, int(rng.integers(0, 17)), replace=False).tolist()
+                    assert phi(inst, s) == set_oracle.phi(oracle, s)
+
+    def test_penalty_costs_and_edge_order(self, synth_analyses):
+        for a in synth_analyses.values():
+            triplet = set_oracle.triplet_dict(a.table)
+            for alpha_t in (0.0, 1.0, 2.5):
+                costs = _triplet_penalty_costs(a.table, alpha_t)
+                assert np.array_equal(
+                    costs, set_oracle._triplet_penalty_costs(a.table, triplet, alpha_t))
+                for c in (costs, a.table.pairwise, np.round(a.table.pairwise, 2)):
+                    assert list(map(tuple, _edge_order(c).tolist())) == \
+                        set_oracle._edge_order(c)
+
+    def test_triplet_values_match_dict_lookup(self, synth_analyses):
+        rng = np.random.default_rng(41)
+        for a in synth_analyses.values():
+            rows = a.table.triples[rng.permutation(len(a.table.triples))]
+            assert np.array_equal(a.table.triplet_values(rows),
+                                  set_oracle.triplet_values(set_oracle.triplet_dict(a.table),
+                                                            rows))
+
+    def test_small_and_tied_tables(self):
+        # ties in every pairwise barrier and every triplet barrier, at each k
+        rng = np.random.default_rng(42)
+        for n in (3, 4, 5, 7):
+            for trial in range(6):
+                pair = np.round(rng.random((n, n)), 1)
+                pair = np.triu(pair, 1) + np.triu(pair, 1).T
+                triples = [t for t in itertools.combinations(range(n), 3) if rng.random() < 0.6]
+                vals = np.round(rng.random(len(triples)), 1)
+                table = BarrierTable(pair, np.full(n, 1.0 / n), triples, vals)
+                triplet = set_oracle.triplet_dict(table)
+                tau = float(np.median(vals)) if len(vals) else np.inf
+                for k in range(1, n + 1):
+                    for veto in (None, tau, -1.0):
+                        got = _unionfind_plan(table, k, pair, "x", veto_tau=veto)
+                        want = set_oracle._unionfind_plan(table, triplet, k, pair, "x",
+                                                          veto_tau=veto)
+                        assert got.to_json() == want.to_json(), (n, trial, k, veto)
