@@ -323,21 +323,30 @@ def cmd_verify(only: list[int] | None, out: Path | None) -> int:
     return 0 if not failed else DATA_ERROR
 
 
+def read_artifact(path: Path, parse):
+    """``parse`` of one run-directory artifact's text; a file that cannot be
+    read or parsed is a data error."""
+    try:
+        return parse(path.read_text())
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; nesting too deep
+    # for the parser is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot read artifact {path}: {exc}", DATA_ERROR)
+
+
 def cmd_report(run_dir: str) -> int:
     folder = Path(run_dir)
     if not folder.is_dir():
         raise CliError(f"run directory {run_dir} does not exist", DATA_ERROR)
     report: dict = {}
-    manifest = folder / "manifest.json"
-    if manifest.exists():
-        report["manifest"] = json.loads(manifest.read_text())
-    for name in ("summary.json", "ablation_grid.json", "verify.json"):
+    for name in ("manifest.json", "summary.json", "ablation_grid.json", "verify.json"):
         path = folder / name
         if path.exists():
-            report[name.removesuffix(".json")] = json.loads(path.read_text())
+            report[name.removesuffix(".json")] = read_artifact(path, json.loads)
     diagnostics = folder / "diagnostics.csv"
     if diagnostics.exists():
-        report["diagnostics_csv"] = diagnostics.read_text().strip().split("\n")
+        report["diagnostics_csv"] = read_artifact(
+            diagnostics, lambda text: text.strip().split("\n"))
     if len(report) <= 1 and "manifest" not in report:
         raise CliError(f"no recognized artifacts under {run_dir}", DATA_ERROR)
     (folder / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -40,9 +40,10 @@ experts, and about 9 % pass the bound.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,6 +57,14 @@ FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain 
 # float64 entries of one sweep block's largest array: 512 KiB.  Blocks of a few MiB
 # ran slower: each one's temporaries fell out of cache and were page-faulted anew.
 BLOCK_FLOATS = 1 << 16
+
+T = TypeVar("T")
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +97,19 @@ class MoeLayer:
     def expert_dists(self) -> np.ndarray:
         """Per-expert output distributions, (n, vocab) rows summing to 1."""
         return _softmax(self.expert_logits, axis=1)
+
+    @cached_property
+    def _outputs_by_corpus(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
+    def corpus_outputs(self, corpus: "CalibCorpus") -> np.ndarray:
+        """The layer's output distributions at the corpus's symbols, (u, vocab);
+        computed once per corpus and kept, read-only, while the corpus lives."""
+        found = self._outputs_by_corpus.get(corpus)
+        if found is None:
+            found = read_only(layer_symbol_outputs(self, corpus.symbol_weights[0]))
+            self._outputs_by_corpus[corpus] = found
+        return found
 
     def to_json(self) -> str:
         return json.dumps({
@@ -288,13 +310,6 @@ def layer_symbol_outputs(layer: MoeLayer, symbols: np.ndarray) -> np.ndarray:
     return _mixture_outputs(layer.expert_dists, cols, layer.fanout)
 
 
-def layer_output(layer: MoeLayer, context: int) -> np.ndarray:
-    """Output next-token distribution at a single context symbol."""
-    if not (0 <= context < layer.ctx):
-        raise ValueError(f"context {context} outside alphabet [0, {layer.ctx})")
-    return layer_symbol_outputs(layer, np.array([context]))[0]
-
-
 def routing_frequencies(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     """Fraction of corpus tokens routing each expert; sums to fanout."""
     symbols, weights = corpus.symbol_weights
@@ -325,46 +340,6 @@ def merged_distribution(dists: np.ndarray, group: Sequence[int],
     return w @ dists[group]
 
 
-@dataclass(frozen=True, eq=False)
-class MergedLayer:
-    """The layer with one expert group replaced by its merged expert.
-
-    The merged expert occupies the slot of the group's lowest index; its
-    router logit row is the log-sum-exp of the group's rows.  ``outputs``
-    evaluates the merged layer's output distributions at given symbols.
-    """
-
-    dists: np.ndarray            # (n - |group| + 1, vocab)
-    router_logits: np.ndarray    # (n - |group| + 1, ctx)
-    fanout: int
-
-    def outputs(self, symbols: np.ndarray) -> np.ndarray:
-        cols = self.router_logits[:, np.asarray(symbols, dtype=np.int64)]
-        return _mixture_outputs(self.dists, cols, self.fanout)
-
-
-def _merge_group(layer: MoeLayer, group: Sequence[int], freqs: np.ndarray) -> MergedLayer:
-    group = sorted(int(g) for g in group)
-    rep = group[0]
-    keep = [i for i in range(layer.n) if i not in group[1:]]
-    dists = layer.expert_dists[keep].copy()
-    router = layer.router_logits[keep].copy()
-    slot = keep.index(rep)
-    dists[slot] = merged_distribution(layer.expert_dists, group, freqs)
-    router[slot] = _logsumexp(layer.router_logits[group], axis=0)
-    return MergedLayer(dists, router, min(layer.fanout, len(keep)))
-
-
-def merge_experts(layer: MoeLayer, group: Iterable[int], freqs: np.ndarray) -> MergedLayer:
-    """Replace a pair or triple of experts by their frequency-weighted merge."""
-    group = sorted(int(g) for g in group)
-    if len(group) not in (2, 3) or len(set(group)) != len(group):
-        raise ValueError(f"merge group must be 2 or 3 distinct experts, got {group}")
-    if group[0] < 0 or group[-1] >= layer.n:
-        raise ValueError(f"merge group {group} outside expert range [0, {layer.n})")
-    return _merge_group(layer, group, freqs)
-
-
 # ---------------------------------------------------------------------------
 # Barriers
 
@@ -382,30 +357,6 @@ def kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np
     np.multiply(p, terms, out=terms)
     np.copyto(terms, 0.0, where=~(p > 0.0))
     return terms.sum(axis=-1)
-
-
-def _mean_merge_kl(layer: MoeLayer, corpus: CalibCorpus, group: Sequence[int],
-                   freqs: np.ndarray) -> float:
-    """One group's barrier through the whole merged layer; the sweep kernel's oracle."""
-    symbols, weights = corpus.symbol_weights
-    merged = _merge_group(layer, group, freqs).outputs(symbols)
-    return float(weights @ kl_rows(layer_symbol_outputs(layer, symbols), merged))
-
-
-def pairwise_barrier(layer: MoeLayer, corpus: CalibCorpus, i: int, j: int) -> float:
-    """Mean corpus KL cost of replacing {i, j} by their weighted merge."""
-    if i == j:
-        raise ValueError("pairwise barrier needs two distinct experts")
-    freqs = routing_frequencies(layer, corpus)
-    return _mean_merge_kl(layer, corpus, (i, j), freqs)
-
-
-def triplet_barrier(layer: MoeLayer, corpus: CalibCorpus, i: int, j: int, k: int) -> float:
-    """Mean corpus KL cost of replacing {i, j, k} by their joint merge."""
-    if len({i, j, k}) != 3:
-        raise ValueError("triplet barrier needs three distinct experts")
-    freqs = routing_frequencies(layer, corpus)
-    return _mean_merge_kl(layer, corpus, (i, j, k), freqs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,12 +390,29 @@ class BarrierTable:
             raise ValueError("triple vertex outside expert range")
         if not ((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all():
             raise ValueError("triple rows must have i < j < k")
-        if not (np.diff(_lex_keys(t, self.n)) > 0).all():
+        if not (np.diff(self.triple_keys) > 0).all():
             raise ValueError("triple rows must be distinct and lexicographically sorted")
 
     @property
     def n(self) -> int:
         return self.pairwise.shape[0]
+
+    @cached_property
+    def triple_keys(self) -> np.ndarray:
+        """The lexicographic keys of ``triples``, ascending; read-only."""
+        return read_only(_lex_keys(self.triples, self.n))
+
+    @cached_property
+    def _constants(self) -> dict:
+        return {}
+
+    def constant(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per table and ``key``, then shared: for
+        quantities of the frozen table alone, such as the selector's merge
+        orders.  Arrays among them should be read-only."""
+        if key not in self._constants:
+            self._constants[key] = compute()
+        return self._constants[key]
 
     def upper_entries(self) -> np.ndarray:
         i, j = np.triu_indices(self.n, k=1)
@@ -453,7 +421,7 @@ class BarrierTable:
     def triplet_values(self, triangles: np.ndarray) -> np.ndarray:
         """The triplet barriers of the (m, 3) sorted vertex triples, in row order."""
         rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        at = np.searchsorted(_lex_keys(self.triples, self.n), _lex_keys(rows, self.n))
+        at = np.searchsorted(self.triple_keys, _lex_keys(rows, self.n))
         found = at < len(self.triples)
         found[found] = (self.triples[at[found]] == rows[found]).all(axis=1)
         if not found.all():
@@ -513,7 +481,8 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
                freqs: np.ndarray) -> list[float]:
     """Mean merge KL of every group, evaluated only on the cells a merge can change.
 
-    Bit-identical to ``_mean_merge_kl`` per group, by the argument in the
+    Bit-identical per group to evaluating the whole merged layer at every
+    symbol (the tests keep that as the oracle), by the argument in the
     module docstring: touched cells go through the merged layer's arithmetic,
     the others add exactly 0.  Groups must all have the same size.
     """
@@ -679,7 +648,7 @@ def compression_loss(layer: MoeLayer, corpus_heldout: CalibCorpus,
                      pruned: Mapping[int, np.ndarray] | None = None) -> float:
     """Mean held-out KL between the original and the compressed layer."""
     symbols, weights = corpus_heldout.symbol_weights
-    original = layer_symbol_outputs(layer, symbols)
+    original = layer.corpus_outputs(corpus_heldout)
     compressed = compressed_symbol_outputs(layer, plan, symbols, pruned)
     return float(weights @ kl_rows(original, compressed))
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .complexes import Complex2
 from .hodge import HodgeDecomp
-from .moe import BarrierTable, SaliencyVector
+from .moe import BarrierTable, SaliencyVector, read_only
 
 REDIRECT_GUARD = 1e-12
 ABLATION_VARIANTS = ("greedy_barrier", "triplet_penalty", "triplet_hypergraph")
@@ -268,7 +268,7 @@ def _edge_order(costs: np.ndarray) -> np.ndarray:
     """Pairs (i, j), i < j, by ascending cost, ties to the lexicographically earlier."""
     i, j = np.triu_indices(costs.shape[0], k=1)
     order = np.lexsort((j, i, costs[i, j]))
-    return np.column_stack([i[order], j[order]])
+    return read_only(np.column_stack([i[order], j[order]]))
 
 
 def _triplet_penalty_costs(barriers: BarrierTable, alpha_t: float) -> np.ndarray:
@@ -313,16 +313,22 @@ def _merge_until(label: np.ndarray, pairs: np.ndarray, k: int,
     return merges
 
 
-def _unionfind_plan(barriers: BarrierTable, k: int, costs: np.ndarray,
-                    method: str, *, veto_tau: float | None = None,
+def _median_veto(barriers: BarrierTable) -> tuple[float, np.ndarray]:
+    """The hypergraph veto: tau_t, the median triplet barrier, and the triples above it."""
+    tau_t = float(np.percentile(barriers.triplet, 50)) if len(barriers.triplet) else np.inf
+    return tau_t, read_only(barriers.triples[barriers.triplet > tau_t])
+
+
+def _unionfind_plan(barriers: BarrierTable, k: int, pairs: np.ndarray,
+                    method: str, *, veto: tuple[float, np.ndarray] | None = None,
                     layer: int = 0, params: dict | None = None) -> SurvivorPlan:
+    """Merge along ``pairs`` (an :func:`_edge_order`) until k groups remain;
+    ``veto`` is (tau_t, rows) of :func:`_median_veto`."""
     n = barriers.n
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    pairs = _edge_order(costs)
     label = np.arange(n)
-    veto = None if veto_tau is None else barriers.triples[barriers.triplet > veto_tau]
-    _merge_until(label, pairs, k, veto)
+    _merge_until(label, pairs, k, None if veto is None else veto[1])
     # a veto that made the budget unreachable: finish by ascending cost, veto off
     forced = _merge_until(label, pairs, k)
 
@@ -332,8 +338,8 @@ def _unionfind_plan(barriers: BarrierTable, k: int, costs: np.ndarray,
         groups.setdefault(r, []).append(i)
     redirect_map = {i: r for r, g in groups.items() for i in g[1:]}
     extra = dict(params or {})
-    if veto_tau is not None:
-        extra.update(veto_tau=veto_tau, forced_merges=forced)
+    if veto is not None:
+        extra.update(veto_tau=veto[0], forced_merges=forced)
     return SurvivorPlan(
         n=n, k=k, survivors=tuple(groups), redirect=redirect_map, method=method,
         layer=layer, merge_groups=tuple(map(tuple, groups.values())),
@@ -348,19 +354,24 @@ def select_ablation(variant: str, barriers: BarrierTable, k: int, *,
 
     They emit merge groups rather than redirects.  The fourth matched
     ablation, ``no_triangle``, is coverage selection with the triangle
-    weight zeroed (see :func:`hodgecover.pipeline.plan_layer`).
+    weight zeroed (see :func:`hodgecover.pipeline.plan_layer`).  The merge
+    orders and the veto depend on the table (and ``alpha_t``) alone, so the
+    table keeps them across calls.
     """
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-    if variant == "greedy_barrier":
-        return _unionfind_plan(barriers, k, barriers.pairwise, variant, layer=layer)
     if variant == "triplet_penalty":
-        costs = _triplet_penalty_costs(barriers, alpha_t)
-        return _unionfind_plan(barriers, k, costs, variant, layer=layer,
+        # float.hex names every float exactly, and every nan alike
+        pairs = barriers.constant(
+            ("penalty_order", float(alpha_t).hex()),
+            lambda: _edge_order(_triplet_penalty_costs(barriers, alpha_t)))
+        return _unionfind_plan(barriers, k, pairs, variant, layer=layer,
                                params={"alpha_t": alpha_t})
-    tau_t = float(np.percentile(barriers.triplet, 50)) if len(barriers.triplet) else np.inf
-    return _unionfind_plan(barriers, k, barriers.pairwise, variant,
-                           veto_tau=tau_t, layer=layer)
+    pairs = barriers.constant("pair_order", lambda: _edge_order(barriers.pairwise))
+    if variant == "greedy_barrier":
+        return _unionfind_plan(barriers, k, pairs, variant, layer=layer)
+    veto = barriers.constant("median_veto", lambda: _median_veto(barriers))
+    return _unionfind_plan(barriers, k, pairs, variant, veto=veto, layer=layer)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,18 @@ counts, so :func:`prune_survivors` takes them once per call from a
 ``bincount`` of the corpus and never builds X.  They equal
 ``np.linalg.norm(X, axis=0)`` bit for bit: both take the correctly
 rounded ``sqrt`` of an exact integer count.
+
+Row i's scores are then |l_i| * norms, so one sort serves every row.  A
+row's stable descending order (``argsort(-scores, kind="stable")``) is the
+unique permutation that sorts its entries by (-score, column).  So a
+permutation ``order`` is that row's order if and only if, along ``order``,
+the scores never increase and each equal adjacent pair has ascending
+columns.  :func:`prune_survivors` takes ``order`` as the stable descending
+order of ``norms``, checks that condition on every row in one vectorised
+comparison, and sorts only the rows where it fails.  Rounding is
+monotone, so |l_i| * norms never reverses two norms, but it can tie them:
+every score is 0 when l_i is zero, and products underflow or overflow
+when l_i is subnormal or huge.
 """
 
 from __future__ import annotations
@@ -76,19 +88,36 @@ def wanda_prune(w: np.ndarray, x: np.ndarray, r2: float) -> tuple[np.ndarray, Pr
     return _prune_rows(w, np.linalg.norm(x, axis=0), r2)
 
 
-def _prune_rows(w: np.ndarray, norms: np.ndarray,
-                r2: float) -> tuple[np.ndarray, PruneMask]:
-    """Row-wise prune of ``w`` at sparsity r2 given the activation column norms."""
+def _prune_rows(w: np.ndarray, norms: np.ndarray, r2: float,
+                order: np.ndarray | None = None) -> tuple[np.ndarray, PruneMask]:
+    """Row-wise prune of ``w`` at sparsity r2 given the activation column norms.
+
+    ``order``, when given, is a candidate stable descending order of every
+    row's scores; only the rows it does not fit are sorted (see the module
+    docstring).
+    """
     if not (0.0 <= r2 < 1.0):
         raise ValueError(f"sparsity must be in [0, 1), got {r2}")
     a, b = w.shape
     keep = math.ceil((1.0 - r2) * b)
     scores = np.abs(w) * norms[None, :]
-    kept_cols = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
     mask = np.zeros((a, b), dtype=np.uint8)
-    np.put_along_axis(mask, kept_cols, 1, axis=1)
+    rows = np.arange(a)
+    if order is not None:
+        fits = _in_order(scores, order)
+        mask[:, order[:keep]] = fits[:, None]
+        rows = rows[~fits]
+    kept_cols = np.argsort(-scores[rows], axis=1, kind="stable")[:, :keep]
+    mask[rows[:, None], kept_cols] = 1
     pruned = w * mask
     return pruned, PruneMask(mask, keep, 1.0 - keep / b)
+
+
+def _in_order(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Per row: is ``order`` the row's stable descending order of ``scores``?"""
+    along = scores.take(order, axis=1)
+    before, after = along[:, :-1], along[:, 1:]
+    return ((before > after) | ((before == after) & (order[:-1] < order[1:]))).all(axis=1)
 
 
 def expert_weight_matrix(layer: MoeLayer, expert: int) -> np.ndarray:
@@ -103,14 +132,16 @@ def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[in
 
     Reuses the calibration corpus already consumed by the barrier sweep;
     no further forward passes are needed.  Returns the pruned matrices and
-    masks keyed by expert index.
+    masks keyed by expert index.  One sort of the norms orders every row
+    it can (see the module docstring).
     """
     norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
+    order = np.argsort(-norms, kind="stable")
     pruned: dict[int, np.ndarray] = {}
     masks: dict[int, PruneMask] = {}
     for j in survivors:
         w = expert_weight_matrix(layer, int(j))
-        pruned[int(j)], masks[int(j)] = _prune_rows(w, norms, r2)
+        pruned[int(j)], masks[int(j)] = _prune_rows(w, norms, r2, order)
     return pruned, masks
 
 

@@ -506,3 +506,77 @@ def test_size_too_large_to_hold_is_data_error(tmp_path, capsys, tiny_layer, monk
     err = capsys.readouterr().err
     assert err.startswith("hodgecover: out of memory: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# fuzzed run directories: `report` over a damaged artifact exits 0 or 2 with one
+# message line and no traceback
+
+REPORTED = ("manifest.json", "summary.json", "ablation_grid.json", "verify.json")
+
+
+@pytest.fixture(scope="module")
+def reported_run(tmp_path_factory):
+    """A run directory holding every artifact `report` reads, from tiny real runs."""
+    root = tmp_path_factory.mktemp("reported")
+    assert run(["synth", "--out", root / "synth"] + TINY) == 0
+    model = root / "synth" / "model"
+    assert run(["compress", "--out", root / "c", "--model-dir", model, "--rate", 0.4]
+               + TINY) == 0
+    assert run(["ablate", "--out", root / "a", "--model-dir", model, "--rate", 0.4]
+               + TINY) == 0
+    assert run(["diagnose", "--out", root / "d", "--model-dir", model] + TINY) == 0
+    assert run(["verify", "--only", "1", "--out", root / "v"]) == 0
+    out = root / "run"
+    out.mkdir()
+    for src in (root / "c" / "manifest.json", root / "c" / "summary.json",
+                root / "a" / "ablation_grid.json", root / "v" / "verify.json",
+                root / "d" / "diagnostics.csv"):
+        shutil.copy(src, out / src.name)
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_report_artifacts(tmp_path, capsys, reported_run, data):
+    out = tmp_path / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    shutil.copytree(reported_run, out)
+    path = out / data.draw(st.sampled_from(REPORTED))
+    raw = path.read_bytes()
+    how = data.draw(st.sampled_from(["truncate", "byte", "non_utf8", "directory"]))
+    if how == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if how == "truncate":
+            raw = raw[:at]
+        elif how == "byte":
+            raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+        else:
+            raw = raw[:at] + b"\xff\xfe" + raw[at:]
+        path.write_bytes(raw)
+    capsys.readouterr()
+    code = run(["report", "--run-dir", out])
+    text = capsys.readouterr()
+    assert code in (0, 2), (code, text.err)
+    assert "Traceback" not in text.out + text.err
+    if code:
+        assert len(text.err.strip().splitlines()) == 1, text.err
+        assert text.err.startswith(f"hodgecover: error: cannot read artifact {path}")
+    else:
+        assert json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("name", REPORTED + ("diagnostics.csv",))
+def test_report_on_a_directory_named_as_an_artifact(tmp_path, capsys, reported_run, name):
+    out = tmp_path / "run"
+    shutil.copytree(reported_run, out)
+    (out / name).unlink()
+    (out / name).mkdir()
+    capsys.readouterr()
+    assert run(["report", "--run-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hodgecover: error: cannot read artifact {out / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -10,14 +11,15 @@ from scipy.special import logsumexp, softmax
 
 from hodgecover.builder import stage_a_candidates
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _logsumexp,
-                            _mean_merge_kl, _merge_kls, _mixture_outputs, _softmax,
-                            barrier_sweep, cluster_assignment, compressed_symbol_outputs,
-                            compression_loss, extend_triplets, kl_rows, layer_output,
-                            layer_symbol_outputs, merge_experts, merged_distribution,
-                            pairwise_barrier, plant_discordant_triple, routing_frequencies,
-                            saliency, synth_layer, triplet_barrier)
+                            _merge_kls, _mixture_outputs, _softmax, barrier_sweep,
+                            cluster_assignment, compressed_symbol_outputs, compression_loss,
+                            extend_triplets, kl_rows, layer_symbol_outputs,
+                            merged_distribution, plant_discordant_triple, routing_frequencies,
+                            saliency, synth_layer)
 from hodgecover.selector import SurvivorPlan
 from hodgecover.wanda import prune_survivors
+from merge_oracle import (_mean_merge_kl, layer_output, merge_experts, pairwise_barrier,
+                          triplet_barrier)
 
 
 def small_corpus(ctx=256, size=512, seed=42):
@@ -591,6 +593,30 @@ class TestCompressionLoss:
             merge_groups=((0, 1), (2, 3), (4, 5)),
             merge_weights=tuple(float(f) for f in freqs))
         assert np.isfinite(compression_loss(layer, corpus, plan))
+
+    def test_outputs_kept_per_corpus_equal_fresh_ones(self):
+        layer = synth_layer(seed=23)
+        corpora = [small_corpus(seed=s) for s in (43, 44)]
+        for corpus in (*corpora, *corpora):
+            outputs = layer.corpus_outputs(corpus)
+            assert layer.corpus_outputs(corpus) is outputs
+            want = layer_symbol_outputs(layer, corpus.symbol_weights[0])
+            assert np.array_equal(outputs, want)
+            plan = self._plan([0, 3, 7, 12])
+            assert compression_loss(layer, corpus, plan) == float(
+                corpus.symbol_weights[1] @ kl_rows(want, compressed_symbol_outputs(
+                    layer, plan, corpus.symbol_weights[0])))
+
+    def test_kept_outputs_are_read_only_and_freed_with_the_corpus(self):
+        layer = synth_layer(seed=24)
+        corpus = small_corpus()
+        with pytest.raises(ValueError, match="read-only"):
+            layer.corpus_outputs(corpus)[0, 0] = 1.0
+        keys = layer._outputs_by_corpus
+        assert len(keys) == 1
+        del corpus
+        gc.collect()
+        assert len(keys) == 0
 
 
 # ---------------------------------------------------------------------------

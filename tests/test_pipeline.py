@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hodgecover.complexes import betti1
-from hodgecover.moe import CalibCorpus, compression_loss, synth_layer
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, compression_loss,
+                            plant_discordant_triple, synth_layer)
 from hodgecover import pipeline
 from hodgecover.pipeline import (REDIRECT_METHODS, METHODS, SelectorParams, analyze_layer,
                                  compress_model, hybrid_prune, hybrid_stage2, model_loss,
@@ -124,3 +127,56 @@ class TestModelFlow:
         assert (params.p, params.q_t) == (20.0, 20.0)
         assert (params.lam_e, params.lam_t) == (1.0, 0.5)
         assert params.alpha == 3.0
+
+    def test_model_loss_calls_compression_loss_once_per_layer(self, monkeypatch):
+        # perfbench/tracing.py times moe.compression_loss at this call site
+        corpus = CalibCorpus.sample(256, 1024, 42)
+        layers = [synth_layer(seed=s) for s in (7, 8, 9)]
+        plans = compress_model([analyze_layer(layer, corpus) for layer in layers],
+                               [12, 10, 8], "hodgecover")
+        _, pruned = hybrid_stage2(layers, corpus, plans, r_total=0.66, r1=0.20)
+        calls = []
+        monkeypatch.setattr(pipeline, "compression_loss",
+                            lambda *args: calls.append(1) or compression_loss(*args))
+        for extra in (None, pruned):
+            calls.clear()
+            model_loss(layers, corpus, plans, extra)
+            assert len(calls) == len(layers)
+
+
+def fresh_copy(analysis):
+    """The analysis with a new layer and table: nothing computed on either yet."""
+    layer, table = analysis.layer, analysis.table
+    return dataclasses.replace(
+        analysis,
+        layer=MoeLayer(layer.n, layer.vocab, layer.ctx, layer.fanout,
+                       layer.expert_logits.copy(), layer.router_logits.copy(), layer.seed),
+        table=BarrierTable(table.pairwise.copy(), table.routing_freq.copy(),
+                           table.triples.copy(), table.triplet.copy()))
+
+
+def test_plans_and_losses_do_not_depend_on_what_was_planned_before():
+    # the layer keeps its held-out outputs and the table its merge orders and
+    # veto; plans and losses over a shuffled (k, method, alpha_t) order on one
+    # analysis equal those on fresh copies
+    corpus = CalibCorpus.sample(256, 1024, 42)
+    heldout = CalibCorpus.sample(256, 1024, 43)
+    layer = plant_discordant_triple(synth_layer(seed=3), (0, 1, 2), seed=500)
+    shared = analyze_layer(layer, corpus)
+    cases = [(k, method, alpha_t) for k in range(1, 17) for method in METHODS
+             for alpha_t in ((0.0, 1.0, 2.5) if method == "triplet_penalty" else (1.0,))]
+    order = np.random.default_rng(0).permutation(len(cases))
+    for idx in (*order, *order[::-1]):
+        k, method, alpha_t = cases[idx]
+        params = SelectorParams(alpha_t=alpha_t)
+        got = plan_layer(shared, k, method, params, seed=k)
+        fresh = fresh_copy(shared)
+        want = plan_layer(fresh, k, method, params, seed=k)
+        assert got.to_json() == want.to_json(), (k, method, alpha_t)
+        assert compression_loss(shared.layer, heldout, got) == \
+            compression_loss(fresh.layer, CalibCorpus(heldout.contexts.copy(), 43, 1024), want)
+        if method == "hodgecover" and k < 16:
+            _, pruned = hybrid_stage2([shared.layer], corpus, [got], 0.66, 0.20)
+            _, fresh_pruned = hybrid_stage2([fresh.layer], corpus, [want], 0.66, 0.20)
+            assert model_loss([shared.layer], heldout, [got], pruned) == \
+                model_loss([fresh.layer], heldout, [want], fresh_pruned)

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 import set_oracle
-from hodgecover.complexes import (Complex2, EdgeSignal, UnionFind, build_incidence,
-                                  complete_edges, random_complex)
+from hodgecover.complexes import (Complex2, EdgeSignal, UnionFind, _lex_keys,
+                                  build_incidence, complete_edges, random_complex)
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             cluster_assignment, synth_layer)
 from hodgecover.pipeline import METHODS, analyze_layer, coverage_for, plan_layer
-from hodgecover.selector import (CoverageInstance, LayerBudget, SurvivorPlan,
-                                 _edge_order, _triplet_penalty_costs, _unionfind_plan,
-                                 allocate_uniform, allocate_weighted, build_coverage,
-                                 greedy_select, phi, redirect, select_ablation, select_random)
+from hodgecover.selector import (ABLATION_VARIANTS, CoverageInstance, LayerBudget,
+                                 SurvivorPlan, _edge_order, _triplet_penalty_costs,
+                                 _unionfind_plan, allocate_uniform, allocate_weighted,
+                                 build_coverage, greedy_select, phi, redirect, select_ablation,
+                                 select_random)
 
 
 def incidence(n, sets, cols):
@@ -25,6 +26,12 @@ def incidence(n, sets, cols):
         for e in s:
             inc[i, cols.index(e)] = True
     return inc
+
+
+def unionfind_plan(table, k, costs, method, veto_tau=None):
+    """``_unionfind_plan`` along the order of ``costs``; triples above ``veto_tau`` veto."""
+    veto = None if veto_tau is None else (veto_tau, table.triples[table.triplet > veto_tau])
+    return _unionfind_plan(table, k, _edge_order(costs), method, veto=veto)
 
 
 def manual_instance(n, crit_edges_by_expert, sal=None, lam_e=1.0, lam_t=0.0,
@@ -286,15 +293,15 @@ class TestAblations:
     def test_hypergraph_veto_below_all_binds_only_on_triples(self):
         # every tabled triple vetoed: only pair components can form
         table = uniform_table(6, triples=list(itertools.combinations(range(6), 3)))
-        plan = _unionfind_plan(table, 3, table.pairwise, "triplet_hypergraph",
-                               veto_tau=0.5)
+        plan = unionfind_plan(table, 3, table.pairwise, "triplet_hypergraph",
+                              veto_tau=0.5)
         assert all(len(g) <= 2 for g in plan.merge_groups)
         assert plan.params["forced_merges"] == 0
 
     def test_hypergraph_forced_completion_when_budget_unreachable(self):
         table = uniform_table(5, triples=list(itertools.combinations(range(5), 3)))
-        plan = _unionfind_plan(table, 1, table.pairwise, "triplet_hypergraph",
-                               veto_tau=0.5)
+        plan = unionfind_plan(table, 1, table.pairwise, "triplet_hypergraph",
+                              veto_tau=0.5)
         assert len(plan.merge_groups) == 1
         assert plan.params["forced_merges"] > 0
 
@@ -477,6 +484,26 @@ class TestArraysMatchSetOracle:
                     assert list(map(tuple, _edge_order(c).tolist())) == \
                         set_oracle._edge_order(c)
 
+    def test_kept_table_constants_equal_fresh_ones(self, synth_analyses):
+        for a in synth_analyses.values():
+            table = a.table
+            for variant in ABLATION_VARIANTS:
+                for alpha_t in (0.0, 1.0, 2.5, -0.0):
+                    select_ablation(variant, table, 5, alpha_t=alpha_t)
+            # compute=None would raise: each constant must already be kept
+            kept = [(table.triple_keys, _lex_keys(table.triples, table.n)),
+                    (table.constant("pair_order", None), _edge_order(table.pairwise))]
+            kept += [(table.constant(("penalty_order", alpha_t.hex()), None),
+                      _edge_order(_triplet_penalty_costs(table, alpha_t)))
+                     for alpha_t in (0.0, 1.0, 2.5)]
+            tau_t, veto = table.constant("median_veto", None)
+            assert tau_t == float(np.percentile(table.triplet, 50))
+            kept.append((veto, table.triples[table.triplet > tau_t]))
+            for got, want in kept:
+                assert np.array_equal(got, want)
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = got[-1]
+
     def test_triplet_values_match_dict_lookup(self, synth_analyses):
         rng = np.random.default_rng(41)
         for a in synth_analyses.values():
@@ -499,7 +526,7 @@ class TestArraysMatchSetOracle:
                 tau = float(np.median(vals)) if len(vals) else np.inf
                 for k in range(1, n + 1):
                     for veto in (None, tau, -1.0):
-                        got = _unionfind_plan(table, k, pair, "x", veto_tau=veto)
+                        got = unionfind_plan(table, k, pair, "x", veto_tau=veto)
                         want = set_oracle._unionfind_plan(table, triplet, k, pair, "x",
                                                           veto_tau=veto)
                         assert got.to_json() == want.to_json(), (n, trial, k, veto)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgecover.moe import CalibCorpus, MoeLayer, synth_layer
-from hodgecover.wanda import (PruneMask, expert_weight_matrix, prune_survivors,
+from hodgecover.wanda import (PruneMask, _in_order, expert_weight_matrix, prune_survivors,
                               residual_sparsity, wanda_prune)
 
 
@@ -182,3 +182,82 @@ class TestPruneSurvivorsMatchesOracle:
         layer = MoeLayer(n, 3, ctx, 1, np.round(rng.normal(size=(n, 3))), np.zeros((n, ctx)))
         corpus = CalibCorpus.sample(ctx, int(rng.integers(1, 60)), seed)
         assert_prune_matches_oracle(layer, corpus, list(range(n)), r2)
+
+
+def argsort_masks(layer, corpus, survivors, r2):
+    """The masks of one stable argsort per row, as every row was pruned before
+    the shared order: expert j -> (vocab x ctx) keep mask."""
+    norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
+    keep = math.ceil((1.0 - r2) * layer.ctx)
+    masks = {}
+    for j in survivors:
+        mask = np.zeros((layer.vocab, layer.ctx), dtype=np.uint8)
+        for row, logit in enumerate(layer.expert_logits[j]):
+            mask[row, np.argsort(-(abs(logit) * norms), kind="stable")[:keep]] = 1
+        masks[j] = mask
+    return masks
+
+
+def order_fits(layer, corpus, survivors):
+    """Per survivor row: does the shared order of the norms fit it?"""
+    norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
+    order = np.argsort(-norms, kind="stable")
+    return np.concatenate([_in_order(np.abs(expert_weight_matrix(layer, j)) * norms, order)
+                           for j in survivors])
+
+
+def assert_prune_matches_argsort(layer, corpus, survivors, r2):
+    pruned, masks = prune_survivors(layer, corpus, survivors, r2)
+    for j, want in argsort_masks(layer, corpus, survivors, r2).items():
+        assert np.array_equal(masks[j].mask, want), (j, r2)
+        assert np.array_equal(pruned[j], expert_weight_matrix(layer, j) * want)
+
+
+# zero, subnormal, tiny, negative and huge logits: products with the norms tie,
+# underflow or overflow, so some rows leave the shared order
+EDGE_LOGITS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 1e-300, 2.5, -2.5, -0.75,
+               1.7e308, -1e308]
+
+
+# a logit near the float maximum times a norm above 1 overflows to inf; the
+# scores still order, with ties
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+class TestSharedPruneOrder:
+    def test_edge_logits_tied_counts_and_unseen_contexts(self):
+        # 24 contexts: 0-5 seen twice, 6-11 three times (tied counts), 12-15 once,
+        # 16-23 unseen (norm 0)
+        contexts = np.repeat(np.arange(16), [2] * 6 + [3] * 6 + [1] * 4)
+        corpus = CalibCorpus(np.random.default_rng(3).permutation(contexts), seed=3,
+                             size=len(contexts))
+        logits = np.array(EDGE_LOGITS).reshape(3, 4)
+        layer = MoeLayer(3, 4, 24, 1, logits, np.zeros((3, 24)))
+        fits = order_fits(layer, corpus, [0, 1, 2])
+        assert fits.any() and not fits.all()  # both the shared order and the fallback
+        for r2 in (0.0, 0.3, 0.5, 0.9):
+            assert_prune_matches_argsort(layer, corpus, [2, 0, 1], r2)
+
+    def test_zero_logit_keeps_the_lower_column(self):
+        # norms [1, sqrt 2] give the shared order [1, 0]; a zero logit ties both
+        # scores at 0, so its row keeps column 0
+        layer = MoeLayer(1, 2, 2, 1, [[0.0, 1.0]], np.zeros((1, 2)))
+        corpus = CalibCorpus([1, 0, 1], seed=0, size=3)
+        assert order_fits(layer, corpus, [0]).tolist() == [False, True]
+        _, masks = prune_survivors(layer, corpus, [0], 0.5)
+        assert masks[0].mask.tolist() == [[1, 0], [0, 1]]
+
+    def test_default_layer_takes_the_shared_order(self):
+        layer = synth_layer(seed=48)
+        corpus = CalibCorpus.sample(256, 2048, 42)
+        assert order_fits(layer, corpus, range(16)).all()
+        for r2 in (0.1625, 0.575):
+            assert_prune_matches_argsort(layer, corpus, range(16), r2)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.0, 0.4, 0.9]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_edge_logits(self, seed, ctx, r2):
+        rng = np.random.default_rng(seed)
+        n, vocab = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        logits = rng.choice(EDGE_LOGITS + list(rng.normal(size=4)), size=(n, vocab))
+        layer = MoeLayer(n, vocab, ctx, 1, logits, np.zeros((n, ctx)))
+        corpus = CalibCorpus.sample(ctx, int(rng.integers(1, 3 * ctx)), seed)
+        assert_prune_matches_argsort(layer, corpus, list(range(n)), r2)
