@@ -144,14 +144,25 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def write_artifact(path: Path, text: str) -> None:
+    """Write one artifact and the directories above it; a path that cannot
+    be written is a data error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", DATA_ERROR)
+
+
 def write_manifest(out: Path, command: str, cfg: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     doc = {"tool": "hodgecover", "version": __version__, "command": command,
            "config": cfg, "config_sha256": config_hash(cfg)}
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_artifact(out / "manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(model_dir: str) -> list[MoeLayer]:
+def load_model(model_dir: str, ctx: int | None = None) -> list[MoeLayer]:
+    """The layers under ``model_dir``, in file-name order.  Given ``ctx``,
+    every layer must route that many contexts: the corpora sample below it."""
     files = sorted(Path(model_dir).glob("layer_*.json"))
     if not files:
         raise CliError(f"no layer_*.json files under {model_dir}", DATA_ERROR)
@@ -161,6 +172,9 @@ def load_model(model_dir: str) -> list[MoeLayer]:
             layers.append(MoeLayer.from_json(path.read_text()))
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise CliError(f"malformed model file {path}: {exc}", DATA_ERROR)
+        if ctx is not None and layers[-1].ctx != ctx:
+            raise CliError(f"model file {path} has ctx {layers[-1].ctx}; need model.ctx = "
+                           f"{ctx}", DATA_ERROR)
     return layers
 
 
@@ -202,20 +216,18 @@ def allocate(cfg: dict, rate: float, analyses) -> tuple[int, ...]:
 def cmd_synth(cfg: dict, out: Path) -> int:
     write_manifest(out, "synth", cfg)
     model_dir = out / "model"
-    model_dir.mkdir(parents=True, exist_ok=True)
     for idx, layer in enumerate(model_layers(cfg)):
-        (model_dir / f"layer_{idx:03d}.json").write_text(layer.to_json() + "\n")
+        write_artifact(model_dir / f"layer_{idx:03d}.json", layer.to_json() + "\n")
     print(f"wrote {cfg['model']['layers']} layer files under {model_dir}")
     return 0
 
 
 def cmd_barriers(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
     barrier_dir = out / "barriers"
-    barrier_dir.mkdir(parents=True, exist_ok=True)
     for idx, analysis in enumerate(analyses):
-        (barrier_dir / f"layer_{idx:03d}.json").write_text(analysis.table.to_json() + "\n")
-        (barrier_dir / f"layer_{idx:03d}_pairwise.csv").write_text(
-            analysis.table.pairwise_csv())
+        write_artifact(barrier_dir / f"layer_{idx:03d}.json", analysis.table.to_json() + "\n")
+        write_artifact(barrier_dir / f"layer_{idx:03d}_pairwise.csv",
+                       analysis.table.pairwise_csv())
     print(f"wrote barrier tables for {len(analyses)} layers under {barrier_dir}")
     return 0
 
@@ -223,10 +235,10 @@ def cmd_barriers(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
 def cmd_diagnose(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
     diags = diagnose_model(analyses)
     for idx, analysis in enumerate(analyses):
-        (out / f"betti_curve_layer_{idx:03d}.csv").write_text(
-            analysis.filtration.curve_csv())
-    (out / "diagnostics.csv").write_text(diagnostics_csv(diags))
-    (out / "diagnostics_series.json").write_text(series_json(diags) + "\n")
+        write_artifact(out / f"betti_curve_layer_{idx:03d}.csv",
+                       analysis.filtration.curve_csv())
+    write_artifact(out / "diagnostics.csv", diagnostics_csv(diags))
+    write_artifact(out / "diagnostics_series.json", series_json(diags) + "\n")
     print(f"wrote diagnostics for {len(diags)} layers under {out}")
     return 0
 
@@ -246,11 +258,11 @@ def _compress(cfg: dict, analyses, corpus, heldout, method: str, rate: float):
         "per_layer_phi": [p.phi for p in plans],
         "hybrid": hybrid,
     }
-    pruned_all = masks = None
+    masks = None
     if hybrid:
-        r2, pruned_all, masks = hybrid_prune(layers, corpus, plans, rate, r1)
+        r2, masks = hybrid_prune(layers, corpus, plans, rate, r1)
         summary.update(r1=r1, r2=r2)
-    summary["heldout_loss"] = model_loss(layers, heldout, plans, pruned_all)
+    summary["heldout_loss"] = model_loss(layers, heldout, plans, masks)
     return plans, summary, masks
 
 
@@ -266,14 +278,12 @@ def cmd_compress(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
     plans, summary, masks = _compress(cfg, analyses, corpus, heldout,
                                       cfg["selector"]["method"],
                                       float(cfg["selector"]["rate"]))
-    plan_dir = out / "plans"
-    plan_dir.mkdir(parents=True, exist_ok=True)
     for idx, plan in enumerate(plans):
-        (plan_dir / f"plan_layer_{idx:03d}.json").write_text(plan.to_json() + "\n")
+        write_artifact(out / "plans" / f"plan_layer_{idx:03d}.json", plan.to_json() + "\n")
     if masks is not None:
         for idx, mask in enumerate(masks):
-            (out / f"masks_layer_{idx:03d}.json").write_text(masks_to_json(mask) + "\n")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            write_artifact(out / f"masks_layer_{idx:03d}.json", masks_to_json(mask) + "\n")
+    write_artifact(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -292,13 +302,13 @@ def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
         {m: RetainedMass(**vals) for m, vals in retained.items()})
     doc = {"rate": rate, "grid": grid, "retained_mass": retained,
            "deviation_from_hodgecover": deviations}
-    (out / "ablation_grid.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_artifact(out / "ablation_grid.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     lines = ["method,heldout_loss,ret_harm,ret_grad,ret_curl,ret_triplet"]
     for method in METHODS:
         r = retained[method]
         lines.append(f"{method},{grid[method]['heldout_loss']!r},"
                      f"{r['harm']!r},{r['grad']!r},{r['curl']!r},{r['triplet']!r}")
-    (out / "ablation_grid.csv").write_text("\n".join(lines) + "\n")
+    write_artifact(out / "ablation_grid.csv", "\n".join(lines) + "\n")
     print(f"wrote ablation grid over {len(METHODS)} methods at rate {rate} under {out}")
     return 0
 
@@ -314,10 +324,9 @@ def cmd_verify(only: list[int] | None, out: Path | None) -> int:
     for result in results:
         print(result.line())
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         doc = [{"number": r.number, "name": r.name, "passed": r.passed,
                 "detail": r.detail, "seconds": round(r.seconds, 3)} for r in results]
-        (out / "verify.json").write_text(json.dumps(doc, indent=2) + "\n")
+        write_artifact(out / "verify.json", json.dumps(doc, indent=2) + "\n")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 0 if not failed else DATA_ERROR
@@ -349,7 +358,7 @@ def cmd_report(run_dir: str) -> int:
             diagnostics, lambda text: text.strip().split("\n"))
     if len(report) <= 1 and "manifest" not in report:
         raise CliError(f"no recognized artifacts under {run_dir}", DATA_ERROR)
-    (folder / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_artifact(folder / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     for key in report:
         print(f"report section: {key}")
     print(f"wrote {folder / 'report.json'}")
@@ -421,12 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("compress", "ablate"):
             check_hybrid(cfg, [cfg["selector"]["method"]] if args.command == "compress"
                          else METHODS)
-        layers = load_model(args.model_dir)
-        # the corpora sample contexts below model.ctx, so every layer must route that many
-        for path, layer in zip(sorted(Path(args.model_dir).glob("layer_*.json")), layers):
-            if layer.ctx != cfg["model"]["ctx"]:
-                raise CliError(f"model file {path} has ctx {layer.ctx}; need model.ctx = "
-                               f"{cfg['model']['ctx']}", DATA_ERROR)
+        layers = load_model(args.model_dir, cfg["model"]["ctx"])
         corpus, heldout = corpora(cfg)
         write_manifest(out, args.command, cfg)
         sel = cfg["selector"]

@@ -51,6 +51,7 @@ from .complexes import _lex_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selector import SurvivorPlan
+    from .wanda import PruneMask
 
 KL_FLOOR = 1e-12        # probability floor on the merged (second) argument
 FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain average
@@ -579,52 +580,51 @@ def saliency(layer: MoeLayer, corpus: CalibCorpus) -> SaliencyVector:
 
 def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
                               symbols: np.ndarray,
-                              pruned: Mapping[int, np.ndarray] | None = None) -> np.ndarray:
+                              masks: Mapping[int, "PruneMask"] | None = None) -> np.ndarray:
     """Output of the compressed layer at each symbol.
 
-    Redirect plans keep survivors bit-exact and fold each dropped expert's
-    router logit into its redirect target by log-sum-exp; merge-group plans
-    replace each group by its frequency-weighted merged expert.  ``pruned``
-    optionally maps a survivor to its pruned context-to-logit matrix
-    (vocab x ctx) from the weight-pruning stage.
+    Each output expert has a source list, one of ``plan.groups``: the
+    survivor and the experts redirected to it.  Redirect plans keep
+    survivors bit-exact and fold each dropped expert's router logit into its
+    redirect target by log-sum-exp; merge plans (those with routing weights)
+    replace each list by its frequency-weighted merged expert.  ``masks``
+    optionally maps a survivor of a redirect plan to its keep mask (vocab x
+    ctx) from the weight-pruning stage: at context c the pruned expert's
+    logits are its logit row times column c of the mask.
 
-    Each output expert has a source list: the survivor and the experts
-    redirected to it, or the merge group.  Lists of one length are folded
-    together by one ``_logsumexp(..., axis=1)`` on their stacked
-    (lists, length, ctx) router rows, and a one-expert list is its row, so a
-    plan costs one call per distinct list length above one rather than one
-    per survivor.  The result equals one call per list bit for bit: every
-    stacked row is reduced over the same rows in the same order and memory
-    layout as alone, so numpy adds them the same way (in sequence when
-    ctx > 1, pairwise in eight lanes when ctx == 1), and the log-sum-exp of
-    one row is ``log1p(0) + log(1) + row``.  Lists are not padded to one
+    Lists of one length are folded together by one
+    ``_logsumexp(..., axis=1)`` on their stacked (lists, length, ctx) router
+    rows, and a one-expert list is its row, so a plan costs one call per
+    distinct list length above one rather than one per survivor.  The
+    result equals one call per list bit for bit: every stacked row is
+    reduced over the same rows in the same order and memory layout as
+    alone, so numpy adds them the same way (in sequence when ctx > 1,
+    pairwise in eight lanes when ctx == 1), and the log-sum-exp of one row
+    is ``log1p(0) + log(1) + row``.  Lists are not padded to one
     length with -inf: the padding would add exact zeros in sequence, but
     with a single column numpy sums pairwise and the padded length regroups
     the adds.  For the same reason the fold runs over all ctx columns and
     the symbols are taken after it.
     """
+    if plan.n != layer.n:
+        raise ValueError(f"plan over {plan.n} experts does not fit a layer of {layer.n}: "
+                         "experts outside one of them would be lost")
     symbols = np.asarray(symbols, dtype=np.int64)
-    survivors = list(plan.survivors)
-    _check_plan_indices(layer, plan)
-
-    if plan.merge_groups is not None:
-        weights = plan.merge_weights
-        if weights is None:
-            raise ValueError("merge-group plan is missing its routing weights")
-        sources = [list(g) for g in plan.merge_groups]
-        dists = np.stack([merged_distribution(layer.expert_dists, g, np.asarray(weights))
+    sources = plan.groups
+    if plan.merge_weights is not None:
+        if masks is not None:
+            raise ValueError(f"hybrid stage 2 needs bit-exact survivors; {plan.method!r} "
+                             "merges expert groups instead")
+        dists = np.stack([merged_distribution(layer.expert_dists, g, plan.merge_weights)
                           for g in sources])
+    elif masks is None:
+        dists = layer.expert_dists[list(plan.survivors)]
     else:
-        sources = [[j] + [i for i, target in plan.redirect.items() if target == j]
-                   for j in survivors]
-        if pruned is None:
-            dists = layer.expert_dists[survivors]
-        else:
-            dists = np.stack([
-                _softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
-                else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
-                for j in survivors
-            ])                                                 # (k, u, vocab)
+        dists = np.stack([
+            _softmax((layer.expert_logits[j][:, None] * masks[j].mask[:, symbols]).T, axis=1)
+            if j in masks else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
+            for j in plan.survivors
+        ])                                                     # (k, u, vocab)
     cols = _fold_router(layer.router_logits, sources)[:, symbols]
     return _mixture_outputs(dists, cols, min(layer.fanout, len(sources)))
 
@@ -645,17 +645,9 @@ def _fold_router(router_logits: np.ndarray, sources: Sequence[Sequence[int]]) ->
 
 def compression_loss(layer: MoeLayer, corpus_heldout: CalibCorpus,
                      plan: "SurvivorPlan",
-                     pruned: Mapping[int, np.ndarray] | None = None) -> float:
+                     masks: Mapping[int, "PruneMask"] | None = None) -> float:
     """Mean held-out KL between the original and the compressed layer."""
     symbols, weights = corpus_heldout.symbol_weights
     original = layer.corpus_outputs(corpus_heldout)
-    compressed = compressed_symbol_outputs(layer, plan, symbols, pruned)
+    compressed = compressed_symbol_outputs(layer, plan, symbols, masks)
     return float(weights @ kl_rows(original, compressed))
-
-
-def _check_plan_indices(layer: MoeLayer, plan: "SurvivorPlan") -> None:
-    members = set(plan.survivors) | set(plan.redirect) | set(plan.redirect.values())
-    if plan.merge_groups is not None:
-        members |= {i for g in plan.merge_groups for i in g}
-    if members and (min(members) < 0 or max(members) >= layer.n):
-        raise ValueError("plan references experts outside this layer")

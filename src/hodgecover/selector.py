@@ -20,8 +20,9 @@ carry their own harmonic mass are penalized as redirect targets because
 routing mass through them would re-introduce the covered obstruction.
 
 Ablation selectors replace coverage with a greedy union-find merge sort
-over ascending edge costs; they emit merge groups that the simulator
-aggregates by frequency-weighted average instead of redirecting.
+over ascending edge costs; the simulator merges each survivor's group
+(the survivor and the experts redirected to it) by frequency-weighted
+average instead of redirecting.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class SurvivorPlan:
     """Per-layer survivor set, redirect map, and provenance metadata.
 
     ``redirect`` is total on the dropped experts and always lands in the
-    survivor set.  Union-find methods additionally record their merge
-    groups (a partition of the experts, one group per survivor) plus the
-    calibration routing weights needed to apply the group merges.
+    survivor set, so it is the plan's one partition of the experts: see
+    :attr:`groups`.  Union-find methods additionally record the calibration
+    routing weights that merge each group into one expert.
     """
 
     n: int
@@ -88,7 +89,6 @@ class SurvivorPlan:
     phi: float | None = None
     alpha: float | None = None
     layer: int = 0
-    merge_groups: tuple[tuple[int, ...], ...] | None = None
     merge_weights: tuple[float, ...] | None = None
     params: dict = field(default_factory=dict)
 
@@ -105,19 +105,25 @@ class SurvivorPlan:
             raise ValueError("redirect map must cover exactly the dropped experts")
         if any(t not in surv for t in self.redirect.values()):
             raise ValueError("redirect target is not a survivor")
-        if self.merge_groups is not None:
-            flat = sorted(i for g in self.merge_groups for i in g)
-            if flat != list(range(self.n)):
-                raise ValueError("merge groups must partition the experts")
-            if sorted(min(g) for g in self.merge_groups) != sorted(surv):
-                raise ValueError("merge-group representatives must equal the survivors")
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Each survivor followed by the experts redirected to it, in
+        ``redirect`` order: the source experts of each compressed expert."""
+        return tuple((j, *(i for i, t in self.redirect.items() if t == j))
+                     for j in self.survivors)
+
+    @property
+    def merge_groups(self) -> tuple[tuple[int, ...], ...] | None:
+        """:attr:`groups` for a plan that merges them, else None."""
+        return self.groups if self.merge_weights is not None else None
 
     def to_json(self) -> str:
         params = dict(self.params)
         params["alpha"] = self.alpha
-        if self.merge_groups is not None:
-            params["merge_groups"] = [list(g) for g in self.merge_groups]
-            params["merge_weights"] = list(self.merge_weights or ())
+        if self.merge_weights is not None:
+            params["merge_groups"] = [list(g) for g in self.groups]
+            params["merge_weights"] = list(self.merge_weights)
         return json.dumps({
             "layer": self.layer,
             "n": self.n,
@@ -136,15 +142,18 @@ class SurvivorPlan:
         alpha = params.pop("alpha", None)
         groups = params.pop("merge_groups", None)
         weights = params.pop("merge_weights", None)
-        return cls(
+        plan = cls(
             n=doc["n"], k=doc["k"], survivors=tuple(doc["survivors"]),
             redirect={int(a): b for a, b in doc["redirect"].items()},
             method=doc["method"], phi=doc.get("phi"), alpha=alpha,
             layer=doc.get("layer", 0),
-            merge_groups=tuple(tuple(g) for g in groups) if groups is not None else None,
             merge_weights=tuple(weights) if weights is not None else None,
             params=params,
         )
+        # the groups are written for readers; the redirect map is the partition
+        if groups != (None if weights is None else [list(g) for g in plan.groups]):
+            raise ValueError("merge groups disagree with the survivors and redirects")
+        return plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,18 +341,16 @@ def _unionfind_plan(barriers: BarrierTable, k: int, pairs: np.ndarray,
     # a veto that made the budget unreachable: finish by ascending cost, veto off
     forced = _merge_until(label, pairs, k)
 
-    # keyed by lowest member, which each group meets first, so keys ascend
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(label.tolist()):
-        groups.setdefault(r, []).append(i)
-    redirect_map = {i: r for r, g in groups.items() for i in g[1:]}
+    # a group is named by its lowest member, its survivor; the redirects go
+    # group by group, as the plan's JSON lists them
+    lab = label.tolist()
     extra = dict(params or {})
     if veto is not None:
         extra.update(veto_tau=veto[0], forced_merges=forced)
     return SurvivorPlan(
-        n=n, k=k, survivors=tuple(groups), redirect=redirect_map, method=method,
-        layer=layer, merge_groups=tuple(map(tuple, groups.values())),
-        merge_weights=tuple(float(v) for v in barriers.routing_freq),
+        n=n, k=k, survivors=tuple(sorted(set(lab))), method=method,
+        redirect={i: lab[i] for i in np.argsort(label, kind="stable").tolist() if lab[i] != i},
+        layer=layer, merge_weights=tuple(float(v) for v in barriers.routing_freq),
         params=extra,
     )
 
@@ -352,7 +359,7 @@ def select_ablation(variant: str, barriers: BarrierTable, k: int, *,
                     alpha_t: float = 1.0, layer: int = 0) -> SurvivorPlan:
     """One of the three union-find merge sorts over ascending edge cost.
 
-    They emit merge groups rather than redirects.  The fourth matched
+    Their plans merge each group rather than redirect.  The fourth matched
     ablation, ``no_triangle``, is coverage selection with the triangle
     weight zeroed (see :func:`hodgecover.pipeline.plan_layer`).  The merge
     orders and the veto depend on the table (and ``alpha_t``) alone, so the

@@ -12,7 +12,10 @@ context features to output logits, i.e. the (vocab x ctx) matrix whose
 every column is the expert's logit row, and X is the stack of one-hot
 context rows from the calibration corpus.  Pruned columns therefore leave
 the expert emitting uniform logits at rare contexts while frequent
-contexts keep the exact pre-compression behavior.
+contexts keep the exact pre-compression behavior.  The stage hands on its
+keep masks alone: the loss evaluator multiplies an expert's logit row by
+a mask's columns at the contexts it evaluates
+(:func:`hodgecover.moe.compressed_symbol_outputs`).
 
 The column norms of that one-hot X are the square roots of the context
 counts, so :func:`prune_survivors` takes them once per call from a
@@ -85,12 +88,13 @@ def wanda_prune(w: np.ndarray, x: np.ndarray, r2: float) -> tuple[np.ndarray, Pr
     x = np.asarray(x, dtype=np.float64)
     if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ValueError(f"shapes do not conform: W {w.shape}, X {x.shape}")
-    return _prune_rows(w, np.linalg.norm(x, axis=0), r2)
+    mask = _prune_rows(w, np.linalg.norm(x, axis=0), r2)
+    return w * mask.mask, mask
 
 
 def _prune_rows(w: np.ndarray, norms: np.ndarray, r2: float,
-                order: np.ndarray | None = None) -> tuple[np.ndarray, PruneMask]:
-    """Row-wise prune of ``w`` at sparsity r2 given the activation column norms.
+                order: np.ndarray | None = None) -> PruneMask:
+    """Keep mask of ``w`` at sparsity r2 given the activation column norms.
 
     ``order``, when given, is a candidate stable descending order of every
     row's scores; only the rows it does not fit are sorted (see the module
@@ -109,8 +113,7 @@ def _prune_rows(w: np.ndarray, norms: np.ndarray, r2: float,
         rows = rows[~fits]
     kept_cols = np.argsort(-scores[rows], axis=1, kind="stable")[:, :keep]
     mask[rows[:, None], kept_cols] = 1
-    pruned = w * mask
-    return pruned, PruneMask(mask, keep, 1.0 - keep / b)
+    return PruneMask(mask, keep, 1.0 - keep / b)
 
 
 def _in_order(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -127,22 +130,19 @@ def expert_weight_matrix(layer: MoeLayer, expert: int) -> np.ndarray:
 
 
 def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[int],
-                    r2: float) -> tuple[dict[int, np.ndarray], dict[int, PruneMask]]:
+                    r2: float) -> dict[int, PruneMask]:
     """Stage-2 pass over every survivor's weight matrix at sparsity r2.
 
     Reuses the calibration corpus already consumed by the barrier sweep;
-    no further forward passes are needed.  Returns the pruned matrices and
-    masks keyed by expert index.  One sort of the norms orders every row
-    it can (see the module docstring).
+    no further forward passes are needed.  Returns the keep masks keyed by
+    expert index; the pruned matrix of survivor j is
+    ``expert_weight_matrix(layer, j) * mask``.  One sort of the norms orders
+    every row it can (see the module docstring).
     """
     norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
     order = np.argsort(-norms, kind="stable")
-    pruned: dict[int, np.ndarray] = {}
-    masks: dict[int, PruneMask] = {}
-    for j in survivors:
-        w = expert_weight_matrix(layer, int(j))
-        pruned[int(j)], masks[int(j)] = _prune_rows(w, norms, r2, order)
-    return pruned, masks
+    return {int(j): _prune_rows(expert_weight_matrix(layer, int(j)), norms, r2, order)
+            for j in survivors}
 
 
 def masks_to_json(masks: Mapping[int, PruneMask]) -> str:

@@ -210,8 +210,7 @@ def _unionfind_plan(barriers: BarrierTable, triplet: Triplets, k: int, costs: np
         extra.update(veto_tau=veto_tau, forced_merges=forced)
     return SurvivorPlan(
         n=n, k=k, survivors=survivors, redirect=redirect_map, method=method,
-        layer=layer, merge_groups=tuple(groups),
-        merge_weights=tuple(float(v) for v in barriers.routing_freq), params=extra,
+        layer=layer, merge_weights=tuple(float(v) for v in barriers.routing_freq), params=extra,
     )
 
 

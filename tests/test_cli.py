@@ -580,3 +580,20 @@ def test_report_on_a_directory_named_as_an_artifact(tmp_path, capsys, reported_r
     err = capsys.readouterr().err
     assert err.startswith(f"hodgecover: error: cannot read artifact {out / name}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_artifact_is_data_error(tmp_path, capsys, reported_run):
+    # synth into a path that is a file; report over a run directory whose
+    # report.json is a directory
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    run_dir = tmp_path / "run"
+    shutil.copytree(reported_run, run_dir)
+    (run_dir / "report.json").mkdir()
+    for args, path in ((["synth", "--out", taken] + TINY, taken / "manifest.json"),
+                       (["report", "--run-dir", run_dir], run_dir / "report.json")):
+        capsys.readouterr()
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hodgecover: error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -17,7 +17,7 @@ from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _
                             merged_distribution, plant_discordant_triple, routing_frequencies,
                             saliency, synth_layer)
 from hodgecover.selector import SurvivorPlan
-from hodgecover.wanda import prune_survivors
+from hodgecover.wanda import expert_weight_matrix, prune_survivors
 from merge_oracle import (_mean_merge_kl, layer_output, merge_experts, pairwise_barrier,
                           triplet_barrier)
 
@@ -583,6 +583,13 @@ class TestCompressionLoss:
         with pytest.raises(ValueError, match="outside"):
             compression_loss(layer, small_corpus(), plan)
 
+    def test_plan_over_fewer_experts_rejected(self):
+        # experts 6 and 7 would vanish from the compressed layer
+        layer = synth_layer(n=8, seed=3)
+        plan = self._plan([0, 3], n=6)
+        with pytest.raises(ValueError, match="outside"):
+            compression_loss(layer, small_corpus(), plan)
+
     def test_merge_group_plan_evaluates(self):
         layer = synth_layer(n=6, clusters=3, seed=22)
         corpus = small_corpus()
@@ -590,7 +597,6 @@ class TestCompressionLoss:
         plan = SurvivorPlan(
             n=6, k=3, survivors=(0, 2, 4),
             redirect={1: 0, 3: 2, 5: 4}, method="merge",
-            merge_groups=((0, 1), (2, 3), (4, 5)),
             merge_weights=tuple(float(f) for f in freqs))
         assert np.isfinite(compression_loss(layer, corpus, plan))
 
@@ -623,29 +629,29 @@ class TestCompressionLoss:
 # the per-survivor router fold that the batched fold replaced, kept as its oracle
 
 def oracle_fold(layer, plan):
-    """Each survivor's (or merge group's) source list, folded by one scipy call each."""
-    if plan.merge_groups is not None:
-        lists = [list(g) for g in plan.merge_groups]
-    else:
-        lists = [[j] + [i for i, target in plan.redirect.items() if target == j]
-                 for j in plan.survivors]
+    """Each survivor's source list (the survivor and the experts redirected
+    to it, or merged into it), folded by one scipy call each."""
+    lists = [[j] + [i for i, target in plan.redirect.items() if target == j]
+             for j in plan.survivors]
     folded = np.full((len(lists), layer.ctx), -np.inf)
     for row, sources in enumerate(lists):
         folded[row] = logsumexp(layer.router_logits[sources], axis=0)
     return lists, folded
 
 
-def oracle_compressed_outputs(layer, plan, symbols, pruned=None):
+def oracle_compressed_outputs(layer, plan, symbols, masks=None):
     symbols = np.asarray(symbols, dtype=np.int64)
     survivors = list(plan.survivors)
-    _, folded = oracle_fold(layer, plan)
-    if plan.merge_groups is not None:
+    lists, folded = oracle_fold(layer, plan)
+    if plan.merge_weights is not None:
         weights = np.asarray(plan.merge_weights)
         dists = np.stack([merged_distribution(layer.expert_dists, g, weights)
-                          for g in plan.merge_groups])
-    elif pruned is None:
+                          for g in lists])
+    elif masks is None:
         dists = layer.expert_dists[survivors]
     else:
+        # each masked survivor's whole pruned (vocab x ctx) matrix
+        pruned = {j: expert_weight_matrix(layer, j) * m.mask for j, m in masks.items()}
         dists = np.stack([
             softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
             else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
@@ -653,14 +659,15 @@ def oracle_compressed_outputs(layer, plan, symbols, pruned=None):
     return _mixture_outputs(dists, folded[:, symbols], min(layer.fanout, len(dists)))
 
 
-def assert_fold_matches_oracle(layer, heldout, plan, pruned=None):
+def assert_fold_matches_oracle(layer, heldout, plan, masks=None):
     lists, folded = oracle_fold(layer, plan)
+    assert [list(g) for g in plan.groups] == lists
     assert np.array_equal(_fold_router(layer.router_logits, lists), folded)
     symbols, weights = heldout.symbol_weights
-    want = oracle_compressed_outputs(layer, plan, symbols, pruned)
-    assert np.array_equal(compressed_symbol_outputs(layer, plan, symbols, pruned), want)
+    want = oracle_compressed_outputs(layer, plan, symbols, masks)
+    assert np.array_equal(compressed_symbol_outputs(layer, plan, symbols, masks), want)
     loss = float(weights @ kl_rows(layer_symbol_outputs(layer, symbols), want))
-    assert compression_loss(layer, heldout, plan, pruned) == loss
+    assert compression_loss(layer, heldout, plan, masks) == loss
 
 
 def redirect_plan(n, redirect):
@@ -675,7 +682,6 @@ def merge_plan(layer, corpus, groups):
     return SurvivorPlan(
         n=layer.n, k=len(groups), survivors=tuple(sorted(g[0] for g in groups)),
         redirect={i: g[0] for g in groups for i in g[1:]}, method="merge",
-        merge_groups=groups,
         merge_weights=tuple(float(f) for f in routing_frequencies(layer, corpus)))
 
 
@@ -716,8 +722,8 @@ class TestCompressedFoldMatchesOracle:
     @pytest.mark.parametrize("r2", [0.0, 0.9])
     def test_hybrid_plans_with_pruned_survivors(self, r2):
         plan = redirect_plan(16, {i: i % 4 for i in range(4, 16)})
-        pruned, _ = prune_survivors(self.layer, small_corpus(), plan.survivors[:3], r2)
-        assert_fold_matches_oracle(self.layer, self.heldout, plan, pruned)
+        masks = prune_survivors(self.layer, small_corpus(), plan.survivors[:3], r2)
+        assert_fold_matches_oracle(self.layer, self.heldout, plan, masks)
 
     @pytest.mark.parametrize("ctx, symbol, redirect", [
         (1, 0, {**dict.fromkeys(range(4, 9), 3), **dict.fromkeys([*range(10, 16), 1, 2], 9)}),
@@ -761,9 +767,9 @@ class TestCompressedFoldMatchesOracle:
         redirect = {int(i): int(rng.choice(survivors)) for i in dropped}
         plan = redirect_plan(n, redirect)
         r2 = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
-        pruned, _ = prune_survivors(layer, CalibCorpus.sample(ctx, 32, seed + 1),
-                                    survivors[::2], r2)
-        assert_fold_matches_oracle(layer, heldout, plan, pruned)
+        masks = prune_survivors(layer, CalibCorpus.sample(ctx, 32, seed + 1),
+                                survivors[::2], r2)
+        assert_fold_matches_oracle(layer, heldout, plan, masks)
         assert_fold_matches_oracle(layer, heldout, plan)
 
 

@@ -93,12 +93,24 @@ class TestModelFlow:
         layers = [synth_layer(seed=7)]
         analyses = [analyze_layer(layers[0], corpus)]
         plans = compress_model(analyses, [12], "hodgecover")
-        r2, pruned = hybrid_stage2(layers, corpus, plans, r_total=0.66, r1=0.20)
+        r2, masks = hybrid_stage2(layers, corpus, plans, r_total=0.66, r1=0.20)
+        assert hybrid_stage2 is hybrid_prune
         assert r2 == pytest.approx(0.575, abs=1e-12)
-        assert set(pruned[0]) == set(plans[0].survivors)
+        assert set(masks[0]) == set(plans[0].survivors)
         base = model_loss(layers, corpus, plans)
-        hybrid = model_loss(layers, corpus, plans, pruned)
+        hybrid = model_loss(layers, corpus, plans, masks)
         assert np.isfinite(hybrid) and hybrid >= base - 1e-12
+
+    def test_masks_with_merge_plans_rejected(self):
+        corpus = CalibCorpus.sample(256, 1024, 42)
+        layers = [synth_layer(seed=7)]
+        analyses = [analyze_layer(layers[0], corpus)]
+        redirect_plans = compress_model(analyses, [12], "hodgecover")
+        merge_plans = compress_model(analyses, [12], "greedy_barrier")
+        _, masks = hybrid_prune(layers, corpus, redirect_plans, r_total=0.66, r1=0.20)
+        assert np.isfinite(model_loss(layers, corpus, merge_plans))
+        with pytest.raises(ValueError, match="bit-exact survivors; 'greedy_barrier'"):
+            model_loss(layers, corpus, merge_plans, masks)
 
     def test_hybrid_prune_returns_masks_from_the_same_pass(self, monkeypatch):
         corpus = CalibCorpus.sample(256, 1024, 42)
@@ -108,13 +120,12 @@ class TestModelFlow:
         calls = []
         monkeypatch.setattr(pipeline, "prune_survivors",
                             lambda *args: calls.append(1) or prune_survivors(*args))
-        r2, pruned, masks = hybrid_prune(layers, corpus, plans, r_total=0.66, r1=0.20)
+        r2, masks = hybrid_prune(layers, corpus, plans, r_total=0.66, r1=0.20)
         assert len(calls) == len(layers)
         assert r2 == pytest.approx(0.575, abs=1e-12)
-        for layer, plan, got_pruned, got_masks in zip(layers, plans, pruned, masks):
-            want_pruned, want_masks = prune_survivors(layer, corpus, plan.survivors, r2)
+        for layer, plan, got_masks in zip(layers, plans, masks):
+            want_masks = prune_survivors(layer, corpus, plan.survivors, r2)
             assert masks_to_json(got_masks) == masks_to_json(want_masks)
-            assert all(np.array_equal(got_pruned[j], want_pruned[j]) for j in want_pruned)
 
     def test_mismatched_budget_length(self):
         corpus = CalibCorpus.sample(256, 512, 42)
@@ -134,11 +145,11 @@ class TestModelFlow:
         layers = [synth_layer(seed=s) for s in (7, 8, 9)]
         plans = compress_model([analyze_layer(layer, corpus) for layer in layers],
                                [12, 10, 8], "hodgecover")
-        _, pruned = hybrid_stage2(layers, corpus, plans, r_total=0.66, r1=0.20)
+        _, masks = hybrid_stage2(layers, corpus, plans, r_total=0.66, r1=0.20)
         calls = []
         monkeypatch.setattr(pipeline, "compression_loss",
                             lambda *args: calls.append(1) or compression_loss(*args))
-        for extra in (None, pruned):
+        for extra in (None, masks):
             calls.clear()
             model_loss(layers, corpus, plans, extra)
             assert len(calls) == len(layers)
@@ -176,7 +187,7 @@ def test_plans_and_losses_do_not_depend_on_what_was_planned_before():
         assert compression_loss(shared.layer, heldout, got) == \
             compression_loss(fresh.layer, CalibCorpus(heldout.contexts.copy(), 43, 1024), want)
         if method == "hodgecover" and k < 16:
-            _, pruned = hybrid_stage2([shared.layer], corpus, [got], 0.66, 0.20)
-            _, fresh_pruned = hybrid_stage2([fresh.layer], corpus, [want], 0.66, 0.20)
-            assert model_loss([shared.layer], heldout, [got], pruned) == \
-                model_loss([fresh.layer], heldout, [want], fresh_pruned)
+            _, masks = hybrid_stage2([shared.layer], corpus, [got], 0.66, 0.20)
+            _, fresh_masks = hybrid_stage2([fresh.layer], corpus, [want], 0.66, 0.20)
+            assert model_loss([shared.layer], heldout, [got], masks) == \
+                model_loss([fresh.layer], heldout, [want], fresh_masks)

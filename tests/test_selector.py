@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -342,9 +343,17 @@ class TestPlans:
             SurvivorPlan(n=4, k=2, survivors=(0, 1), redirect={2: 0}, method="x")
         with pytest.raises(ValueError):
             SurvivorPlan(n=4, k=2, survivors=(0, 1), redirect={2: 3, 3: 0}, method="x")
-        with pytest.raises(ValueError):
-            SurvivorPlan(n=4, k=2, survivors=(0, 2), redirect={1: 0, 3: 0}, method="x",
-                         merge_groups=((0, 1), (2,)))
+        # a plan file's merge groups must be its survivors and their redirects,
+        # and come with routing weights
+        doc = {"n": 4, "k": 2, "survivors": [0, 2], "redirect": {"1": 0, "3": 0},
+               "method": "x"}
+        for params in ({"merge_groups": [[0, 1], [2]], "merge_weights": [0.25] * 4},
+                       {"merge_groups": [[0, 1, 3], [2]]}, {"merge_weights": [0.25] * 4}):
+            with pytest.raises(ValueError, match="disagree"):
+                SurvivorPlan.from_json(json.dumps({**doc, "params": params}))
+        good = {"merge_groups": [[0, 1, 3], [2]], "merge_weights": [0.25] * 4}
+        assert SurvivorPlan.from_json(json.dumps({**doc, "params": good})).merge_groups == \
+            ((0, 1, 3), (2,))
 
     def test_json_round_trip(self):
         plan = SurvivorPlan(n=4, k=2, survivors=(0, 2), redirect={1: 0, 3: 2},
@@ -359,7 +368,6 @@ class TestPlans:
     def test_merge_plan_round_trip(self):
         plan = SurvivorPlan(n=4, k=2, survivors=(0, 2), redirect={1: 0, 3: 2},
                             method="greedy_barrier",
-                            merge_groups=((0, 1), (2, 3)),
                             merge_weights=(0.1, 0.2, 0.3, 0.4))
         back = SurvivorPlan.from_json(plan.to_json())
         assert back.merge_groups == ((0, 1), (2, 3))

@@ -120,18 +120,18 @@ class TestStageTwoIntegration:
     def test_prune_survivors_no_op_at_zero(self):
         layer = synth_layer(seed=46)
         corpus = CalibCorpus.sample(256, 512, 42)
-        pruned, masks = prune_survivors(layer, corpus, [1, 4], 0.0)
-        assert set(pruned) == {1, 4}
-        assert np.array_equal(pruned[1], expert_weight_matrix(layer, 1))
+        masks = prune_survivors(layer, corpus, [1, 4], 0.0)
+        assert set(masks) == {1, 4}
+        assert masks[1].mask.all()
         assert masks[4].sparsity == 0.0
 
     def test_prune_survivors_keeps_frequent_contexts_exact(self):
         layer = synth_layer(seed=47)
         corpus = CalibCorpus.sample(256, 2048, 42)
-        pruned, masks = prune_survivors(layer, corpus, [0], 0.575)
+        masks = prune_survivors(layer, corpus, [0], 0.575)
         kept_cols = np.nonzero(masks[0].mask[0])[0]
         assert len(kept_cols) == math.ceil(0.425 * 256)
-        w = pruned[0]
+        w = expert_weight_matrix(layer, 0) * masks[0].mask
         assert np.array_equal(w[:, kept_cols[0]], layer.expert_logits[0])
 
 
@@ -144,12 +144,13 @@ def onehot_activations(corpus: CalibCorpus, ctx: int) -> np.ndarray:
 
 def assert_prune_matches_oracle(layer, corpus, survivors, r2):
     """prune_survivors equals wanda_prune on the built one-hot activations."""
-    pruned, masks = prune_survivors(layer, corpus, survivors, r2)
+    masks = prune_survivors(layer, corpus, survivors, r2)
     x = onehot_activations(corpus, layer.ctx)
-    assert list(pruned) == list(masks) == [int(j) for j in survivors]
+    assert list(masks) == [int(j) for j in survivors]
     for j in survivors:
-        want, want_mask = wanda_prune(expert_weight_matrix(layer, j), x, r2)
-        assert np.array_equal(pruned[j], want)
+        w = expert_weight_matrix(layer, j)
+        want, want_mask = wanda_prune(w, x, r2)
+        assert np.array_equal(w * masks[j].mask, want)
         assert np.array_equal(masks[j].mask, want_mask.mask)
         assert (masks[j].keep_per_row, masks[j].sparsity) == \
             (want_mask.keep_per_row, want_mask.sparsity)
@@ -207,10 +208,9 @@ def order_fits(layer, corpus, survivors):
 
 
 def assert_prune_matches_argsort(layer, corpus, survivors, r2):
-    pruned, masks = prune_survivors(layer, corpus, survivors, r2)
+    masks = prune_survivors(layer, corpus, survivors, r2)
     for j, want in argsort_masks(layer, corpus, survivors, r2).items():
         assert np.array_equal(masks[j].mask, want), (j, r2)
-        assert np.array_equal(pruned[j], expert_weight_matrix(layer, j) * want)
 
 
 # zero, subnormal, tiny, negative and huge logits: products with the norms tie,
@@ -242,7 +242,7 @@ class TestSharedPruneOrder:
         layer = MoeLayer(1, 2, 2, 1, [[0.0, 1.0]], np.zeros((1, 2)))
         corpus = CalibCorpus([1, 0, 1], seed=0, size=3)
         assert order_fits(layer, corpus, [0]).tolist() == [False, True]
-        _, masks = prune_survivors(layer, corpus, [0], 0.5)
+        masks = prune_survivors(layer, corpus, [0], 0.5)
         assert masks[0].mask.tolist() == [[1, 0], [0, 1]]
 
     def test_default_layer_takes_the_shared_order(self):
