@@ -9,19 +9,19 @@ below tau, and keeps the Betti-maximizing threshold, breaking ties toward
 the larger edge set and then the larger tau.
 
 Stage B is one pass, in the manner of persistent homology (Edelsbrunner,
-Letscher and Zomorodian 2002; Zomorodian and Carlsson 2005), over the reals.
-Each simplex gets a filtration value: an edge its barrier, a triangle the
-larger of its triplet barrier and its worst edge barrier.  Sorted once by
-that value, the simplices in the complex at any tau are a prefix of each
-order, and a triangle enters only after its three edges, so rank(d2) at tau
-is the rank of a column prefix of d2 over the complete edge set.  Those
-prefix ranks come from one incremental Gram-Schmidt pass
-(:func:`~hodgecover.complexes.prefix_ranks`), the component counts from one
-union-find over the sorted edges, and beta1(tau) = |E_tau| - n +
-components(tau) - rank(tau).  Only the chosen complex is built.  The same
-pass leaves an orthonormal basis of im(d2) at tau*, which the result keeps as
-``curl_basis`` so that the Hodge decomposition projects onto it instead of
-solving for it again.
+Letscher and Zomorodian 2002; Zomorodian and Carlsson 2005).  Each simplex
+gets a filtration value: an edge its barrier, a triangle the larger of its
+triplet barrier and its worst edge barrier.  Sorted once by that value, the
+simplices in the complex at any tau are a prefix of each order, and a
+triangle enters only after its three edges, so rank(d2) at tau is the rank
+of a column prefix of d2 over the complete edge set.  One column reduction
+(:func:`~hodgecover.complexes.boundary_pivots`, which states why its ranks
+are the real ones) gives every prefix rank, one union-find over the sorted
+edges the component counts, and beta1(tau) = |E_tau| - n + components(tau)
+- rank(tau).  Only the chosen complex is built.  The pivot triangles at tau*
+have independent columns that span im(d2) of the chosen complex; the result
+keeps them as ``curl_basis``, so the Hodge decomposition projects onto them
+without a second reduction.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# betti1 is unused here but stays importable: the benchmark's tracer
-# (perfbench/tracing.py) patches hodgecover.builder.betti1 by name.
-from .complexes import (Complex2, UnionFind, betti1, build_incidence,  # noqa: F401
-                        complete_edges, prefix_ranks)
+# betti1 and build_incidence are unused here but stay importable: the
+# benchmark's tracer (perfbench/tracing.py) patches them here by name.
+from .complexes import (Complex2, UnionFind, betti1, boundary_pivots,  # noqa: F401
+                        build_incidence, complete_edges, triangle_edge_rows)
 from .moe import BarrierTable
 
 GRID_POINTS = 80
@@ -45,8 +45,8 @@ DEFAULT_SEED = 42
 class FiltrationResult:
     """Betti curve over the threshold grid and the chosen complex.
 
-    ``curl_basis`` is an (|E|, rank(d2)) matrix with orthonormal columns
-    spanning im(d2) of the chosen complex, rows in its edge order.
+    ``curl_basis`` holds the indices of rank(d2) triangles of the chosen
+    complex, ascending, whose columns of d2 are a basis of its im(d2).
     """
 
     tau_star: float
@@ -101,14 +101,11 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
 
     The grid is evaluated in one pass: with edges sorted by barrier and
     triangles by max(triplet barrier, worst edge barrier), both stable, the
-    complex at tau is a prefix of each order.  rank(d2) at every grid point
-    comes from :func:`prefix_ranks` on the sorted columns of d2, restricted
-    to the edges some candidate uses: a column block adds one to the rank
-    for each singular value of its Gram-Schmidt residual above
-    ``complexes.RANK_CUTOFF`` (1e-8) times its largest column norm.  The
-    curve equals the one from rebuilding the complex and taking
-    :func:`~hodgecover.complexes.betti1` at every tau, which the tests keep
-    as the oracle.
+    complex at tau is a prefix of each order, and rank(d2) at every grid
+    point counts the pivots of :func:`boundary_pivots` among the first
+    columns in that order.  The curve equals the one from rebuilding the
+    complex and taking :func:`~hodgecover.complexes.betti1` at every tau,
+    which the tests keep as the oracle.
     """
     n = barriers.n
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
@@ -129,22 +126,22 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     tri_order = np.argsort(tri_vals, kind="stable")
     num_edges = np.searchsorted(edge_vals[edge_order], grid, side="right")
     num_tris = np.searchsorted(tri_vals[tri_order], grid, side="right")
-    d2 = build_incidence(Complex2(n, edges, candidates)).b2
-    # rows of edges in no candidate are zero and cannot add to the rank
-    used = d2.any(axis=1)
+    rows = triangle_edge_rows(Complex2(n, edges, candidates))
+    pivot = boundary_pivots(rows[:, tri_order])
     components = _prefix_components(n, edges[edge_order])[num_edges]
-    ranks, basis = prefix_ranks(d2[used][:, tri_order], num_tris)
+    ranks = np.concatenate([[0], np.cumsum(pivot)])[num_tris]
     betas = num_edges - n + components - ranks
 
     curve = tuple((float(tau), int(beta)) for tau, beta in zip(grid, betas))
     best = max(range(GRID_POINTS), key=lambda g: (curve[g][1], num_edges[g], curve[g][0]))
     tau_star = curve[best][0]
-    chosen_edges = edge_vals <= tau_star
-    chosen = Complex2(n, edges[chosen_edges], candidates[tri_vals <= tau_star])
-    # the first rank(tau*) basis columns span the chosen triangles' columns,
-    # which vanish off the chosen edges; the basis rows are the used edges
-    curl_basis = np.zeros((chosen.num_edges, int(ranks[best])))
-    curl_basis[used[chosen_edges]] = basis[chosen_edges[used], :ranks[best]]
+    chosen_tris = tri_vals <= tau_star
+    chosen = Complex2(n, edges[edge_vals <= tau_star], candidates[chosen_tris])
+    # the chosen triangles are the first sorted columns, so their pivots are
+    # those of the prefix
+    in_candidate_order = np.empty_like(pivot)
+    in_candidate_order[tri_order] = pivot
+    curl_basis = np.flatnonzero(in_candidate_order[chosen_tris])
     return FiltrationResult(tau_star, curve, chosen, curl_basis)
 
 

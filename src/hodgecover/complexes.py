@@ -69,7 +69,7 @@ class Complex2:
                 flat = _lex_keys(arr, self.n)
                 if not (np.diff(flat) > 0).all():
                     raise ComplexStructureError(f"{name} list is not strictly lex-sorted")
-        _triangle_edge_rows(self)
+        triangle_edge_rows(self)
 
     @property
     def num_edges(self) -> int:
@@ -131,7 +131,7 @@ def build_incidence(k: Complex2) -> SignedIncidence:
 
     b2 = np.zeros((m, t), dtype=np.int64)
     if t:
-        rows = _triangle_edge_rows(k)
+        rows = triangle_edge_rows(k)
         cols = np.arange(t)
         b2[rows[0], cols] = +1
         b2[rows[1], cols] = -1
@@ -159,46 +159,143 @@ def rank(matrix: np.ndarray) -> int:
     return int((s > svd_rcond(matrix.shape) * s[0]).sum())
 
 
-RANK_BLOCK = 64       # widest column block one Gram-Schmidt step takes
-RANK_CUTOFF = 1e-8    # relative to the block's largest column norm
+RANK_CUTOFF = 1e-8    # a column's distance from a span, relative to its norm, read as zero
+# p = 2^61 - 1 first, then the largest primes below 2^62 and 2^63
+PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
+SIGNS = np.array([1.0, -1.0, 1.0])  # d2 on a triangle's edges (i,j), (i,k), (j,k)
 
 
-def prefix_ranks(matrix: np.ndarray, stops) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical rank of each leading column block ``matrix[:, :s]``, and a basis.
+def boundary_pivots(rows: np.ndarray) -> np.ndarray:
+    """Pivot columns of d2 over the reals, from one column reduction mod a prime.
 
-    ``stops`` must be nondecreasing.  One pass over the columns keeps an
-    orthonormal basis of the span seen so far: each new block of at most
-    ``RANK_BLOCK`` columns is projected off the basis by two passes of
-    classical Gram-Schmidt, and the left singular vectors of the residual
-    whose singular value exceeds ``RANK_CUTOFF`` times the block's largest
-    column norm join the basis.  For the integer boundary matrices here a
-    dependent column leaves a residual near 1e-15 while an independent one
-    leaves one of order one, so the cutoff sits far from both.  The rank is
-    over the reals, never Z/2.
+    Column c of d2 holds +1, -1, +1 at the edge rows ``rows[:, c]`` (the
+    layout of :func:`triangle_edge_rows`).  The columns are reduced left to
+    right mod p = 2^61 - 1, each against the pivot columns before it by their
+    lowest nonzero row, as in persistent homology (Edelsbrunner, Letscher and
+    Zomorodian 2002; Zomorodian and Carlsson 2005).  A column that does not
+    reduce to zero is a pivot.  The pivots among the first s columns number
+    rank(d2[:, :s]) and their columns span d2[:, :s].  The count is over the
+    reals, never over Z/p:
 
-    Returns the ranks and the basis, an (m, ranks[-1]) matrix with
-    orthonormal columns whose first ``ranks[i]`` columns span
-    ``matrix[:, :stops[i]]``.
+    - Columns independent mod p are independent over the integers, so the
+      pivots are independent over the reals and a prefix's rank mod p is
+      never above its real rank.
+    - A non-pivot column with m pivots before it can be independent of them
+      over the reals only if p divides a nonzero (m+1)-minor of those m + 1
+      columns.  Each column has three entries of +-1, so the Hadamard bound
+      caps that minor at 3^((m+1)/2).  While 3^(m+1) < p^2 (m + 1 <= 76 for
+      p = 2^61 - 1) no such column needs a check.
+    - Beyond that, each non-pivot column must lie in the real span of the
+      pivots before it: its distance from that span, by the normal
+      equations of those pivots, must be at most ``RANK_CUTOFF`` times its
+      norm.  A dependent column of these integer matrices leaves a distance
+      near 1e-15 and an independent one a distance of order one.  A failed
+      check means p divides the torsion of that prefix's H1 (RP^2 has Z/2),
+      and the reduction is redone with the next prime of ``PRIMES``.
+
+    Raises :class:`ValueError` if every prime fails.  Returns a boolean mask
+    over the columns.
     """
-    m, cols = matrix.shape
-    basis = np.empty((m, min(m, cols)))
-    rank_so_far = done = 0
-    out = np.zeros(len(stops), dtype=np.int64)
-    for idx, stop in enumerate(stops):
-        while done < stop:
-            end = min(stop, done + RANK_BLOCK)
-            block = matrix[:, done:end].astype(np.float64)
-            cutoff = RANK_CUTOFF * float(np.linalg.norm(block, axis=0).max())
-            q = basis[:, :rank_so_far]
-            for _ in range(2):
-                block -= q @ (q.T @ block)
-            u, s, _ = np.linalg.svd(block, full_matrices=False)
-            new = int((s > cutoff).sum())
-            basis[:, rank_so_far:rank_so_far + new] = u[:, :new]
-            rank_so_far += new
-            done = end
-        out[idx] = rank_so_far
-    return out, basis[:, :rank_so_far]
+    rows = np.asarray(rows, dtype=np.int64).reshape(3, -1)
+    for prime in PRIMES:
+        pivot = _pivots_mod(rows, prime)
+        if _dependents_in_span(rows, pivot, prime):
+            return pivot
+    raise ValueError(f"rank of d2 is not settled mod any of the primes {PRIMES}: "
+                     "each divides the torsion of the complex's homology")
+
+
+def span_check_from(prime: int) -> int:
+    """Fewest pivots before a non-pivot column at which it needs the real check:
+    the least m with 3^(m+1) >= prime^2."""
+    m = 0
+    while 3 ** (m + 1) < prime * prime:
+        m += 1
+    return m
+
+
+def _pivots_mod(rows: np.ndarray, prime: int) -> np.ndarray:
+    """Pivot mask of the left-to-right column reduction of d2 mod ``prime``."""
+    reduced: dict[int, dict[int, int]] = {}  # lowest row -> pivot column, 1 there
+    pivot = np.zeros(rows.shape[1], dtype=bool)
+    for c, (a, b, d) in enumerate(rows.T.tolist()):
+        col = {a: 1, b: prime - 1, d: 1}
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                scale = pow(col[low], -1, prime)
+                reduced[low] = {r: v * scale % prime for r, v in col.items()}
+                pivot[c] = True
+                break
+            factor = col[low]
+            for r, v in other.items():
+                v = (col.get(r, 0) - factor * v) % prime
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+    return pivot
+
+
+def _dependents_in_span(rows: np.ndarray, pivot: np.ndarray, prime: int) -> bool:
+    """Whether each non-pivot column the Hadamard bound leaves open lies in
+    the real span of the pivots before it (see :func:`boundary_pivots`).
+
+    One solve of the normal equations of all pivots serves every open
+    column: its coefficients on the pivots at or after it are dropped, and
+    what the rest leaves of the column is at least its distance from the
+    span of the pivots before it.  In that span the dropped coefficients
+    vanish, so what is left is rounding.
+    """
+    before = np.cumsum(pivot) - pivot
+    open_cols = np.flatnonzero(~pivot & (before >= span_check_from(prime)))
+    if not len(open_cols):
+        return True
+    used, flat = np.unique(rows, return_inverse=True)
+    rows = flat.reshape(rows.shape)
+    piv = rows[:, pivot]
+    cols = boundary(rows[:, open_cols], np.eye(len(open_cols)), len(used))
+    coef = np.linalg.solve(boundary_gram(piv), boundary_t(piv, cols))
+    coef[np.arange(piv.shape[1])[:, None] >= before[open_cols]] = 0.0
+    resid = cols - boundary(piv, coef, len(used))
+    return bool((np.linalg.norm(resid, axis=0) <= RANK_CUTOFF * np.sqrt(3.0)).all())
+
+
+def boundary_gram(rows: np.ndarray) -> np.ndarray:
+    """d2^T d2 for the columns with edge rows ``rows``, exact in float64.
+
+    Two distinct triangles share at most one edge, so an off-diagonal entry
+    is 0 or the product of their signs on the shared edge, and the diagonal
+    is 3.
+    """
+    t = rows.shape[1]
+    order = np.argsort(rows.ravel(), kind="stable")
+    edge = rows.ravel()[order]
+    col = np.tile(np.arange(t), 3)[order]
+    sign = np.repeat(SIGNS, t)[order]
+    # every ordered pair of entries on one edge
+    start = np.searchsorted(edge, edge, side="left")
+    count = np.searchsorted(edge, edge, side="right") - start
+    first = np.repeat(np.arange(3 * t), count)
+    second = np.repeat(start + count - np.cumsum(count), count) + np.arange(count.sum())
+    gram = np.zeros((t, t))
+    gram[col[first], col[second]] = sign[first] * sign[second]
+    gram[np.diag_indices(t)] = 3.0
+    return gram
+
+
+def boundary(rows: np.ndarray, coef: np.ndarray, num_edges: int) -> np.ndarray:
+    """d2 @ coef for the columns with edge rows ``rows``, by scatter-adds."""
+    out = np.zeros((num_edges,) + coef.shape[1:])
+    for sign, r in zip(SIGNS, rows):
+        np.add.at(out, r, sign * coef)
+    return out
+
+
+def boundary_t(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """d2^T @ values for the columns with edge rows ``rows``, by gathers."""
+    return values[rows[0]] - values[rows[1]] + values[rows[2]]
 
 
 class UnionFind:
@@ -309,7 +406,7 @@ def _lex_keys(arr: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _triangle_edge_rows(k: Complex2) -> np.ndarray:
+def triangle_edge_rows(k: Complex2) -> np.ndarray:
     """Rows in ``k.edges`` of each triangle's edges (i,j), (i,k), (j,k), shape (3, |T|).
 
     Raises :class:`ComplexStructureError` naming the first triangle that has

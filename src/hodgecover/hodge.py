@@ -7,22 +7,27 @@ plus triangle-boundary correction can explain, and its squared norm equals
 the joint least-squares residual min_{phi, psi} ||b - d1^T phi - d2 psi||^2
 (certified numerically by :func:`residual_certificate`).
 
-The split is computed without forming any |E| x |E| or |T| x |T| matrix:
+The split is computed without forming any |E| x |E| or |T| x |T| matrix
+beyond the Gram matrix of a basis of im(d2):
 
     1. alpha minimizes ||d1^T alpha - b||,  grad = d1^T alpha
-    2. curl = Q Q^T (b - grad)
+    2. curl = d2_J (d2_J^T d2_J)^-1 d2_J^T (b - grad)
     3. harm = b - grad - curl
 
 Step 1 is a least-squares solve through the pseudoinverse of the n x n
 vertex Laplacian L0, with the rank cutoff of :mod:`hodgecover.complexes`.
-In step 2, Q is an orthonormal basis of im(d2), so Q Q^T is the orthogonal
-projector onto im(d2).  That is the same operator as d2 L2^+ d2^T, the
-least-squares fit of b - grad by triangle boundaries, so the two agree up
-to rounding whenever rank(Q) = rank(d2).  Because d1 d2 = 0, grad is
-orthogonal to im(d2), so Q Q^T (b - grad) is the curl part of b itself.
-Stage B's filtration builds Q at tau* (``FiltrationResult.curl_basis``);
-:func:`decompose` called without it takes Q from
-:func:`~hodgecover.complexes.prefix_ranks`.
+In step 2, J is a set of pivot triangles whose columns of d2 are a basis of
+im(d2) (:func:`~hodgecover.complexes.boundary_pivots`), so the step is the
+orthogonal projection onto im(d2).  That is the same operator as
+d2 L2^+ d2^T, the least-squares fit of b - grad by triangle boundaries, so
+the two agree up to rounding.  The Gram matrix d2_J^T d2_J is built exactly
+from the integer entries and is positive definite, because the pivot
+columns are independent; the products with d2_J are gathers and
+scatter-adds over each pivot triangle's three edges.  Because d1 d2 = 0,
+grad is orthogonal to im(d2), so the projection of b - grad is the curl
+part of b itself.  Stage B's filtration keeps J at tau*
+(``FiltrationResult.curl_basis``); :func:`decompose` called without it
+reduces the complex's own columns.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex2, EdgeSignal, SignedIncidence, prefix_ranks, svd_rcond
+from .complexes import (Complex2, EdgeSignal, SignedIncidence, boundary, boundary_gram,
+                        boundary_pivots, boundary_t, svd_rcond, triangle_edge_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,25 +57,30 @@ class HodgeDecomp:
 
 
 def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
-              basis: np.ndarray | None = None) -> HodgeDecomp:
+              pivots: np.ndarray | None = None) -> HodgeDecomp:
     """Split ``b`` into its gradient, curl, and harmonic components.
 
-    ``basis`` is an orthonormal basis of im(d2), rows in the edge order of
-    ``k``; when it is None it is computed from ``inc.b2``.
+    ``pivots`` are indices of triangles of ``k`` whose columns of d2 are a
+    basis of im(d2); when it is None they are computed from ``k``.
     """
     values = b.values
     if values.shape != (k.num_edges,):
         raise ValueError(f"signal has shape {values.shape}, complex has {k.num_edges} edges")
-    if basis is None:
-        basis = prefix_ranks(inc.b2, [k.num_triangles])[1]
-    elif basis.shape[0] != k.num_edges:
-        raise ValueError(f"basis has {basis.shape[0]} rows, complex has {k.num_edges} edges")
+    rows = triangle_edge_rows(k)
+    if pivots is None:
+        pivots = np.flatnonzero(boundary_pivots(rows))
+    pivots = np.asarray(pivots, dtype=np.int64)
+    if pivots.ndim != 1 or (pivots.size and not 0 <= pivots.min() <= pivots.max()
+                            < k.num_triangles):
+        raise ValueError(f"pivots must index the complex's {k.num_triangles} triangles")
+    rows = rows[:, pivots]
     b1 = inc.b1.astype(np.float64)
 
     l0 = b1 @ b1.T
     alpha = np.linalg.pinv(l0, rcond=svd_rcond(l0.shape)) @ (b1 @ values)
     grad = b1.T @ alpha
-    curl = basis @ (basis.T @ (values - grad))
+    coef = np.linalg.solve(boundary_gram(rows), boundary_t(rows, values - grad))
+    curl = boundary(rows, coef, k.num_edges)
     harm = values - grad - curl
     total = float(values @ values)
     if total > 0.0:

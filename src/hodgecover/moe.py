@@ -588,9 +588,9 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
     survivors bit-exact and fold each dropped expert's router logit into its
     redirect target by log-sum-exp; merge plans (those with routing weights)
     replace each list by its frequency-weighted merged expert.  ``masks``
-    optionally maps a survivor of a redirect plan to its keep mask (vocab x
-    ctx) from the weight-pruning stage: at context c the pruned expert's
-    logits are its logit row times column c of the mask.
+    optionally maps each survivor of a redirect plan, and nothing else, to
+    its keep mask (vocab x ctx) from the weight-pruning stage: at context c
+    the pruned expert's logits are its logit row times column c of the mask.
 
     Lists of one length are folded together by one
     ``_logsumexp(..., axis=1)`` on their stacked (lists, length, ctx) router
@@ -619,10 +619,12 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
                           for g in sources])
     elif masks is None:
         dists = layer.expert_dists[list(plan.survivors)]
+    elif set(masks) != set(plan.survivors):
+        raise ValueError(f"masks of experts {sorted(masks)} do not match the plan's "
+                         f"survivors {sorted(plan.survivors)}")
     else:
         dists = np.stack([
             _softmax((layer.expert_logits[j][:, None] * masks[j].mask[:, symbols]).T, axis=1)
-            if j in masks else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
             for j in plan.survivors
         ])                                                     # (k, u, vocab)
     cols = _fold_router(layer.router_logits, sources)[:, symbols]

@@ -6,7 +6,7 @@ are not evaluated again), Stage-B Betti-maximizing filtration, Hodge
 decomposition of the edge-barrier signal on the chosen complex, then
 survivor selection by the requested method.  The layer's beta1 is the
 filtration's Betti count at tau*, and the decomposition projects onto the
-filtration's basis of im(d2), so no second rank computation runs.
+span of the filtration's pivot triangles, so no second reduction runs.
 Layers are independent, so models are compressed layer by layer under a
 cross-layer budget allocator.
 """
@@ -92,7 +92,7 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
     return LayerAnalysis(
         layer=layer, table=table, candidates=candidates, filtration=filtration,
         complex=k, incidence=inc, signal=signal,
-        decomp=decompose(k, inc, signal, basis=filtration.curl_basis),
+        decomp=decompose(k, inc, signal, pivots=filtration.curl_basis),
         sal=saliency(layer, corpus),
         beta1=filtration.beta1,
     )
@@ -141,10 +141,11 @@ def model_loss(layers: Sequence[MoeLayer], corpus: CalibCorpus,
                plans: Sequence[SurvivorPlan],
                masks: Sequence[Mapping[int, PruneMask] | None] | None = None) -> float:
     """Mean per-layer compression loss of a planned model; ``masks`` are
-    the per-layer keep masks of :func:`hybrid_prune`."""
+    the per-layer keep masks of :func:`hybrid_prune`.  Lists of unequal
+    length raise :class:`ValueError` rather than drop layers."""
     masks = masks if masks is not None else [None] * len(plans)
     return float(np.mean([compression_loss(layer, corpus, plan, layer_masks)
-                          for layer, plan, layer_masks in zip(layers, plans, masks)]))
+                          for layer, plan, layer_masks in zip(layers, plans, masks, strict=True)]))
 
 
 def hybrid_prune(layers: Sequence[MoeLayer], corpus: CalibCorpus,
@@ -153,11 +154,12 @@ def hybrid_prune(layers: Sequence[MoeLayer], corpus: CalibCorpus,
     """Residual-sparsity pass over every layer's survivors, once per layer.
 
     Returns the applied weight sparsity r2 and the per-layer keep masks,
-    which the loss evaluator consumes alongside the plans.
+    which the loss evaluator consumes alongside the plans.  Unequal numbers
+    of layers and plans raise :class:`ValueError`.
     """
     r2 = residual_sparsity(r_total, r1)
     return r2, [prune_survivors(layer, corpus, plan.survivors, r2)
-                for layer, plan in zip(layers, plans)]
+                for layer, plan in zip(layers, plans, strict=True)]
 
 
 # the benchmark's rate sweep (perfbench/worker.py) calls the pass by this name

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgecover.builder import (GRID_POINTS, FiltrationResult, stage_a_candidates,
+from hodgecover import complexes
+from hodgecover.builder import (GRID_POINTS, stage_a_candidates,
                                 stage_b_filtration)
 from hodgecover.complexes import (Complex2, betti1, build_incidence, complete_edges,
-                                  kernel_dimension, prefix_ranks, random_complex, rank)
+                                  kernel_dimension, random_complex, rank,
+                                  skeleton_components)
 from hodgecover.moe import CalibCorpus, MoeLayer, barrier_sweep, cluster_assignment, synth_layer
+from rank_oracle import prefix_ranks
 from set_oracle import table_from_dict, triplet_dict, triplet_values
 
 
@@ -46,7 +49,10 @@ def loop_stage_a(barriers, cap=500, seed=42):
 
 
 def per_tau_oracle(barriers, candidates):
-    """Stage B as first written: rebuild the complex and take betti1 at every tau."""
+    """Stage B as first written: rebuild the complex and take betti1 at every tau.
+
+    Returns tau*, the curve and the chosen complex.
+    """
     n = barriers.n
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
     tri_vals = triplet_values(triplet_dict(barriers), candidates)
@@ -61,7 +67,7 @@ def per_tau_oracle(barriers, candidates):
     else:
         worst_edge = np.zeros(0)
     top = 1.1 * float(edge_vals.max()) if len(edge_vals) else 0.0
-    curve, best, best_complex, best_inc = [], None, None, None
+    curve, best, best_complex = [], None, None
     for tau in np.linspace(0.0, top, GRID_POINTS):
         k_tau = Complex2(
             n,
@@ -69,34 +75,59 @@ def per_tau_oracle(barriers, candidates):
             candidates[(tri_vals <= tau) & (worst_edge <= tau)] if len(candidates)
             else candidates,
         )
-        inc = build_incidence(k_tau)
-        beta = betti1(k_tau, inc)
+        beta = betti1(k_tau, build_incidence(k_tau))
         curve.append((float(tau), beta))
         score = (beta, k_tau.num_edges, float(tau))
         if best is None or score > best:
-            best, best_complex, best_inc = score, k_tau, inc
-    basis = prefix_ranks(best_inc.b2, [best_complex.num_triangles])[1]
-    return FiltrationResult(best[2], tuple(curve), best_complex, basis)
+            best, best_complex = score, k_tau
+    return best[2], tuple(curve), best_complex
+
+
+def prefix_rank_curve(barriers, candidates):
+    """Stage B's Betti curve with rank(d2) from the Gram-Schmidt prefix ranks
+    on its sorted columns, as Stage B took them before the column reduction."""
+    n = barriers.n
+    candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
+    edges = complete_edges(n)
+    edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
+    tri_vals = np.maximum.reduce([
+        triplet_values(triplet_dict(barriers), candidates),
+        barriers.pairwise[candidates[:, 0], candidates[:, 1]],
+        barriers.pairwise[candidates[:, 0], candidates[:, 2]],
+        barriers.pairwise[candidates[:, 1], candidates[:, 2]],
+    ]) if len(candidates) else np.zeros(0)
+    top = 1.1 * float(edge_vals.max()) if len(edge_vals) else 0.0
+    grid = np.linspace(0.0, top, GRID_POINTS)
+    num_edges = (edge_vals[None, :] <= grid[:, None]).sum(axis=1)
+    num_tris = (tri_vals[None, :] <= grid[:, None]).sum(axis=1)
+    d2 = build_incidence(Complex2(n, edges, candidates)).b2
+    ranks = prefix_ranks(d2[:, np.argsort(tri_vals, kind="stable")], num_tris)[0]
+    components = [skeleton_components(Complex2(n, edges[edge_vals <= tau], []))
+                  for tau in grid]
+    return tuple((float(tau), int(e - n + c - r))
+                 for tau, e, c, r in zip(grid, num_edges, components, ranks))
 
 
 def assert_curl_basis(result):
-    """curl_basis is orthonormal, rank(d2) wide, and spans im(d2) of the chosen complex."""
+    """curl_basis indexes rank(d2) triangles of the chosen complex whose
+    columns of d2 are independent, so they are a basis of its im(d2)."""
     k = result.chosen_complex
-    b2 = build_incidence(k).b2.astype(float)
-    q = result.curl_basis
-    assert q.shape == (k.num_edges, rank(b2))
-    assert np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-12
-    assert np.abs(q @ (q.T @ b2) - b2).max(initial=0.0) <= 1e-12
+    b2 = build_incidence(k).b2
+    pivots = result.curl_basis
+    assert pivots.dtype == np.int64 and pivots.ndim == 1
+    assert (np.diff(pivots) > 0).all()
+    assert pivots.size == 0 or 0 <= pivots.min() <= pivots.max() < k.num_triangles
+    assert len(pivots) == rank(b2[:, pivots]) == rank(b2)
 
 
 def assert_matches_oracle(table, candidates):
     result = stage_b_filtration(table, candidates)
-    oracle = per_tau_oracle(table, candidates)
-    assert result.betti_curve == oracle.betti_curve
-    assert result.tau_star == oracle.tau_star
-    assert result.chosen_complex.n == oracle.chosen_complex.n
-    assert np.array_equal(result.chosen_complex.edges, oracle.chosen_complex.edges)
-    assert np.array_equal(result.chosen_complex.triangles, oracle.chosen_complex.triangles)
+    tau_star, curve, chosen = per_tau_oracle(table, candidates)
+    assert result.betti_curve == curve == prefix_rank_curve(table, candidates)
+    assert result.tau_star == tau_star
+    assert result.chosen_complex.n == chosen.n
+    assert np.array_equal(result.chosen_complex.edges, chosen.edges)
+    assert np.array_equal(result.chosen_complex.triangles, chosen.triangles)
     assert result.beta1 == betti1(result.chosen_complex,
                                   build_incidence(result.chosen_complex))
     assert_curl_basis(result)
@@ -304,11 +335,14 @@ class TestStageBMatchesPerTauOracle:
         assert_matches_oracle(table_from_matrix(m, triplet), k.triangles)
 
 
+RP2 = [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 5), (0, 4, 5),
+       (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)]
+
+
 def test_rp2_rank_is_taken_over_the_reals():
     # 6-vertex RP^2: over R rank(d2) = 10 and beta1 = 0; over Z/2 the
     # rank is 9 and beta1 = 1, so a mod-2 column reduction fails here
-    tris = [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 5), (0, 4, 5),
-            (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)]
+    tris = RP2
     k = Complex2(6, complete_edges(6), tris)
     inc = build_incidence(k)
     assert k.num_edges == 15
@@ -320,3 +354,17 @@ def test_rp2_rank_is_taken_over_the_reals():
     assert result.chosen_complex.num_triangles == 10
     assert result.beta1 == 0
     assert all(beta == 0 for _, beta in result.betti_curve)
+
+
+def test_rp2_stage_b_recovers_from_a_mod_2_reduction(monkeypatch):
+    # mod 2 the last column of RP^2 reduces to zero; the span check refuses
+    # that and the next prime gives the real ranks
+    monkeypatch.setattr(complexes, "PRIMES", (2, 2**61 - 1))
+    table = table_from_matrix(all_equal_table(6, 1.0).pairwise, {t: 1.0 for t in RP2})
+    result = stage_b_filtration(table, np.array(RP2))
+    assert result.beta1 == 0
+    assert all(beta == 0 for _, beta in result.betti_curve)
+    assert result.curl_basis.tolist() == list(range(10))
+    monkeypatch.setattr(complexes, "PRIMES", (2,))
+    with pytest.raises(ValueError, match="not settled mod any of the primes"):
+        stage_b_filtration(table, np.array(RP2))

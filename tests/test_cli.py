@@ -390,8 +390,11 @@ def test_import_loads_no_scipy():
 
 
 # sha256 of every artifact on the default 4 x 16 model, recorded before the
-# triplet table and the selector moved onto arrays.  These artifacts do not move
-# with the BLAS thread count; those of a 1 x 64 model's diagnose and ablate do.
+# triplet table and the selector moved onto arrays.  The diagnostics and the
+# ablation grid were recorded again when the curl moved onto Stage B's pivot
+# triangles: their numbers moved by at most 1.1e-16, and no plan moved.  These
+# artifacts do not move with the BLAS thread count; those of a 1 x 64 model's
+# diagnose and ablate do.
 GOLDEN = Path(__file__).with_name("golden_artifacts.json")
 GOLDEN_RUNS = {
     "barriers": ["barriers"],

@@ -3,11 +3,13 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from hodgecover import builder, selector
+from hodgecover import builder, complexes, selector
 from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, betti1,
-                                  RANK_BLOCK, build_incidence, complete_edges, kernel_dimension,
-                                  edge_laplacian, prefix_ranks, random_complex, rank,
-                                  skeleton_components)
+                                  boundary, boundary_gram, boundary_pivots, boundary_t,
+                                  build_incidence, complete_edges, kernel_dimension,
+                                  edge_laplacian, random_complex, rank, skeleton_components,
+                                  span_check_from, triangle_edge_rows)
+from rank_oracle import RANK_BLOCK, prefix_ranks
 
 
 def k3(with_triangle=True):
@@ -258,6 +260,94 @@ class TestPrefixRanks:
     def test_no_columns(self):
         ranks, basis = prefix_ranks(np.zeros((6, 0), dtype=np.int64), [0])
         assert ranks.tolist() == [0] and basis.shape == (6, 0)
+
+
+RP2 = [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 5), (0, 4, 5),
+       (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)]
+
+
+def fan_then_tetrahedron(fan):
+    """``fan`` triangles (0, i, i+1), each with a new edge, then the four
+    faces of a tetrahedron on four other vertices: the first fan + 3 columns
+    are pivots and the last one is not."""
+    n = fan + 6
+    tris = [(0, i, i + 1) for i in range(1, fan + 1)]
+    a = fan + 2
+    tris += [(a, a + 1, a + 2), (a, a + 1, a + 3), (a, a + 2, a + 3), (a + 1, a + 2, a + 3)]
+    return triangle_edge_rows(Complex2(n, complete_edges(n), tris))
+
+
+class TestBoundaryPivots:
+    def test_prefix_ranks_match_gram_schmidt_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            k = random_complex(rng, n_max=14)
+            order = rng.permutation(k.num_triangles)
+            pivot = boundary_pivots(triangle_edge_rows(k)[:, order])
+            stops = np.arange(k.num_triangles + 1)
+            ranks = prefix_ranks(build_incidence(k).b2[:, order], stops)[0]
+            assert np.concatenate([[0], np.cumsum(pivot)]).tolist() == ranks.tolist()
+
+    def test_pivot_columns_are_a_basis(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            k = random_complex(rng, n_max=14)
+            b2 = build_incidence(k).b2
+            pivots = np.flatnonzero(boundary_pivots(triangle_edge_rows(k)))
+            assert len(pivots) == rank(b2[:, pivots]) == rank(b2)
+
+    def test_no_columns(self):
+        assert boundary_pivots(np.zeros((3, 0), dtype=np.int64)).shape == (0,)
+
+    def test_rp2_mod_2_miscount_is_caught_and_retried(self, monkeypatch):
+        # H1(RP^2) = Z/2: mod 2 the last column reduces to zero, one short of
+        # the real rank 10; the span check refuses it and the next prime counts 10
+        rows = triangle_edge_rows(Complex2(6, complete_edges(6), RP2))
+        mod_2 = complexes._pivots_mod(rows, 2)
+        assert mod_2.sum() == 9 and not mod_2[-1]
+        assert not complexes._dependents_in_span(rows, mod_2, 2)
+        monkeypatch.setattr(complexes, "PRIMES", (2, 2**61 - 1))
+        assert boundary_pivots(rows).all()
+
+    def test_every_prime_failing_raises(self, monkeypatch):
+        monkeypatch.setattr(complexes, "PRIMES", (2,))
+        rows = triangle_edge_rows(Complex2(6, complete_edges(6), RP2))
+        with pytest.raises(ValueError, match="not settled mod any of the primes"):
+            boundary_pivots(rows)
+
+    def test_hadamard_threshold(self):
+        # a missed pivot needs a nonzero (m+1)-minor that p divides; the
+        # minor is at most 3^((m+1)/2), below p = 2^61 - 1 up to m + 1 = 76
+        p = 2**61 - 1
+        assert 3**76 < p * p <= 3**77
+        assert span_check_from(p) == 76
+        assert span_check_from(2) == 1
+
+    @pytest.mark.parametrize("fan, checked", [(72, 0), (73, 1)])
+    def test_span_checks_start_at_m_plus_one_77(self, monkeypatch, fan, checked):
+        # the tetrahedron's last face follows fan + 3 pivots: m + 1 = 76
+        # needs no check, m + 1 = 77 does
+        calls = []
+
+        def counting_gram(rows):
+            calls.append(rows.shape[1])
+            return boundary_gram(rows)
+        monkeypatch.setattr(complexes, "boundary_gram", counting_gram)
+        pivot = boundary_pivots(fan_then_tetrahedron(fan))
+        assert pivot.sum() == fan + 3 and not pivot[-1]
+        assert len(calls) == checked
+
+    def test_products_match_dense_d2(self):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            k = random_complex(rng, n_max=14)
+            rows = triangle_edge_rows(k)
+            b2 = build_incidence(k).b2.astype(np.float64)
+            x = rng.normal(size=(k.num_triangles, 2))
+            y = rng.normal(size=(k.num_edges, 2))
+            assert np.array_equal(boundary_gram(rows), b2.T @ b2)
+            assert np.abs(boundary(rows, x, k.num_edges) - b2 @ x).max(initial=0.0) <= 1e-12
+            assert np.abs(boundary_t(rows, y) - b2.T @ y).max(initial=0.0) <= 1e-12
 
 
 def test_rank_of_empty_matrix():

@@ -6,6 +6,7 @@ from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complet
 from hodgecover.hodge import HodgeDecomp, decompose, residual_certificate
 from hodgecover.moe import CalibCorpus, synth_layer
 from hodgecover.pipeline import analyze_layer
+from hodgecover.selector import build_coverage
 
 
 def random_pair(rng, n_max=14):
@@ -34,10 +35,14 @@ def decompose_pinv(k, inc, b):
     return HodgeDecomp(EdgeSignal(grad), EdgeSignal(curl), EdgeSignal(harm), *energies)
 
 
-def svd_basis(b2):
-    """An orthonormal basis of im(b2) independent of prefix_ranks."""
-    u, _, _ = np.linalg.svd(b2.astype(np.float64), full_matrices=False)
-    return u[:, :rank(b2)]
+def greedy_pivots(b2):
+    """Columns of b2 that raise the SVD rank, left to right: a basis of
+    im(b2) found without the column reduction."""
+    pivots = []
+    for col in range(b2.shape[1]):
+        if rank(b2[:, pivots + [col]]) > len(pivots):
+            pivots.append(col)
+    return np.array(pivots, dtype=np.int64)
 
 
 def assert_matches_pinv(d, oracle, tol=1e-12):
@@ -54,7 +59,7 @@ def closed_tetrahedron():
 
 
 class TestDecomposeMatchesPinvOracle:
-    """decompose projects onto an orthonormal basis; the pinv path is the oracle."""
+    """decompose projects onto the span of pivot triangles; the pinv path is the oracle."""
 
     def test_rank_deficient_d2(self):
         rng = np.random.default_rng(20)
@@ -67,7 +72,7 @@ class TestDecomposeMatchesPinvOracle:
                 b = EdgeSignal(rng.normal(size=k.num_edges))
                 oracle = decompose_pinv(k, inc, b)
                 assert_matches_pinv(decompose(k, inc, b), oracle)
-                assert_matches_pinv(decompose(k, inc, b, basis=svd_basis(inc.b2)), oracle)
+                assert_matches_pinv(decompose(k, inc, b, pivots=greedy_pivots(inc.b2)), oracle)
 
     def test_random_complexes(self):
         rng = np.random.default_rng(21)
@@ -77,7 +82,7 @@ class TestDecomposeMatchesPinvOracle:
             deficient += rank(inc.b2) < k.num_triangles
             oracle = decompose_pinv(k, inc, b)
             assert_matches_pinv(decompose(k, inc, b), oracle)
-            assert_matches_pinv(decompose(k, inc, b, basis=svd_basis(inc.b2)), oracle)
+            assert_matches_pinv(decompose(k, inc, b, pivots=greedy_pivots(inc.b2)), oracle)
         assert deficient > 0
 
     def test_zero_signal(self):
@@ -90,20 +95,18 @@ class TestDecomposeMatchesPinvOracle:
     def test_analyze_layer(self, n):
         corpus = CalibCorpus.sample(256, 2048, 42)
         a = analyze_layer(synth_layer(n=n, seed=0), corpus)
-        k, inc, q = a.complex, a.incidence, a.filtration.curl_basis
-        b2 = inc.b2.astype(np.float64)
-        assert q.shape == (k.num_edges, rank(b2))
-        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
-        assert np.abs(q @ (q.T @ b2) - b2).max() <= 1e-12
+        k, inc, pivots = a.complex, a.incidence, a.filtration.curl_basis
+        assert len(pivots) == rank(inc.b2[:, pivots]) == rank(inc.b2)
         oracle = decompose_pinv(k, inc, a.signal)
         assert_matches_pinv(a.decomp, oracle)
         assert_matches_pinv(decompose(k, inc, a.signal), oracle)
 
-    def test_basis_rows_must_match_edges(self):
+    def test_pivots_must_index_triangles(self):
         k = closed_tetrahedron()
         inc = build_incidence(k)
-        with pytest.raises(ValueError, match="rows"):
-            decompose(k, inc, EdgeSignal(np.ones(6)), basis=np.zeros((5, 3)))
+        for bad in (np.array([0, 4]), np.array([-1]), np.zeros((2, 1), dtype=np.int64)):
+            with pytest.raises(ValueError, match="pivots must index"):
+                decompose(k, inc, EdgeSignal(np.ones(6)), pivots=bad)
 
 
 class TestDecompose:
@@ -252,3 +255,18 @@ class TestResidualCertificate:
             report = residual_certificate(k, inc, b, decompose(k, inc, b))
             assert report["residual_lsq"] == pytest.approx(
                 report["harm_energy"], rel=1e-7, abs=1e-12)
+
+
+def test_critical_edges_match_pinv_oracle_on_default_models():
+    # the 20 % cut of |harm| falls within a near-tie on many 4 x 16 seeds, so
+    # the curl's rounding can move a critical edge and with it a plan.  This
+    # pins the critical sets of the default model at model.seed 0-7 (layer
+    # seeds 0-10, the default corpus) to those of the pinv oracle.
+    corpus = CalibCorpus.sample(256, 2048, 42)
+    for layer_seed in range(8 + 3):
+        a = analyze_layer(synth_layer(seed=layer_seed), corpus)
+        oracle = decompose_pinv(a.complex, a.incidence, a.signal)
+        got = build_coverage(a.complex, a.decomp, a.table, a.sal)
+        want = build_coverage(a.complex, oracle, a.table, a.sal)
+        # the selector reads the set: its order within a tie does not count
+        assert np.array_equal(np.sort(got.crit_edges), np.sort(want.crit_edges)), layer_seed

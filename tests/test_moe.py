@@ -583,6 +583,19 @@ class TestCompressionLoss:
         with pytest.raises(ValueError, match="outside"):
             compression_loss(layer, small_corpus(), plan)
 
+    def test_masks_must_be_the_survivors_own(self):
+        # masks pruned for another plan's survivors: before, the survivors
+        # they miss stayed whole and the masks of dropped experts went unread
+        layer = synth_layer(n=8, seed=3)
+        corpus = small_corpus()
+        plan = self._plan([0, 3, 5], n=8)
+        own = prune_survivors(layer, corpus, plan.survivors, 0.5)
+        assert np.isfinite(compression_loss(layer, corpus, plan, own))
+        for keys in ([0, 3], [0, 3, 5, 6], [1, 3, 5], []):
+            masks = prune_survivors(layer, corpus, keys, 0.5)
+            with pytest.raises(ValueError, match="do not match the plan's survivors"):
+                compression_loss(layer, corpus, plan, masks)
+
     def test_plan_over_fewer_experts_rejected(self):
         # experts 6 and 7 would vanish from the compressed layer
         layer = synth_layer(n=8, seed=3)
@@ -722,7 +735,9 @@ class TestCompressedFoldMatchesOracle:
     @pytest.mark.parametrize("r2", [0.0, 0.9])
     def test_hybrid_plans_with_pruned_survivors(self, r2):
         plan = redirect_plan(16, {i: i % 4 for i in range(4, 16)})
-        masks = prune_survivors(self.layer, small_corpus(), plan.survivors[:3], r2)
+        # three survivors pruned at r2, the rest kept whole by all-ones masks
+        masks = {**prune_survivors(self.layer, small_corpus(), plan.survivors[:3], r2),
+                 **prune_survivors(self.layer, small_corpus(), plan.survivors[3:], 0.0)}
         assert_fold_matches_oracle(self.layer, self.heldout, plan, masks)
 
     @pytest.mark.parametrize("ctx, symbol, redirect", [
@@ -767,8 +782,9 @@ class TestCompressedFoldMatchesOracle:
         redirect = {int(i): int(rng.choice(survivors)) for i in dropped}
         plan = redirect_plan(n, redirect)
         r2 = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
-        masks = prune_survivors(layer, CalibCorpus.sample(ctx, 32, seed + 1),
-                                survivors[::2], r2)
+        calib = CalibCorpus.sample(ctx, 32, seed + 1)
+        masks = {**prune_survivors(layer, calib, survivors[::2], r2),
+                 **prune_survivors(layer, calib, survivors[1::2], 0.0)}
         assert_fold_matches_oracle(layer, heldout, plan, masks)
         assert_fold_matches_oracle(layer, heldout, plan)
 

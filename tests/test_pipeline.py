@@ -112,6 +112,22 @@ class TestModelFlow:
         with pytest.raises(ValueError, match="bit-exact survivors; 'greedy_barrier'"):
             model_loss(layers, corpus, merge_plans, masks)
 
+    def test_one_plan_and_mask_set_per_layer(self):
+        # zip would cut every list to the shortest and drop layers from the mean
+        corpus = CalibCorpus.sample(256, 1024, 42)
+        layers = [synth_layer(n=8, clusters=2, seed=s) for s in (7, 8)]
+        plans = compress_model([analyze_layer(layer, corpus) for layer in layers],
+                               [4, 4], "hodgecover")
+        _, masks = hybrid_prune(layers, corpus, plans, r_total=0.66, r1=0.20)
+        assert np.isfinite(model_loss(layers, corpus, plans, masks))
+        for args in ((layers, plans[:1]), (layers[:1], plans), (layers, plans, masks[:1]),
+                     (layers[:1], plans[:1], masks)):
+            with pytest.raises(ValueError, match="zip"):
+                model_loss(args[0], corpus, *args[1:])
+        for args in ((layers, plans[:1]), (layers[:1], plans)):
+            with pytest.raises(ValueError, match="zip"):
+                hybrid_prune(*args[:1], corpus, *args[1:], r_total=0.66, r1=0.20)
+
     def test_hybrid_prune_returns_masks_from_the_same_pass(self, monkeypatch):
         corpus = CalibCorpus.sample(256, 1024, 42)
         layers = [synth_layer(seed=s) for s in (7, 8)]
