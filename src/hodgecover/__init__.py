@@ -10,9 +10,8 @@ from .complexes import (Complex2, ComplexStructureError, EdgeSignal, SignedIncid
                         betti1, build_incidence, complete_edges, edge_laplacian,
                         kernel_dimension, random_complex)
 from .hodge import HodgeDecomp, decompose, residual_certificate
-from .moe import (BarrierTable, CalibCorpus, MoeLayer, SaliencyVector, barrier_sweep,
-                  compression_loss, plant_discordant_triple, routing_frequencies, saliency,
-                  synth_layer)
+from .moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep, compression_loss,
+                  plant_discordant_triple, routing_frequencies, saliency, synth_layer)
 from .builder import FiltrationResult, stage_a_candidates, stage_b_filtration
 from .selector import (CoverageInstance, LayerBudget, SurvivorPlan, allocate_uniform,
                        allocate_weighted, build_coverage, greedy_select, phi, redirect,

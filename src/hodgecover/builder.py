@@ -18,9 +18,11 @@ of a column prefix of d2 over the complete edge set.  One column reduction
 (:func:`~hodgecover.complexes.boundary_pivots`, which states why its ranks
 are the real ones) gives every prefix rank, one union-find over the sorted
 edges the component counts, and beta1(tau) = |E_tau| - n + components(tau)
-- rank(tau).  Only the chosen complex is built.  The pivot triangles at tau*
-have independent columns that span im(d2) of the chosen complex; the result
-keeps them as ``curl_basis``, so the Hodge decomposition projects onto them
+- rank(tau).  The reduction reads d2 from the candidate complex's
+``Complex2.edge_rows``, so no |E| x |T| matrix is formed.  Only the chosen
+complex is built besides.  The pivot triangles at tau* have independent
+columns that span im(d2) of the chosen complex; the result keeps them as
+``FiltrationResult.pivots``, so the Hodge decomposition projects onto them
 without a second reduction.
 """
 
@@ -33,7 +35,7 @@ import numpy as np
 # betti1 and build_incidence are unused here but stay importable: the
 # benchmark's tracer (perfbench/tracing.py) patches them here by name.
 from .complexes import (Complex2, UnionFind, betti1, boundary_pivots,  # noqa: F401
-                        build_incidence, complete_edges, triangle_edge_rows)
+                        build_incidence, complete_edges)
 from .moe import BarrierTable
 
 GRID_POINTS = 80
@@ -45,14 +47,14 @@ DEFAULT_SEED = 42
 class FiltrationResult:
     """Betti curve over the threshold grid and the chosen complex.
 
-    ``curl_basis`` holds the indices of rank(d2) triangles of the chosen
+    ``pivots`` holds the indices of rank(d2) triangles of the chosen
     complex, ascending, whose columns of d2 are a basis of its im(d2).
     """
 
     tau_star: float
     betti_curve: tuple[tuple[float, int], ...]
     chosen_complex: Complex2
-    curl_basis: np.ndarray
+    pivots: np.ndarray
 
     @property
     def beta1(self) -> int:
@@ -126,8 +128,7 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     tri_order = np.argsort(tri_vals, kind="stable")
     num_edges = np.searchsorted(edge_vals[edge_order], grid, side="right")
     num_tris = np.searchsorted(tri_vals[tri_order], grid, side="right")
-    rows = triangle_edge_rows(Complex2(n, edges, candidates))
-    pivot = boundary_pivots(rows[:, tri_order])
+    pivot = boundary_pivots(Complex2(n, edges, candidates).edge_rows[:, tri_order])
     components = _prefix_components(n, edges[edge_order])[num_edges]
     ranks = np.concatenate([[0], np.cumsum(pivot)])[num_tris]
     betas = num_edges - n + components - ranks
@@ -141,8 +142,8 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     # those of the prefix
     in_candidate_order = np.empty_like(pivot)
     in_candidate_order[tri_order] = pivot
-    curl_basis = np.flatnonzero(in_candidate_order[chosen_tris])
-    return FiltrationResult(tau_star, curve, chosen, curl_basis)
+    return FiltrationResult(tau_star, curve, chosen,
+                            np.flatnonzero(in_candidate_order[chosen_tris]))
 
 
 def _prefix_components(n: int, edges: np.ndarray) -> np.ndarray:

@@ -212,35 +212,35 @@ def allocate(cfg: dict, rate: float, analyses) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # commands
 
+# what a command returns: its artifacts (path -> text) and the line to print.  No
+# command writes; main writes once the command has returned, so a command that
+# fails leaves no run directory.
+Output = tuple[dict[Path, str], str]
 
-def cmd_synth(cfg: dict, out: Path) -> int:
-    write_manifest(out, "synth", cfg)
+
+def cmd_synth(cfg: dict, out: Path) -> Output:
     model_dir = out / "model"
-    for idx, layer in enumerate(model_layers(cfg)):
-        write_artifact(model_dir / f"layer_{idx:03d}.json", layer.to_json() + "\n")
-    print(f"wrote {cfg['model']['layers']} layer files under {model_dir}")
-    return 0
+    artifacts = {model_dir / f"layer_{idx:03d}.json": layer.to_json() + "\n"
+                 for idx, layer in enumerate(model_layers(cfg))}
+    return artifacts, f"wrote {cfg['model']['layers']} layer files under {model_dir}"
 
 
-def cmd_barriers(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
+def cmd_barriers(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
     barrier_dir = out / "barriers"
+    artifacts = {}
     for idx, analysis in enumerate(analyses):
-        write_artifact(barrier_dir / f"layer_{idx:03d}.json", analysis.table.to_json() + "\n")
-        write_artifact(barrier_dir / f"layer_{idx:03d}_pairwise.csv",
-                       analysis.table.pairwise_csv())
-    print(f"wrote barrier tables for {len(analyses)} layers under {barrier_dir}")
-    return 0
+        artifacts[barrier_dir / f"layer_{idx:03d}.json"] = analysis.table.to_json() + "\n"
+        artifacts[barrier_dir / f"layer_{idx:03d}_pairwise.csv"] = analysis.table.pairwise_csv()
+    return artifacts, f"wrote barrier tables for {len(analyses)} layers under {barrier_dir}"
 
 
-def cmd_diagnose(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
+def cmd_diagnose(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
     diags = diagnose_model(analyses)
-    for idx, analysis in enumerate(analyses):
-        write_artifact(out / f"betti_curve_layer_{idx:03d}.csv",
-                       analysis.filtration.curve_csv())
-    write_artifact(out / "diagnostics.csv", diagnostics_csv(diags))
-    write_artifact(out / "diagnostics_series.json", series_json(diags) + "\n")
-    print(f"wrote diagnostics for {len(diags)} layers under {out}")
-    return 0
+    artifacts = {out / f"betti_curve_layer_{idx:03d}.csv": analysis.filtration.curve_csv()
+                 for idx, analysis in enumerate(analyses)}
+    artifacts[out / "diagnostics.csv"] = diagnostics_csv(diags)
+    artifacts[out / "diagnostics_series.json"] = series_json(diags) + "\n"
+    return artifacts, f"wrote diagnostics for {len(diags)} layers under {out}"
 
 
 def _compress(cfg: dict, analyses, corpus, heldout, method: str, rate: float):
@@ -274,21 +274,20 @@ def check_hybrid(cfg: dict, methods) -> None:
                        "expert groups instead", USAGE_ERROR)
 
 
-def cmd_compress(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
+def cmd_compress(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
     plans, summary, masks = _compress(cfg, analyses, corpus, heldout,
                                       cfg["selector"]["method"],
                                       float(cfg["selector"]["rate"]))
-    for idx, plan in enumerate(plans):
-        write_artifact(out / "plans" / f"plan_layer_{idx:03d}.json", plan.to_json() + "\n")
-    if masks is not None:
-        for idx, mask in enumerate(masks):
-            write_artifact(out / f"masks_layer_{idx:03d}.json", masks_to_json(mask) + "\n")
-    write_artifact(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+    artifacts = {out / "plans" / f"plan_layer_{idx:03d}.json": plan.to_json() + "\n"
+                 for idx, plan in enumerate(plans)}
+    for idx, mask in enumerate(masks or ()):
+        artifacts[out / f"masks_layer_{idx:03d}.json"] = masks_to_json(mask) + "\n"
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    artifacts[out / "summary.json"] = text + "\n"
+    return artifacts, text
 
 
-def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
+def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
     rate = float(cfg["selector"]["rate"])
     grid = {}
     retained = {}
@@ -302,19 +301,17 @@ def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> int:
         {m: RetainedMass(**vals) for m, vals in retained.items()})
     doc = {"rate": rate, "grid": grid, "retained_mass": retained,
            "deviation_from_hodgecover": deviations}
-    write_artifact(out / "ablation_grid.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     lines = ["method,heldout_loss,ret_harm,ret_grad,ret_curl,ret_triplet"]
     for method in METHODS:
         r = retained[method]
         lines.append(f"{method},{grid[method]['heldout_loss']!r},"
                      f"{r['harm']!r},{r['grad']!r},{r['curl']!r},{r['triplet']!r}")
-    write_artifact(out / "ablation_grid.csv", "\n".join(lines) + "\n")
-    print(f"wrote ablation grid over {len(METHODS)} methods at rate {rate} under {out}")
-    return 0
+    artifacts = {out / "ablation_grid.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                 out / "ablation_grid.csv": "\n".join(lines) + "\n"}
+    return artifacts, f"wrote ablation grid over {len(METHODS)} methods at rate {rate} under {out}"
 
 
-# the commands that analyse a model: each gets every layer's analysis and both
-# corpora, and only writes its artifacts
+# the commands that analyse a model: each gets every layer's analysis and both corpora
 MODEL_COMMANDS = {"barriers": cmd_barriers, "diagnose": cmd_diagnose,
                   "compress": cmd_compress, "ablate": cmd_ablate}
 
@@ -356,7 +353,7 @@ def cmd_report(run_dir: str) -> int:
     if diagnostics.exists():
         report["diagnostics_csv"] = read_artifact(
             diagnostics, lambda text: text.strip().split("\n"))
-    if len(report) <= 1 and "manifest" not in report:
+    if not report:
         raise CliError(f"no recognized artifacts under {run_dir}", DATA_ERROR)
     write_artifact(folder / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     for key in report:
@@ -426,17 +423,23 @@ def main(argv: list[str] | None = None) -> int:
 
         out = Path(args.out)
         if args.command == "synth":
-            return cmd_synth(cfg, out)
-        if args.command in ("compress", "ablate"):
-            check_hybrid(cfg, [cfg["selector"]["method"]] if args.command == "compress"
-                         else METHODS)
-        layers = load_model(args.model_dir, cfg["model"]["ctx"])
-        corpus, heldout = corpora(cfg)
+            artifacts, message = cmd_synth(cfg, out)
+        else:
+            if args.command in ("compress", "ablate"):
+                check_hybrid(cfg, [cfg["selector"]["method"]] if args.command == "compress"
+                             else METHODS)
+            layers = load_model(args.model_dir, cfg["model"]["ctx"])
+            corpus, heldout = corpora(cfg)
+            sel = cfg["selector"]
+            analyses = [analyze_layer(layer, corpus, cap=sel["triangle_cap"],
+                                      seed=sel["triangle_seed"]) for layer in layers]
+            artifacts, message = MODEL_COMMANDS[args.command](cfg, out, analyses, corpus,
+                                                              heldout)
         write_manifest(out, args.command, cfg)
-        sel = cfg["selector"]
-        analyses = [analyze_layer(layer, corpus, cap=sel["triangle_cap"],
-                                  seed=sel["triangle_seed"]) for layer in layers]
-        return MODEL_COMMANDS[args.command](cfg, out, analyses, corpus, heldout)
+        for path, text in artifacts.items():
+            write_artifact(path, text)
+        print(message)
+        return 0
     except CliError as exc:
         print(f"hodgecover: error: {exc}", file=sys.stderr)
         return exc.code

@@ -8,7 +8,11 @@ the signed boundary operators are determined by the sorted simplex lists:
     d2 [i, j, k] = [j, k] - [i, k] + [i, j]  (edge-triangle incidence)
 
 They satisfy d1 @ d2 = 0 exactly in integer arithmetic, which is the single
-identity behind everything in :mod:`hodgecover.hodge`.  The first Betti
+identity behind everything in :mod:`hodgecover.hodge`.  A complex finds the
+edge rows of its triangles once, at construction (``Complex2.edge_rows``),
+and the analysis reads d2 only through them: sparse column reduction,
+gathers and scatter-adds.  No |E| x |T| matrix is formed on that path; the
+dense :class:`SignedIncidence` serves the oracles.  The first Betti
 number is computed by the Euler-Poincare count
 
     beta1 = |E| - |V| + components(1-skeleton) - rank(d2)
@@ -18,7 +22,8 @@ and independently as dim ker(L1) for cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,18 +48,25 @@ class Complex2:
 
     ``edges`` is an (|E|, 2) int array with rows (i, j), i < j, strictly
     lexicographically increasing; ``triangles`` is (|T|, 3) with rows
-    (i, j, k), i < j < k, also strictly increasing.  Instances are
-    immutable after construction and safe to share across threads.
+    (i, j, k), i < j < k, also strictly increasing.  ``edge_rows`` is the
+    read-only (3, |T|) array of the rows in ``edges`` of each triangle's
+    edges (i,j), (i,k), (j,k): column t of d2 holds +1, -1, +1 there.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     n: int
     edges: np.ndarray
     triangles: np.ndarray
+    edge_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _as_simplex_array(self.edges, 2))
         object.__setattr__(self, "triangles", _as_simplex_array(self.triangles, 3))
         self._validate()
+        rows = self._triangle_edge_rows()
+        rows.flags.writeable = False
+        object.__setattr__(self, "edge_rows", rows)
 
     def _validate(self) -> None:
         if self.n < 0:
@@ -69,7 +81,21 @@ class Complex2:
                 flat = _lex_keys(arr, self.n)
                 if not (np.diff(flat) > 0).all():
                     raise ComplexStructureError(f"{name} list is not strictly lex-sorted")
-        triangle_edge_rows(self)
+
+    def _triangle_edge_rows(self) -> np.ndarray:
+        """``edge_rows``; raises :class:`ComplexStructureError` naming the
+        first triangle that has an edge missing from the edge list."""
+        keys = _lex_keys(_triangle_edges(self.triangles), self.n)
+        edge_keys = _lex_keys(self.edges, self.n)
+        rows = np.searchsorted(edge_keys, keys)
+        found = rows < self.num_edges
+        found[found] = edge_keys[rows[found]] == keys[found]
+        found = found.reshape(3, self.num_triangles).all(axis=0)
+        if not found.all():
+            i, j, kk = self.triangles[np.nonzero(~found)[0][0]]
+            raise ComplexStructureError(
+                f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list")
+        return rows.reshape(3, self.num_triangles)
 
     @property
     def num_edges(self) -> int:
@@ -115,28 +141,26 @@ class SignedIncidence:
     b2: np.ndarray
 
 
+def vertex_boundary(k: Complex2, dtype=np.float64) -> np.ndarray:
+    """d1 as a dense n x |E| matrix: -1 at each edge's tail, +1 at its head."""
+    d1 = np.zeros((k.n, k.num_edges), dtype=dtype)
+    cols = np.arange(k.num_edges)
+    d1[k.edges[:, 0], cols] = -1
+    d1[k.edges[:, 1], cols] = +1
+    return d1
+
+
 def build_incidence(k: Complex2) -> SignedIncidence:
-    """Assemble the signed boundary matrices of ``k``.
+    """The dense signed boundary matrices of ``k``, for the oracles and tests.
 
-    Raises :class:`ComplexStructureError` if a triangle references an edge
-    that is not in the edge list (checked again here because the incidence
-    assembly is exactly where the closure property is consumed).
+    The analysis never forms them: it reads d1 from ``k.edges`` and d2 from
+    ``k.edge_rows``.
     """
-    m, t = k.num_edges, k.num_triangles
-    b1 = np.zeros((k.n, m), dtype=np.int64)
-    if m:
-        cols = np.arange(m)
-        b1[k.edges[:, 0], cols] = -1
-        b1[k.edges[:, 1], cols] = +1
-
-    b2 = np.zeros((m, t), dtype=np.int64)
-    if t:
-        rows = triangle_edge_rows(k)
-        cols = np.arange(t)
-        b2[rows[0], cols] = +1
-        b2[rows[1], cols] = -1
-        b2[rows[2], cols] = +1
-    return SignedIncidence(b1=b1, b2=b2)
+    b2 = np.zeros((k.num_edges, k.num_triangles), dtype=np.int64)
+    cols = np.arange(k.num_triangles)
+    for sign, rows in zip(SIGNS, k.edge_rows):
+        b2[rows, cols] = sign
+    return SignedIncidence(b1=vertex_boundary(k, np.int64), b2=b2)
 
 
 def edge_laplacian(inc: SignedIncidence) -> np.ndarray:
@@ -169,7 +193,7 @@ def boundary_pivots(rows: np.ndarray) -> np.ndarray:
     """Pivot columns of d2 over the reals, from one column reduction mod a prime.
 
     Column c of d2 holds +1, -1, +1 at the edge rows ``rows[:, c]`` (the
-    layout of :func:`triangle_edge_rows`).  The columns are reduced left to
+    layout of ``Complex2.edge_rows``).  The columns are reduced left to
     right mod p = 2^61 - 1, each against the pivot columns before it by their
     lowest nonzero row, as in persistent homology (Edelsbrunner, Letscher and
     Zomorodian 2002; Zomorodian and Carlsson 2005).  A column that does not
@@ -208,10 +232,7 @@ def boundary_pivots(rows: np.ndarray) -> np.ndarray:
 def span_check_from(prime: int) -> int:
     """Fewest pivots before a non-pivot column at which it needs the real check:
     the least m with 3^(m+1) >= prime^2."""
-    m = 0
-    while 3 ** (m + 1) < prime * prime:
-        m += 1
-    return m
+    return next(m for m in itertools.count() if 3 ** (m + 1) >= prime * prime)
 
 
 def _pivots_mod(rows: np.ndarray, prime: int) -> np.ndarray:
@@ -242,23 +263,29 @@ def _dependents_in_span(rows: np.ndarray, pivot: np.ndarray, prime: int) -> bool
     """Whether each non-pivot column the Hadamard bound leaves open lies in
     the real span of the pivots before it (see :func:`boundary_pivots`).
 
-    One solve of the normal equations of all pivots serves every open
-    column: its coefficients on the pivots at or after it are dropped, and
-    what the rest leaves of the column is at least its distance from the
-    span of the pivots before it.  In that span the dropped coefficients
-    vanish, so what is left is rounding.
+    A real dependency is a 2-chain with zero boundary, on whose support each
+    edge lies on two triangles or more, so peeling off columns with an edge
+    no other kept column has spares it.  One solve of the normal equations
+    of the pivots left serves all open columns: with its coefficients on
+    later pivots dropped, what is left of a column is rounding if it is in
+    the span of the pivots before it, and at least its distance from it if not.
     """
     before = np.cumsum(pivot) - pivot
-    open_cols = np.flatnonzero(~pivot & (before >= span_check_from(prime)))
+    keep = pivot | (before >= span_check_from(prime))
+    open_cols = np.flatnonzero(keep & ~pivot)
     if not len(open_cols):
         return True
-    used, flat = np.unique(rows, return_inverse=True)
-    rows = flat.reshape(rows.shape)
-    piv = rows[:, pivot]
-    cols = boundary(rows[:, open_cols], np.eye(len(open_cols)), len(used))
+    num_edges, lone = int(rows.max()) + 1, keep
+    while lone.any():
+        count = np.bincount(rows[:, keep].ravel(), minlength=num_edges)
+        lone = keep & (count[rows] == 1).any(axis=0)
+        keep &= ~lone
+    piv_cols = np.flatnonzero(keep & pivot)
+    piv = rows[:, piv_cols]
+    cols = boundary(rows[:, open_cols], np.eye(len(open_cols)), num_edges)
     coef = np.linalg.solve(boundary_gram(piv), boundary_t(piv, cols))
-    coef[np.arange(piv.shape[1])[:, None] >= before[open_cols]] = 0.0
-    resid = cols - boundary(piv, coef, len(used))
+    coef[piv_cols[:, None] > open_cols] = 0.0
+    resid = cols - boundary(piv, coef, num_edges)
     return bool((np.linalg.norm(resid, axis=0) <= RANK_CUTOFF * np.sqrt(3.0)).all())
 
 
@@ -337,13 +364,14 @@ def skeleton_components(k: Complex2) -> int:
     return uf.components
 
 
-def betti1(k: Complex2, inc: SignedIncidence) -> int:
+def betti1(k: Complex2) -> int:
     """First Betti number by the Euler-Poincare count for a 2-complex.
 
-    beta1 = |E| - |V| + components(1-skeleton) - rank(d2).  Equals the
+    beta1 = |E| - |V| + components(1-skeleton) - rank(d2), with the rank of
+    the dense d2 by SVD: the oracle of Stage B's Betti curve.  Equals the
     kernel dimension of L1 (see :func:`kernel_dimension`).
     """
-    value = k.num_edges - k.n + skeleton_components(k) - rank(inc.b2)
+    value = k.num_edges - k.n + skeleton_components(k) - rank(build_incidence(k).b2)
     if value < 0:
         raise ComplexStructureError(f"negative Betti number {value}; inputs inconsistent")
     return value
@@ -404,25 +432,6 @@ def _lex_keys(arr: np.ndarray, n: int) -> np.ndarray:
     for col in range(arr.shape[1]):
         key = key * base + arr[:, col]
     return key
-
-
-def triangle_edge_rows(k: Complex2) -> np.ndarray:
-    """Rows in ``k.edges`` of each triangle's edges (i,j), (i,k), (j,k), shape (3, |T|).
-
-    Raises :class:`ComplexStructureError` naming the first triangle that has
-    an edge missing from the edge list, which must be lex-sorted.
-    """
-    keys = _lex_keys(_triangle_edges(k.triangles), k.n)
-    edge_keys = _lex_keys(k.edges, k.n)
-    rows = np.searchsorted(edge_keys, keys)
-    found = rows < k.num_edges
-    found[found] = edge_keys[rows[found]] == keys[found]
-    found = found.reshape(3, k.num_triangles).all(axis=0)
-    if not found.all():
-        i, j, kk = k.triangles[np.nonzero(~found)[0][0]]
-        raise ComplexStructureError(
-            f"triangle ({i}, {j}, {kk}) has an edge missing from the edge list")
-    return rows.reshape(3, k.num_triangles)
 
 
 def _triangle_edges(triangles: np.ndarray) -> np.ndarray:

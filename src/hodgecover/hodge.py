@@ -7,8 +7,10 @@ plus triangle-boundary correction can explain, and its squared norm equals
 the joint least-squares residual min_{phi, psi} ||b - d1^T phi - d2 psi||^2
 (certified numerically by :func:`residual_certificate`).
 
-The split is computed without forming any |E| x |E| or |T| x |T| matrix
-beyond the Gram matrix of a basis of im(d2):
+The split reads the complex alone: d1 as a dense n x |E| matrix formed from
+``Complex2.edges``, and d2 through ``Complex2.edge_rows``.  No |E| x |E|,
+|E| x |T| or |T| x |T| matrix is formed beyond the Gram matrix of a basis
+of im(d2):
 
     1. alpha minimizes ||d1^T alpha - b||,  grad = d1^T alpha
     2. curl = d2_J (d2_J^T d2_J)^-1 d2_J^T (b - grad)
@@ -26,7 +28,7 @@ columns are independent; the products with d2_J are gathers and
 scatter-adds over each pivot triangle's three edges.  Because d1 d2 = 0,
 grad is orthogonal to im(d2), so the projection of b - grad is the curl
 part of b itself.  Stage B's filtration keeps J at tau*
-(``FiltrationResult.curl_basis``); :func:`decompose` called without it
+(``FiltrationResult.pivots``); :func:`decompose` called without it
 reduces the complex's own columns.
 """
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (Complex2, EdgeSignal, SignedIncidence, boundary, boundary_gram,
-                        boundary_pivots, boundary_t, svd_rcond, triangle_edge_rows)
+from .complexes import (Complex2, EdgeSignal, boundary, boundary_gram, boundary_pivots,
+                        boundary_t, build_incidence, svd_rcond, vertex_boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +58,7 @@ class HodgeDecomp:
     energy_harm: float
 
 
-def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
-              pivots: np.ndarray | None = None) -> HodgeDecomp:
+def decompose(k: Complex2, b: EdgeSignal, pivots: np.ndarray | None = None) -> HodgeDecomp:
     """Split ``b`` into its gradient, curl, and harmonic components.
 
     ``pivots`` are indices of triangles of ``k`` whose columns of d2 are a
@@ -66,7 +67,7 @@ def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
     values = b.values
     if values.shape != (k.num_edges,):
         raise ValueError(f"signal has shape {values.shape}, complex has {k.num_edges} edges")
-    rows = triangle_edge_rows(k)
+    rows = k.edge_rows
     if pivots is None:
         pivots = np.flatnonzero(boundary_pivots(rows))
     pivots = np.asarray(pivots, dtype=np.int64)
@@ -74,11 +75,11 @@ def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
                             < k.num_triangles):
         raise ValueError(f"pivots must index the complex's {k.num_triangles} triangles")
     rows = rows[:, pivots]
-    b1 = inc.b1.astype(np.float64)
+    d1 = vertex_boundary(k)
 
-    l0 = b1 @ b1.T
-    alpha = np.linalg.pinv(l0, rcond=svd_rcond(l0.shape)) @ (b1 @ values)
-    grad = b1.T @ alpha
+    l0 = d1 @ d1.T
+    alpha = np.linalg.pinv(l0, rcond=svd_rcond(l0.shape)) @ (d1 @ values)
+    grad = d1.T @ alpha
     coef = np.linalg.solve(boundary_gram(rows), boundary_t(rows, values - grad))
     curl = boundary(rows, coef, k.num_edges)
     harm = values - grad - curl
@@ -91,16 +92,17 @@ def decompose(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
     return HodgeDecomp(EdgeSignal(grad), EdgeSignal(curl), EdgeSignal(harm), *energies)
 
 
-def residual_certificate(k: Complex2, inc: SignedIncidence, b: EdgeSignal,
-                         d: HodgeDecomp) -> dict[str, float]:
+def residual_certificate(k: Complex2, b: EdgeSignal, d: HodgeDecomp) -> dict[str, float]:
     """Certify harmonic-energy minimality against a direct joint solve.
 
     Solves min over (phi, psi) of ||b - d1^T phi - d2 psi||^2 as one stacked
     least-squares problem and reports the residual next to ||harm||^2.  The
     two agree within 1e-7 relative on well-posed inputs; the stacked solve
     shares nothing with the sequential projection above, so agreement is an
-    independent certificate, not a tautology.
+    independent certificate, not a tautology.  It forms the dense d1 and d2
+    of ``k``.
     """
+    inc = build_incidence(k)
     design = np.hstack([inc.b1.T.astype(np.float64), inc.b2.astype(np.float64)])
     coef, _, _, _ = np.linalg.lstsq(design, b.values, rcond=svd_rcond(design.shape))
     residual = b.values - design @ coef

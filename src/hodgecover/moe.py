@@ -547,21 +547,12 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
 # Saliency
 
 
-@dataclass(frozen=True, eq=False)
-class SaliencyVector:
-    """Per-expert gate-weighted output-norm scores, min-max normalized."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
-def saliency(layer: MoeLayer, corpus: CalibCorpus) -> SaliencyVector:
+def saliency(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     """Mean routed gate mass times output norm per expert, scaled to [0, 1].
 
-    A never-routed expert scores raw 0.  When all raw scores coincide the
-    min-max normalization degenerates and the vector is all-zero.
+    Returns an (n,) float64 array.  A never-routed expert scores raw 0.
+    When all raw scores coincide the min-max normalization degenerates and
+    the vector is all-zero.
     """
     symbols, weights = corpus.symbol_weights
     idx, gates = _route(layer.router_logits[:, symbols], layer.fanout)
@@ -570,8 +561,8 @@ def saliency(layer: MoeLayer, corpus: CalibCorpus) -> SaliencyVector:
     raw *= np.linalg.norm(layer.expert_dists, axis=1)
     lo, hi = raw.min(), raw.max()
     if hi - lo <= 0.0:
-        return SaliencyVector(np.zeros(layer.n))
-    return SaliencyVector((raw - lo) / (hi - lo))
+        return np.zeros(layer.n)
+    return (raw - lo) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------

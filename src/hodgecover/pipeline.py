@@ -21,13 +21,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .builder import FiltrationResult, stage_a_candidates, stage_b_filtration
-# betti1 is unused here but stays importable: the benchmark's tracer
-# (perfbench/tracing.py) patches hodgecover.pipeline.betti1 by name.
-from .complexes import (Complex2, EdgeSignal, SignedIncidence, betti1,  # noqa: F401
-                        build_incidence)
+# betti1 and build_incidence are unused here but stay importable: the benchmark's
+# tracer (perfbench/tracing.py) patches them as hodgecover.pipeline.<name>.
+from .complexes import Complex2, EdgeSignal, betti1, build_incidence  # noqa: F401
 from .hodge import HodgeDecomp, decompose
-from .moe import (BarrierTable, CalibCorpus, MoeLayer, SaliencyVector, barrier_sweep,
-                  compression_loss, extend_triplets, saliency)
+from .moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep, compression_loss,
+                  extend_triplets, saliency)
 from .selector import (CoverageInstance, SurvivorPlan, build_coverage, greedy_select,
                        phi, redirect, select_ablation, select_random)
 from .wanda import PruneMask, prune_survivors, residual_sparsity
@@ -56,17 +55,19 @@ class SelectorParams:
 
 @dataclass(frozen=True, eq=False)
 class LayerAnalysis:
-    """Everything the selectors need about one layer, computed once."""
+    """Everything the selectors need about one layer, computed once.
+
+    ``sal`` is the per-expert saliency of :func:`~hodgecover.moe.saliency`.
+    """
 
     layer: MoeLayer
     table: BarrierTable
     candidates: np.ndarray
     filtration: FiltrationResult
     complex: Complex2
-    incidence: SignedIncidence
     signal: EdgeSignal
     decomp: HodgeDecomp
-    sal: SaliencyVector
+    sal: np.ndarray
     beta1: int
 
 
@@ -87,12 +88,10 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
         logger.warning("chosen complex has %d of %d edges; expected the complete "
                        "edge set on planted layers", k.num_edges,
                        layer.n * (layer.n - 1) // 2)
-    inc = build_incidence(k)
     signal = pairwise_signal(k, table)
     return LayerAnalysis(
         layer=layer, table=table, candidates=candidates, filtration=filtration,
-        complex=k, incidence=inc, signal=signal,
-        decomp=decompose(k, inc, signal, pivots=filtration.curl_basis),
+        complex=k, signal=signal, decomp=decompose(k, signal, pivots=filtration.pivots),
         sal=saliency(layer, corpus),
         beta1=filtration.beta1,
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from .complexes import Complex2
 from .hodge import HodgeDecomp
-from .moe import BarrierTable, SaliencyVector, read_only
+from .moe import BarrierTable, read_only
 
 REDIRECT_GUARD = 1e-12
 ABLATION_VARIANTS = ("greedy_barrier", "triplet_penalty", "triplet_hypergraph")
@@ -171,7 +171,7 @@ class LayerBudget:
 
 
 def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
-                   sal: SaliencyVector, *, p: float = 20.0, q_t: float = 20.0,
+                   sal: np.ndarray, *, p: float = 20.0, q_t: float = 20.0,
                    lam_e: float = 1.0, lam_t: float = 0.5) -> CoverageInstance:
     """Extract the critical simplices and incidence maps for one layer.
 
@@ -195,7 +195,7 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
         crit_triangles=crit_tris,
         edge_incidence=_incidence(k.n, k.edges[crit_edges]),
         tri_incidence=_incidence(k.n, k.triangles[crit_tris]),
-        sal=np.asarray(sal.values, dtype=np.float64),
+        sal=np.asarray(sal, dtype=np.float64),
         lam_e=float(lam_e),
         lam_t=float(lam_t),
     )

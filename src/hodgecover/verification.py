@@ -61,9 +61,8 @@ def check_hodge_orthogonality() -> tuple[bool, str]:
         k = random_complex(rng, n_max=16)
         if k.num_edges == 0:
             continue
-        inc = build_incidence(k)
         b = EdgeSignal(rng.normal(size=k.num_edges))
-        d = decompose(k, inc, b)
+        d = decompose(k, b)
         nsq = max(b.norm() ** 2, 1e-30)
         dots = [abs(d.grad.values @ d.curl.values), abs(d.grad.values @ d.harm.values),
                 abs(d.curl.values @ d.harm.values)]
@@ -79,8 +78,7 @@ def check_betti_agreement() -> tuple[bool, str]:
     rng = np.random.default_rng(1003)
     for _ in range(30):
         k = random_complex(rng, n_max=14)
-        inc = build_incidence(k)
-        if betti1(k, inc) != kernel_dimension(inc):
+        if betti1(k) != kernel_dimension(build_incidence(k)):
             return False, f"count mismatch on random complex n={k.n}"
     fixtures = [
         (Complex2(3, [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]), 0),
@@ -91,7 +89,7 @@ def check_betti_agreement() -> tuple[bool, str]:
     ]
     for k, expected in fixtures:
         inc = build_incidence(k)
-        if betti1(k, inc) != expected or kernel_dimension(inc) != expected:
+        if betti1(k) != expected or kernel_dimension(inc) != expected:
             return False, f"fixture with n={k.n} expected {expected}"
         l1 = edge_laplacian(inc)
         eig_dim = int((np.abs(np.linalg.eigvalsh(l1)) < 1e-8).sum())
@@ -104,9 +102,8 @@ def check_betti_agreement() -> tuple[bool, str]:
     while len(seen) < 500:
         seen.add(tuple(sorted(pin_rng.choice(256, size=3, replace=False))))
     k256 = Complex2(256, complete_edges(256), np.array(sorted(seen)))
-    inc256 = build_incidence(k256)
-    ep = betti1(k256, inc256)
-    kd = kernel_dimension(inc256)
+    ep = betti1(k256)
+    kd = kernel_dimension(build_incidence(k256))
     if ep != 31885 or kd != 31885:
         return False, f"n=256 pin gave euler={ep}, kernel={kd}, expected 31885"
     return True, "random + fixture complexes agree; n=256 pin = 31885 both ways"
@@ -120,9 +117,8 @@ def check_residual_minimality() -> tuple[bool, str]:
         k = random_complex(rng, n_max=14)
         if k.num_edges == 0:
             continue
-        inc = build_incidence(k)
         b = EdgeSignal(rng.normal(size=k.num_edges))
-        report = residual_certificate(k, inc, b, decompose(k, inc, b))
+        report = residual_certificate(k, b, decompose(k, b))
         gap = abs(report["residual_lsq"] - report["harm_energy"])
         rel = gap / max(report["harm_energy"], 1e-12)
         worst = max(worst, rel)

@@ -19,7 +19,7 @@ import numpy as np
 
 from hodgecover.complexes import Complex2, UnionFind
 from hodgecover.hodge import HodgeDecomp
-from hodgecover.moe import BarrierTable, SaliencyVector
+from hodgecover.moe import BarrierTable
 from hodgecover.pipeline import REDIRECT_METHODS, LayerAnalysis, SelectorParams
 from hodgecover.selector import REDIRECT_GUARD, SurvivorPlan, select_random
 
@@ -62,7 +62,7 @@ class SetCoverage:
 
 
 def build_coverage(k: Complex2, decomp: HodgeDecomp, triplet: Triplets,
-                   sal: SaliencyVector, *, p: float = 20.0, q_t: float = 20.0,
+                   sal: np.ndarray, *, p: float = 20.0, q_t: float = 20.0,
                    lam_e: float = 1.0, lam_t: float = 0.5) -> SetCoverage:
     n_edges = k.num_edges
     n_crit_e = math.ceil(p / 100.0 * n_edges) if n_edges else 0
@@ -87,7 +87,7 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, triplet: Triplets,
         n=k.n, crit_edges=crit_edges, crit_triangles=crit_tris,
         edge_incidence=tuple(frozenset(s) for s in edge_inc),
         tri_incidence=tuple(frozenset(s) for s in tri_inc),
-        sal=np.asarray(sal.values, dtype=np.float64), lam_e=float(lam_e), lam_t=float(lam_t),
+        sal=np.asarray(sal, dtype=np.float64), lam_e=float(lam_e), lam_t=float(lam_t),
     )
 
 

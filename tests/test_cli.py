@@ -329,6 +329,38 @@ class TestAblateVerifyReport:
     def test_report_missing_dir(self, tmp_path):
         assert run(["report", "--run-dir", tmp_path / "ghost"]) == 2
 
+    def test_report_reads_a_directory_with_one_artifact(self, tmp_path, model_dir):
+        verified = tmp_path / "v"
+        assert run(["verify", "--only", "8", "--out", verified]) == 0
+        assert run(["report", "--run-dir", verified]) == 0
+        assert list(json.loads((verified / "report.json").read_text())) == ["verify"]
+        summary_only = tmp_path / "s"
+        run(["compress", "--out", tmp_path / "c", "--model-dir", model_dir] + FAST)
+        summary_only.mkdir()
+        shutil.copy(tmp_path / "c" / "summary.json", summary_only)
+        assert run(["report", "--run-dir", summary_only]) == 0
+        assert list(json.loads((summary_only / "report.json").read_text())) == ["summary"]
+
+    def test_report_refuses_a_directory_without_artifacts(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        assert run(["report", "--run-dir", tmp_path / "empty"]) == 2
+        assert "no recognized artifacts" in capsys.readouterr().err
+        assert not (tmp_path / "empty" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", [["compress", "--rate", "0.33"], ["ablate"]])
+    def test_failure_after_analysis_leaves_no_run_directory(self, tmp_path, capsys, command):
+        # one expert per layer leaves nothing to drop: the budget fails once every
+        # layer is analysed, and nothing may have been written by then
+        one = ["--set", "model.n=1", "--set", "model.fanout=1", "--set", "model.clusters=1",
+               "--set", "corpus.size=256"]
+        assert run(["synth", "--out", tmp_path / "m"] + one) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([*command, "--out", out, "--model-dir", tmp_path / "m" / "model"] + one) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def test_entry_point_installed():
     if sys.version_info >= (3, 11):

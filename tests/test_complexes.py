@@ -8,7 +8,7 @@ from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, be
                                   boundary, boundary_gram, boundary_pivots, boundary_t,
                                   build_incidence, complete_edges, kernel_dimension,
                                   edge_laplacian, random_complex, rank, skeleton_components,
-                                  span_check_from, triangle_edge_rows)
+                                  span_check_from)
 from rank_oracle import RANK_BLOCK, prefix_ranks
 
 
@@ -39,11 +39,11 @@ class TestComplexValidation:
             Complex2(3, [[0, 1], [0, 2]], [[0, 1, 2]])
 
 
-def b2_loop(k):
+def b2_loop(edges, triangles):
     """d2 as first assembled: an edge-index lookup per triangle."""
-    b2 = np.zeros((k.num_edges, k.num_triangles), dtype=np.int64)
-    idx = {(int(i), int(j)): e for e, (i, j) in enumerate(k.edges)}
-    for col, (i, j, kk) in enumerate(map(tuple, k.triangles)):
+    b2 = np.zeros((len(edges), len(triangles)), dtype=np.int64)
+    idx = {(int(i), int(j)): e for e, (i, j) in enumerate(edges)}
+    for col, (i, j, kk) in enumerate(map(tuple, triangles)):
         try:
             b2[idx[(j, kk)], col] = +1
             b2[idx[(i, kk)], col] = -1
@@ -55,10 +55,30 @@ def b2_loop(k):
     return b2
 
 
-def drop_edge(k, edge):
-    """k with one edge removed behind the validator's back."""
-    object.__setattr__(k, "edges", np.delete(k.edges, edge, axis=0))
-    return k
+def triangle_edge_rows(k):
+    """Rows in ``k.edges`` of each triangle's edges (i,j), (i,k), (j,k),
+    shape (3, |T|), by a search of lexicographic keys, as the complex's edge
+    rows were found before it kept them."""
+    def keys(pairs):
+        return pairs[:, 0] * max(k.n, 1) + pairs[:, 1]
+
+    i, j, kk = k.triangles.T
+    wanted = keys(np.concatenate([np.column_stack(p) for p in ((i, j), (i, kk), (j, kk))]))
+    return np.searchsorted(keys(k.edges), wanted).reshape(3, k.num_triangles)
+
+
+class TestEdgeRows:
+    def test_match_the_lookup_oracle_on_random_complexes(self):
+        rng = np.random.default_rng(6)
+        cases = [random_complex(rng, n_max=16) for _ in range(100)]
+        cases += [k3(), k3(False), Complex2(0, [], []), Complex2(4, complete_edges(4), [])]
+        for k in cases:
+            assert k.edge_rows.dtype == np.int64 and k.edge_rows.shape == (3, k.num_triangles)
+            assert np.array_equal(k.edge_rows, triangle_edge_rows(k))
+
+    def test_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            k3().edge_rows[0, 0] = 1
 
 
 class TestIncidence:
@@ -89,35 +109,33 @@ class TestIncidence:
         for k in cases:
             b2 = build_incidence(k).b2
             assert b2.dtype == np.int64
-            assert np.array_equal(b2, b2_loop(k))
+            assert np.array_equal(b2, b2_loop(k.edges, k.triangles))
 
     def test_missing_edge_message_matches_loop_oracle(self):
+        # the complex refuses, when built, the triangle the loop oracle refuses
         rng = np.random.default_rng(4)
         checked = 0
         while checked < 30:
             k = random_complex(rng, n_max=10)
             if k.num_triangles == 0:
                 continue
-            k = drop_edge(k, int(rng.integers(k.num_edges)))
+            edges = np.delete(k.edges, int(rng.integers(k.num_edges)), axis=0)
             try:
-                b2_loop(k)
+                b2_loop(edges, k.triangles)
             except ComplexStructureError as exc:
                 expected = str(exc)
             else:
                 continue
             with pytest.raises(ComplexStructureError) as caught:
-                build_incidence(k)
+                Complex2(k.n, edges, k.triangles)
             assert str(caught.value) == expected
             checked += 1
-        k = drop_edge(Complex2(3, [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]), [0, 1, 2])
         with pytest.raises(ComplexStructureError, match=r"^triangle \(0, 1, 2\) has an edge"):
-            build_incidence(k)
+            Complex2(3, np.zeros((0, 2)), [[0, 1, 2]])
 
     def test_missing_edge_reported(self):
-        k = k3()
-        object.__setattr__(k, "edges", np.array([[0, 1], [0, 2]]))
         with pytest.raises(ComplexStructureError, match="2"):
-            build_incidence(k)
+            Complex2(3, [[0, 1], [0, 2]], [[0, 1, 2]])
 
 
 class TestLaplacians:
@@ -152,20 +170,19 @@ class TestLaplacians:
 class TestBetti:
     def test_k4_no_triangles(self):
         k = Complex2(4, complete_edges(4), [])
-        assert betti1(k, build_incidence(k)) == 3
+        assert betti1(k) == 3
 
     def test_complete_two_skeleton_vanishes(self):
         n = 5
         tris = [[i, j, l] for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
         k = Complex2(n, complete_edges(n), tris)
-        assert betti1(k, build_incidence(k)) == 0
+        assert betti1(k) == 0
 
     def test_matches_kernel_dimension_on_random_complexes(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             k = random_complex(rng, n_max=14)
-            inc = build_incidence(k)
-            assert betti1(k, inc) == kernel_dimension(inc)
+            assert betti1(k) == kernel_dimension(build_incidence(k))
 
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(3)
@@ -176,19 +193,19 @@ class TestBetti:
             if l1.size == 0:
                 continue
             eig_dim = int((np.abs(np.linalg.eigvalsh(l1)) < 1e-8).sum())
-            assert betti1(k, inc) == eig_dim
+            assert betti1(k) == eig_dim
 
     def test_edge_deletion_changes_betti(self):
         # thresholding pathology: removing one cycle edge shifts the count
         k = Complex2(4, complete_edges(4), [[0, 1, 2]])
-        assert betti1(k, build_incidence(k)) == 2
+        assert betti1(k) == 2
         cut = Complex2(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]], [[0, 1, 2]])
-        assert betti1(cut, build_incidence(cut)) == 1
+        assert betti1(cut) == 1
 
     def test_isolated_vertices_counted_as_components(self):
         k = Complex2(5, [[0, 1]], [])
         assert skeleton_components(k) == 4
-        assert betti1(k, build_incidence(k)) == 0
+        assert betti1(k) == 0
 
 
 def oracle_components(k):
@@ -274,7 +291,7 @@ def fan_then_tetrahedron(fan):
     tris = [(0, i, i + 1) for i in range(1, fan + 1)]
     a = fan + 2
     tris += [(a, a + 1, a + 2), (a, a + 1, a + 3), (a, a + 2, a + 3), (a + 1, a + 2, a + 3)]
-    return triangle_edge_rows(Complex2(n, complete_edges(n), tris))
+    return Complex2(n, complete_edges(n), tris).edge_rows
 
 
 class TestBoundaryPivots:
@@ -283,7 +300,7 @@ class TestBoundaryPivots:
         for _ in range(60):
             k = random_complex(rng, n_max=14)
             order = rng.permutation(k.num_triangles)
-            pivot = boundary_pivots(triangle_edge_rows(k)[:, order])
+            pivot = boundary_pivots(k.edge_rows[:, order])
             stops = np.arange(k.num_triangles + 1)
             ranks = prefix_ranks(build_incidence(k).b2[:, order], stops)[0]
             assert np.concatenate([[0], np.cumsum(pivot)]).tolist() == ranks.tolist()
@@ -293,7 +310,7 @@ class TestBoundaryPivots:
         for _ in range(30):
             k = random_complex(rng, n_max=14)
             b2 = build_incidence(k).b2
-            pivots = np.flatnonzero(boundary_pivots(triangle_edge_rows(k)))
+            pivots = np.flatnonzero(boundary_pivots(k.edge_rows))
             assert len(pivots) == rank(b2[:, pivots]) == rank(b2)
 
     def test_no_columns(self):
@@ -302,7 +319,7 @@ class TestBoundaryPivots:
     def test_rp2_mod_2_miscount_is_caught_and_retried(self, monkeypatch):
         # H1(RP^2) = Z/2: mod 2 the last column reduces to zero, one short of
         # the real rank 10; the span check refuses it and the next prime counts 10
-        rows = triangle_edge_rows(Complex2(6, complete_edges(6), RP2))
+        rows = Complex2(6, complete_edges(6), RP2).edge_rows
         mod_2 = complexes._pivots_mod(rows, 2)
         assert mod_2.sum() == 9 and not mod_2[-1]
         assert not complexes._dependents_in_span(rows, mod_2, 2)
@@ -311,7 +328,7 @@ class TestBoundaryPivots:
 
     def test_every_prime_failing_raises(self, monkeypatch):
         monkeypatch.setattr(complexes, "PRIMES", (2,))
-        rows = triangle_edge_rows(Complex2(6, complete_edges(6), RP2))
+        rows = Complex2(6, complete_edges(6), RP2).edge_rows
         with pytest.raises(ValueError, match="not settled mod any of the primes"):
             boundary_pivots(rows)
 
@@ -337,11 +354,44 @@ class TestBoundaryPivots:
         assert pivot.sum() == fan + 3 and not pivot[-1]
         assert len(calls) == checked
 
+    def test_span_check_solves_on_the_faces_that_can_close_a_cycle(self, monkeypatch):
+        # every fan triangle has an edge of its own, so no 2-cycle passes
+        # through it: the solve sees the tetrahedron's three pivots, not 76
+        calls = []
+
+        def counting_gram(rows):
+            calls.append(rows.shape[1])
+            return boundary_gram(rows)
+        monkeypatch.setattr(complexes, "boundary_gram", counting_gram)
+        assert not boundary_pivots(fan_then_tetrahedron(73))[-1]
+        assert calls == [3]
+
+    def test_span_check_matches_dense_rank_oracle(self):
+        # mod 2 nearly every non-pivot column is open (span_check_from(2) = 1);
+        # the verdict must be the dense rank's, on the octahedron (every edge
+        # on two faces), RP^2 (dependent mod 2 only) and random complexes
+        rng = np.random.default_rng(11)
+        octahedron = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4),
+                      (1, 2, 5), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
+        cases = [Complex2(6, complete_edges(6), octahedron), Complex2(6, complete_edges(6), RP2)]
+        cases += [random_complex(rng, n_max=12) for _ in range(40)]
+        verdicts = []
+        for k in cases:
+            order = rng.permutation(k.num_triangles)
+            rows, b2 = k.edge_rows[:, order], build_incidence(k).b2[:, order]
+            pivot = complexes._pivots_mod(rows, 2)
+            before = np.cumsum(pivot) - pivot
+            expected = all(rank(b2[:, np.append(np.flatnonzero(pivot[:c]), c)]) == before[c]
+                           for c in np.flatnonzero(~pivot & (before >= span_check_from(2))))
+            assert complexes._dependents_in_span(rows, pivot, 2) == expected
+            verdicts.append(expected)
+        assert verdicts[:2] == [True, False]
+
     def test_products_match_dense_d2(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             k = random_complex(rng, n_max=14)
-            rows = triangle_edge_rows(k)
+            rows = k.edge_rows
             b2 = build_incidence(k).b2.astype(np.float64)
             x = rng.normal(size=(k.num_triangles, 2))
             y = rng.normal(size=(k.num_edges, 2))

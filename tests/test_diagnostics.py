@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgecover.complexes import Complex2, EdgeSignal, build_incidence, complete_edges
+from hodgecover.complexes import Complex2, EdgeSignal, complete_edges
 from hodgecover.diagnostics import (CSV_HEADER, RetainedMass, diagnose_model,
                                     diagnostics_csv, discordance, mechanism_table,
                                     retained_mass)
@@ -55,10 +55,9 @@ class TestRetainedMass:
     def fixture(self):
         rng = np.random.default_rng(50)
         k = Complex2(6, complete_edges(6), [[0, 1, 2], [1, 2, 3], [2, 3, 4]])
-        inc = build_incidence(k)
         b = EdgeSignal(rng.uniform(0.1, 2.0, size=k.num_edges))
         triplets = {(0, 1, 2): 0.9, (1, 2, 3): 0.4, (2, 3, 4): 1.5}
-        return k, decompose(k, inc, b), triplets, table_with_triplets(6, 1.0, triplets)
+        return k, decompose(k, b), triplets, table_with_triplets(6, 1.0, triplets)
 
     def test_full_and_empty_survivor_sets(self):
         k, d, triplets, table = self.fixture()

@@ -16,9 +16,11 @@ def random_pair(rng, n_max=14):
     return k, build_incidence(k), EdgeSignal(rng.normal(size=k.num_edges))
 
 
-def decompose_pinv(k, inc, b):
-    """The decomposition as first written: pseudoinverses of L0 and L2."""
+def decompose_pinv(k, b):
+    """The decomposition as first written: pseudoinverses of L0 and L2, from
+    the dense incidence."""
     values = b.values
+    inc = build_incidence(k)
     b1 = inc.b1.astype(np.float64)
     b2 = inc.b2.astype(np.float64)
     l0 = b1 @ b1.T
@@ -70,9 +72,9 @@ class TestDecomposeMatchesPinvOracle:
             assert rank(inc.b2) < k.num_triangles
             for _ in range(5):
                 b = EdgeSignal(rng.normal(size=k.num_edges))
-                oracle = decompose_pinv(k, inc, b)
-                assert_matches_pinv(decompose(k, inc, b), oracle)
-                assert_matches_pinv(decompose(k, inc, b, pivots=greedy_pivots(inc.b2)), oracle)
+                oracle = decompose_pinv(k, b)
+                assert_matches_pinv(decompose(k, b), oracle)
+                assert_matches_pinv(decompose(k, b, pivots=greedy_pivots(inc.b2)), oracle)
 
     def test_random_complexes(self):
         rng = np.random.default_rng(21)
@@ -80,33 +82,32 @@ class TestDecomposeMatchesPinvOracle:
         for _ in range(100):
             k, inc, b = random_pair(rng)
             deficient += rank(inc.b2) < k.num_triangles
-            oracle = decompose_pinv(k, inc, b)
-            assert_matches_pinv(decompose(k, inc, b), oracle)
-            assert_matches_pinv(decompose(k, inc, b, pivots=greedy_pivots(inc.b2)), oracle)
+            oracle = decompose_pinv(k, b)
+            assert_matches_pinv(decompose(k, b), oracle)
+            assert_matches_pinv(decompose(k, b, pivots=greedy_pivots(inc.b2)), oracle)
         assert deficient > 0
 
     def test_zero_signal(self):
         k = closed_tetrahedron()
-        inc = build_incidence(k)
-        d = decompose(k, inc, EdgeSignal(np.zeros(k.num_edges)))
-        assert_matches_pinv(d, decompose_pinv(k, inc, EdgeSignal(np.zeros(k.num_edges))))
+        d = decompose(k, EdgeSignal(np.zeros(k.num_edges)))
+        assert_matches_pinv(d, decompose_pinv(k, EdgeSignal(np.zeros(k.num_edges))))
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_analyze_layer(self, n):
         corpus = CalibCorpus.sample(256, 2048, 42)
         a = analyze_layer(synth_layer(n=n, seed=0), corpus)
-        k, inc, pivots = a.complex, a.incidence, a.filtration.curl_basis
-        assert len(pivots) == rank(inc.b2[:, pivots]) == rank(inc.b2)
-        oracle = decompose_pinv(k, inc, a.signal)
+        k, pivots = a.complex, a.filtration.pivots
+        b2 = build_incidence(k).b2
+        assert len(pivots) == rank(b2[:, pivots]) == rank(b2)
+        oracle = decompose_pinv(k, a.signal)
         assert_matches_pinv(a.decomp, oracle)
-        assert_matches_pinv(decompose(k, inc, a.signal), oracle)
+        assert_matches_pinv(decompose(k, a.signal), oracle)
 
     def test_pivots_must_index_triangles(self):
         k = closed_tetrahedron()
-        inc = build_incidence(k)
         for bad in (np.array([0, 4]), np.array([-1]), np.zeros((2, 1), dtype=np.int64)):
             with pytest.raises(ValueError, match="pivots must index"):
-                decompose(k, inc, EdgeSignal(np.ones(6)), pivots=bad)
+                decompose(k, EdgeSignal(np.ones(6)), pivots=bad)
 
 
 class TestDecompose:
@@ -116,7 +117,7 @@ class TestDecompose:
             k, inc, _ = random_pair(rng)
             phi = rng.normal(size=k.n)
             b = EdgeSignal(inc.b1.T @ phi)
-            d = decompose(k, inc, b)
+            d = decompose(k, b)
             scale = max(b.norm(), 1.0)
             assert np.linalg.norm(d.curl.values) < 1e-8 * scale
             assert np.linalg.norm(d.harm.values) < 1e-8 * scale
@@ -132,7 +133,7 @@ class TestDecompose:
             b = EdgeSignal(inc.b2 @ psi)
             if b.norm() < 1e-9:
                 continue
-            d = decompose(k, inc, b)
+            d = decompose(k, b)
             assert np.linalg.norm(d.grad.values) < 1e-8 * b.norm()
             assert np.linalg.norm(d.harm.values) < 1e-8 * b.norm()
             done += 1
@@ -140,8 +141,7 @@ class TestDecompose:
     def test_k3_cycle_signal_is_fully_harmonic(self):
         # d1 b = 0 checked by hand: each vertex receives +1 and -1 once
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
-        inc = build_incidence(k)
-        d = decompose(k, inc, EdgeSignal([1.0, -1.0, 1.0]))
+        d = decompose(k, EdgeSignal([1.0, -1.0, 1.0]))
         assert d.energy_harm == pytest.approx(1.0, abs=1e-12)
         assert d.energy_grad == pytest.approx(0.0, abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestDecompose:
         rng = np.random.default_rng(12)
         for _ in range(100):
             k, inc, b = random_pair(rng)
-            d = decompose(k, inc, b)
+            d = decompose(k, b)
             nsq = b.norm() ** 2
             for u, v in ((d.grad, d.curl), (d.grad, d.harm), (d.curl, d.harm)):
                 assert abs(u.values @ v.values) < 1e-8 * max(nsq, 1e-30)
@@ -161,8 +161,8 @@ class TestDecompose:
         rng = np.random.default_rng(13)
         for _ in range(20):
             k, inc, b = random_pair(rng)
-            d = decompose(k, inc, b)
-            again = decompose(k, inc, d.harm)
+            d = decompose(k, b)
+            again = decompose(k, d.harm)
             scale = max(b.norm(), 1.0)
             assert np.linalg.norm(again.grad.values) < 1e-8 * scale
             assert np.linalg.norm(again.curl.values) < 1e-8 * scale
@@ -172,9 +172,9 @@ class TestDecompose:
         rng = np.random.default_rng(14)
         for _ in range(20):
             k, inc, b = random_pair(rng)
-            d = decompose(k, inc, b)
+            d = decompose(k, b)
             w = rng.normal(size=k.num_edges)
-            dw = decompose(k, inc, EdgeSignal(w))
+            dw = decompose(k, EdgeSignal(w))
             lhs = w @ d.harm.values
             rhs = dw.harm.values @ d.harm.values
             assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
@@ -183,17 +183,16 @@ class TestDecompose:
         n = 5
         tris = [[i, j, l] for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
         k = Complex2(n, complete_edges(n), tris)
-        inc = build_incidence(k)
         rng = np.random.default_rng(15)
         for _ in range(10):
             b = EdgeSignal(rng.normal(size=k.num_edges))
-            d = decompose(k, inc, b)
+            d = decompose(k, b)
             assert np.linalg.norm(d.harm.values) < 1e-8 * b.norm()
 
     def test_shape_mismatch(self):
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
         with pytest.raises(ValueError, match="shape"):
-            decompose(k, build_incidence(k), EdgeSignal([1.0, 2.0]))
+            decompose(k, EdgeSignal([1.0, 2.0]))
 
     def test_operator_is_unweighted(self):
         # barriers live in the signal, never inside the operator: the
@@ -205,8 +204,8 @@ class TestDecompose:
         k, inc, b = random_pair(rng)
         l1 = edge_laplacian(inc)
         assert np.array_equal(l1, np.round(l1))
-        d1 = decompose(k, inc, b)
-        d2 = decompose(k, inc, EdgeSignal(7.5 * b.values))
+        d1 = decompose(k, b)
+        d2 = decompose(k, EdgeSignal(7.5 * b.values))
         assert np.allclose(d2.harm.values, 7.5 * d1.harm.values, atol=1e-10)
         assert d2.energy_harm == pytest.approx(d1.energy_harm, abs=1e-12)
 
@@ -218,19 +217,17 @@ class TestHarmonicFraction:
         rng = np.random.default_rng(16)
         k, inc, _ = random_pair(rng)
         b = EdgeSignal(inc.b1.T @ rng.normal(size=k.n))
-        assert decompose(k, inc, b).energy_harm < 1e-12
+        assert decompose(k, b).energy_harm < 1e-12
 
     def test_pure_harmonic_is_one(self):
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
-        inc = build_incidence(k)
         b = EdgeSignal([1.0, -1.0, 1.0])
-        assert decompose(k, inc, b).energy_harm == pytest.approx(1.0, abs=1e-12)
+        assert decompose(k, b).energy_harm == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_signal_is_zero(self):
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
-        inc = build_incidence(k)
         b = EdgeSignal([0.0, 0.0, 0.0])
-        assert decompose(k, inc, b).energy_harm == 0.0
+        assert decompose(k, b).energy_harm == 0.0
 
 
 class TestResidualCertificate:
@@ -238,21 +235,20 @@ class TestResidualCertificate:
         rng = np.random.default_rng(17)
         k, inc, _ = random_pair(rng)
         b = EdgeSignal(inc.b1.T @ rng.normal(size=k.n))
-        report = residual_certificate(k, inc, b, decompose(k, inc, b))
+        report = residual_certificate(k, b, decompose(k, b))
         assert report["residual_lsq"] < 1e-10 * max(b.norm() ** 2, 1e-15)
 
     def test_pure_harmonic_residual_is_full_energy(self):
         k = Complex2(3, [[0, 1], [0, 2], [1, 2]], [])
-        inc = build_incidence(k)
         b = EdgeSignal([1.0, -1.0, 1.0])
-        report = residual_certificate(k, inc, b, decompose(k, inc, b))
+        report = residual_certificate(k, b, decompose(k, b))
         assert report["residual_lsq"] == pytest.approx(3.0, rel=1e-10)
 
     def test_agreement_on_random_instances(self):
         rng = np.random.default_rng(18)
         for _ in range(50):
             k, inc, b = random_pair(rng)
-            report = residual_certificate(k, inc, b, decompose(k, inc, b))
+            report = residual_certificate(k, b, decompose(k, b))
             assert report["residual_lsq"] == pytest.approx(
                 report["harm_energy"], rel=1e-7, abs=1e-12)
 
@@ -265,7 +261,7 @@ def test_critical_edges_match_pinv_oracle_on_default_models():
     corpus = CalibCorpus.sample(256, 2048, 42)
     for layer_seed in range(8 + 3):
         a = analyze_layer(synth_layer(seed=layer_seed), corpus)
-        oracle = decompose_pinv(a.complex, a.incidence, a.signal)
+        oracle = decompose_pinv(a.complex, a.signal)
         got = build_coverage(a.complex, a.decomp, a.table, a.sal)
         want = build_coverage(a.complex, oracle, a.table, a.sal)
         # the selector reads the set: its order within a tie does not count

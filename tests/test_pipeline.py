@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hodgecover import builder, complexes, hodge
 from hodgecover.complexes import betti1
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, compression_loss,
                             plant_discordant_triple, synth_layer)
@@ -26,7 +27,7 @@ class TestAnalyzeLayer:
         assert a.complex.num_edges == 120
         assert a.complex.num_triangles == len(a.candidates)
         assert a.beta1 > 0
-        assert a.beta1 == betti1(a.complex, a.incidence)
+        assert a.beta1 == betti1(a.complex)
 
     def test_harmonic_fraction_in_reported_band(self, default_analysis):
         # the per-layer share of barrier energy that is harmonic sits in
@@ -39,6 +40,26 @@ class TestAnalyzeLayer:
         e = 17
         i, j = a.complex.edges[e]
         assert a.signal.values[e] == a.table.pairwise[i, j]
+
+
+def test_analysis_and_plans_form_no_dense_incidence(monkeypatch):
+    # the analysis reads the complex alone: with build_incidence refused in every
+    # module that can reach it, an n = 64 layer is analysed, planned by every
+    # method, pruned and evaluated
+    def refuse(k):
+        raise AssertionError("dense incidence formed on the analysis path")
+
+    for module in (complexes, builder, pipeline, hodge):
+        monkeypatch.setattr(module, "build_incidence", refuse)
+    corpus = CalibCorpus.sample(256, 1024, 42)
+    layer = synth_layer(n=64, seed=0)
+    a = analyze_layer(layer, corpus)
+    assert a.complex.num_edges == 2016 and a.complex.num_triangles == 500
+    for method in METHODS:
+        plan = plan_layer(a, 21, method)
+        assert np.isfinite(model_loss([layer], corpus, [plan]))
+    _, masks = hybrid_prune([layer], corpus, [plan_layer(a, 21, "hodgecover")], 0.66, 0.20)
+    assert np.isfinite(model_loss([layer], corpus, [plan_layer(a, 21, "hodgecover")], masks))
 
 
 class TestPlanLayer:

@@ -32,7 +32,7 @@ def test_hodge_orthogonality_and_kernel(seed):
         return
     inc = build_incidence(k)
     b = EdgeSignal(rng.normal(size=k.num_edges))
-    d = decompose(k, inc, b)
+    d = decompose(k, b)
     nsq = max(b.norm() ** 2, 1e-30)
     assert abs(d.grad.values @ d.curl.values) < 1e-8 * nsq
     assert abs(d.grad.values @ d.harm.values) < 1e-8 * nsq
