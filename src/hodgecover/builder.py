@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# betti1 and build_incidence are unused here but stay importable: the
-# benchmark's tracer (perfbench/tracing.py) patches them here by name.
-from .complexes import (Complex2, UnionFind, betti1, boundary_pivots,  # noqa: F401
-                        build_incidence, complete_edges)
+from .complexes import Complex2, UnionFind, boundary_pivots, complete_edges
 from .moe import BarrierTable
+# unused here but kept importable: the benchmark's tracer (perfbench/tracing.py) patches them
+from .oracles import betti1, build_incidence  # noqa: F401
 
 GRID_POINTS = 80
 DEFAULT_CAP = 500
@@ -106,7 +105,7 @@ def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> Filtra
     complex at tau is a prefix of each order, and rank(d2) at every grid
     point counts the pivots of :func:`boundary_pivots` among the first
     columns in that order.  The curve equals the one from rebuilding the
-    complex and taking :func:`~hodgecover.complexes.betti1` at every tau,
+    complex and taking :func:`~hodgecover.oracles.betti1` at every tau,
     which the tests keep as the oracle.
     """
     n = barriers.n

@@ -34,6 +34,8 @@ from .wanda import masks_to_json, prune_survivors  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+# an unreadable input file: decode and JSON errors are ValueErrors, deep nesting a RecursionError
+UNREADABLE = (OSError, ValueError, RecursionError)
 
 
 class Num(NamedTuple):
@@ -106,7 +108,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except UNREADABLE as exc:
             raise CliError(f"cannot read config {path}: {exc}", DATA_ERROR)
         if not isinstance(loaded, dict):
             raise CliError(f"config {path} is not a JSON object", DATA_ERROR)
@@ -170,7 +172,7 @@ def load_model(model_dir: str, ctx: int | None = None) -> list[MoeLayer]:
     for path in files:
         try:
             layers.append(MoeLayer.from_json(path.read_text()))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (*UNREADABLE, KeyError) as exc:
             raise CliError(f"malformed model file {path}: {exc}", DATA_ERROR)
         if ctx is not None and layers[-1].ctx != ctx:
             raise CliError(f"model file {path} has ctx {layers[-1].ctx}; need model.ctx = "
@@ -334,9 +336,7 @@ def read_artifact(path: Path, parse):
     read or parsed is a data error."""
     try:
         return parse(path.read_text())
-    # UnicodeDecodeError and JSONDecodeError are ValueErrors; nesting too deep
-    # for the parser is a RecursionError
-    except (OSError, ValueError, RecursionError) as exc:
+    except UNREADABLE as exc:
         raise CliError(f"cannot read artifact {path}: {exc}", DATA_ERROR)
 
 

@@ -1,4 +1,4 @@
-"""Oriented simplicial 2-complexes and their combinatorial Laplacians.
+"""Oriented simplicial 2-complexes and their sparse boundary operators.
 
 A complex is a vertex count plus lexicographically sorted edge and triangle
 lists.  Orientation is induced by the natural integer order on vertices, so
@@ -11,13 +11,7 @@ They satisfy d1 @ d2 = 0 exactly in integer arithmetic, which is the single
 identity behind everything in :mod:`hodgecover.hodge`.  A complex finds the
 edge rows of its triangles once, at construction (``Complex2.edge_rows``),
 and the analysis reads d2 only through them: sparse column reduction,
-gathers and scatter-adds.  No |E| x |T| matrix is formed on that path; the
-dense :class:`SignedIncidence` serves the oracles.  The first Betti
-number is computed by the Euler-Poincare count
-
-    beta1 = |E| - |V| + components(1-skeleton) - rank(d2)
-
-and independently as dim ker(L1) for cross-checks.
+gathers and scatter-adds.  No |E| x |T| matrix is formed.
 """
 
 from __future__ import annotations
@@ -127,20 +121,6 @@ class EdgeSignal:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass(frozen=True, eq=False)
-class SignedIncidence:
-    """Signed boundary operators of a Complex2 in its lexicographic bases.
-
-    ``b1`` is the n x |E| vertex-edge matrix (one -1 at the tail, one +1 at
-    the head per column); ``b2`` is the |E| x |T| edge-triangle matrix with
-    signs (+1, -1, +1) on edges [j,k], [i,k], [i,j].  Entries are integers
-    and satisfy b1 @ b2 = 0 exactly.
-    """
-
-    b1: np.ndarray
-    b2: np.ndarray
-
-
 def vertex_boundary(k: Complex2, dtype=np.float64) -> np.ndarray:
     """d1 as a dense n x |E| matrix: -1 at each edge's tail, +1 at its head."""
     d1 = np.zeros((k.n, k.num_edges), dtype=dtype)
@@ -148,39 +128,6 @@ def vertex_boundary(k: Complex2, dtype=np.float64) -> np.ndarray:
     d1[k.edges[:, 0], cols] = -1
     d1[k.edges[:, 1], cols] = +1
     return d1
-
-
-def build_incidence(k: Complex2) -> SignedIncidence:
-    """The dense signed boundary matrices of ``k``, for the oracles and tests.
-
-    The analysis never forms them: it reads d1 from ``k.edges`` and d2 from
-    ``k.edge_rows``.
-    """
-    b2 = np.zeros((k.num_edges, k.num_triangles), dtype=np.int64)
-    cols = np.arange(k.num_triangles)
-    for sign, rows in zip(SIGNS, k.edge_rows):
-        b2[rows, cols] = sign
-    return SignedIncidence(b1=vertex_boundary(k, np.int64), b2=b2)
-
-
-def edge_laplacian(inc: SignedIncidence) -> np.ndarray:
-    """The Hodge Laplacian L1 = b1^T b1 + b2 b2^T on edge signals.
-
-    Symmetric PSD, integer-valued, and its kernel is the harmonic subspace.
-    It is dense |E| x |E|; call this only at desk scale (n up to a few
-    hundred edges).
-    """
-    b1 = inc.b1.astype(np.float64)
-    b2 = inc.b2.astype(np.float64)
-    return b1.T @ b1 + b2 @ b2.T
-
-
-def rank(matrix: np.ndarray) -> int:
-    """Numerical rank via SVD with the shared relative cutoff."""
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix.astype(np.float64), compute_uv=False)
-    return int((s > svd_rcond(matrix.shape) * s[0]).sum())
 
 
 RANK_CUTOFF = 1e-8    # a column's distance from a span, relative to its norm, read as zero
@@ -354,67 +301,6 @@ class UnionFind:
         for x in range(len(self.parent)):
             out.setdefault(self.find(x), []).append(x)
         return [out[r] for r in sorted(out)]
-
-
-def skeleton_components(k: Complex2) -> int:
-    """Connected components of the 1-skeleton (V, E)."""
-    uf = UnionFind(k.n)
-    for i, j in k.edges.tolist():
-        uf.union(i, j)
-    return uf.components
-
-
-def betti1(k: Complex2) -> int:
-    """First Betti number by the Euler-Poincare count for a 2-complex.
-
-    beta1 = |E| - |V| + components(1-skeleton) - rank(d2), with the rank of
-    the dense d2 by SVD: the oracle of Stage B's Betti curve.  Equals the
-    kernel dimension of L1 (see :func:`kernel_dimension`).
-    """
-    value = k.num_edges - k.n + skeleton_components(k) - rank(build_incidence(k).b2)
-    if value < 0:
-        raise ComplexStructureError(f"negative Betti number {value}; inputs inconsistent")
-    return value
-
-
-def kernel_dimension(inc: SignedIncidence) -> int:
-    """dim ker(L1) without forming L1.
-
-    ker(L1) = ker(d1) intersect ker(d2^T) is the nullspace of the stacked
-    operator [b1; b2^T], so the dimension is |E| - rank of that stack.
-    This stays feasible at |E| = 32 640 where the dense |E| x |E| L1 would
-    not fit in memory.
-    """
-    m = inc.b1.shape[1]
-    stacked = np.vstack([inc.b1, inc.b2.T]).astype(np.float64)
-    return m - rank(stacked)
-
-
-def random_complex(rng: np.random.Generator, n_max: int = 20, *,
-                   edge_prob: float | None = None,
-                   triangle_prob: float | None = None) -> Complex2:
-    """Random valid complex for property tests.
-
-    Samples an edge subset of K_n, then a triangle subset of the 3-cliques
-    of that subset, so closure holds by construction.
-    """
-    n = int(rng.integers(3, n_max + 1))
-    p_e = float(rng.uniform(0.3, 0.9)) if edge_prob is None else edge_prob
-    p_t = float(rng.uniform(0.2, 0.8)) if triangle_prob is None else triangle_prob
-    all_edges = complete_edges(n)
-    keep = rng.random(len(all_edges)) < p_e
-    edges = all_edges[keep]
-    adj = np.zeros((n, n), dtype=bool)
-    adj[edges[:, 0], edges[:, 1]] = True
-    adj |= adj.T
-    tris = []
-    for i, j in edges:
-        above = np.nonzero(adj[i] & adj[j])[0]
-        tris.extend((int(i), int(j), int(kk)) for kk in above[above > j])
-    tris.sort()
-    keep_t = rng.random(len(tris)) < p_t
-    triangles = [t for t, ok in zip(tris, keep_t) if ok]
-    return Complex2(n, edges, np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 def _as_simplex_array(arr, width: int) -> np.ndarray:

@@ -70,17 +70,16 @@ class RetainedMass:
         return {key: self.as_dict()[key] - ref.as_dict()[key] for key in self.as_dict()}
 
 
-def discordance(barriers: BarrierTable, candidates: np.ndarray,
-                margin: float = DISCORDANCE_MARGIN) -> float:
+def discordance(barriers: BarrierTable, candidates: np.ndarray) -> float:
     """Fraction of candidate triangles whose joint barrier beats the worst
-    pairwise barrier by the margin factor."""
+    pairwise barrier by the factor ``DISCORDANCE_MARGIN``."""
     candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
     if len(candidates) == 0:
         raise ValueError("discordance is undefined on an empty candidate set")
     i, j, k = candidates.T
     pw = barriers.pairwise
-    worst = np.maximum.reduce([pw[i, j], pw[i, k], pw[j, k]])
-    hits = int(np.count_nonzero(barriers.triplet_values(candidates) > margin * worst))
+    bar = DISCORDANCE_MARGIN * np.maximum.reduce([pw[i, j], pw[i, k], pw[j, k]])
+    hits = int(np.count_nonzero(barriers.triplet_values(candidates) > bar))
     return hits / len(candidates)
 
 
@@ -129,12 +128,11 @@ def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:
     return out
 
 
-def mechanism_table(retained: Mapping[str, RetainedMass],
-                    reference: str = "hodgecover") -> dict[str, dict[str, float]]:
-    """Deviation of each method's retained mass from the reference method."""
-    if reference not in retained:
-        raise ValueError(f"reference method {reference!r} missing from results")
-    ref = retained[reference]
+def mechanism_table(retained: Mapping[str, RetainedMass]) -> dict[str, dict[str, float]]:
+    """Deviation of each method's retained mass from that of hodgecover."""
+    if "hodgecover" not in retained:
+        raise ValueError("reference method 'hodgecover' missing from results")
+    ref = retained["hodgecover"]
     return {method: mass.deviation_from(ref) for method, mass in retained.items()}
 
 

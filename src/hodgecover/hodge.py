@@ -5,7 +5,7 @@ grad in im(d1^T), curl in im(d2), and harm in ker(L1); the three parts are
 pairwise orthogonal.  ``harm`` is the component that no vertex potential
 plus triangle-boundary correction can explain, and its squared norm equals
 the joint least-squares residual min_{phi, psi} ||b - d1^T phi - d2 psi||^2
-(certified numerically by :func:`residual_certificate`).
+(certified numerically by the joint solve in :mod:`hodgecover.oracles`).
 
 The split reads the complex alone: d1 as a dense n x |E| matrix formed from
 ``Complex2.edges``, and d2 through ``Complex2.edge_rows``.  No |E| x |E|,
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (Complex2, EdgeSignal, boundary, boundary_gram, boundary_pivots,
-                        boundary_t, build_incidence, svd_rcond, vertex_boundary)
+                        boundary_t, svd_rcond, vertex_boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,23 +91,3 @@ def decompose(k: Complex2, b: EdgeSignal, pivots: np.ndarray | None = None) -> H
         energies = (0.0, 0.0, 0.0)
     return HodgeDecomp(EdgeSignal(grad), EdgeSignal(curl), EdgeSignal(harm), *energies)
 
-
-def residual_certificate(k: Complex2, b: EdgeSignal, d: HodgeDecomp) -> dict[str, float]:
-    """Certify harmonic-energy minimality against a direct joint solve.
-
-    Solves min over (phi, psi) of ||b - d1^T phi - d2 psi||^2 as one stacked
-    least-squares problem and reports the residual next to ||harm||^2.  The
-    two agree within 1e-7 relative on well-posed inputs; the stacked solve
-    shares nothing with the sequential projection above, so agreement is an
-    independent certificate, not a tautology.  It forms the dense d1 and d2
-    of ``k``.
-    """
-    inc = build_incidence(k)
-    design = np.hstack([inc.b1.T.astype(np.float64), inc.b2.astype(np.float64)])
-    coef, _, _, _ = np.linalg.lstsq(design, b.values, rcond=svd_rcond(design.shape))
-    residual = b.values - design @ coef
-    h = d.harm.values
-    return {
-        "residual_lsq": float(residual @ residual),
-        "harm_energy": float(h @ h),
-    }

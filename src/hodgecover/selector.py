@@ -39,6 +39,7 @@ from .hodge import HodgeDecomp
 from .moe import BarrierTable, read_only
 
 REDIRECT_GUARD = 1e-12
+SIGMA_FLOOR = 1e-12   # a layer's least compressibility in allocate_weighted
 ABLATION_VARIANTS = ("greedy_barrier", "triplet_penalty", "triplet_hypergraph")
 
 
@@ -422,9 +423,8 @@ def allocate_uniform(rate: float, sizes: Sequence[int]) -> LayerBudget:
     return _clamped_budget(rate, sizes, drops, total)
 
 
-def allocate_weighted(rate: float, sizes: Sequence[int],
-                      rho_harm: Sequence[float], *, eps0: float = 1e-12) -> LayerBudget:
-    """Weight the drop budget by per-layer compressibility max(1 - rho_harm, eps0);
+def allocate_weighted(rate: float, sizes: Sequence[int], rho_harm: Sequence[float]) -> LayerBudget:
+    """Weight the drop budget by per-layer compressibility max(1 - rho_harm, SIGMA_FLOOR);
     layers with more harmonic mass shed fewer experts."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"rate must be in [0, 1), got {rate}")
@@ -433,7 +433,7 @@ def allocate_weighted(rate: float, sizes: Sequence[int],
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("layer sizes must be positive")
     total = int(math.floor(rate * sum(sizes)))
-    sigma = np.maximum(1.0 - np.asarray(rho_harm, dtype=np.float64), eps0)
+    sigma = np.maximum(1.0 - np.asarray(rho_harm, dtype=np.float64), SIGMA_FLOOR)
     drops = [int(math.floor(total * s / sigma.sum())) for s in sigma]
     deficit = total - sum(drops)
     for idx in range(deficit):

@@ -17,11 +17,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import (Complex2, EdgeSignal, betti1, build_incidence, complete_edges,
-                        edge_laplacian, kernel_dimension, random_complex)
-from .hodge import decompose, residual_certificate
+from .complexes import Complex2, EdgeSignal, complete_edges
+from .hodge import decompose
 from .moe import (CalibCorpus, MoeLayer, barrier_sweep, merged_distribution,
                   plant_discordant_triple, synth_layer)
+from .oracles import (betti1, build_incidence, edge_laplacian, kernel_dimension,
+                      random_complex, residual_certificate)
 from .pipeline import SelectorParams, analyze_layer, compress_model, model_loss
 from .selector import (CoverageInstance, allocate_uniform, allocate_weighted,
                        greedy_select, phi)

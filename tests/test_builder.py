@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from hodgecover import complexes
 from hodgecover.builder import (GRID_POINTS, stage_a_candidates,
                                 stage_b_filtration)
-from hodgecover.complexes import (Complex2, betti1, build_incidence, complete_edges,
-                                  kernel_dimension, random_complex, rank,
-                                  skeleton_components)
+from hodgecover.complexes import Complex2, complete_edges
 from hodgecover.moe import CalibCorpus, MoeLayer, barrier_sweep, cluster_assignment, synth_layer
+from hodgecover.oracles import (betti1, build_incidence, kernel_dimension, random_complex, rank,
+                                skeleton_components)
 from rank_oracle import prefix_ranks
 from set_oracle import table_from_dict, triplet_dict, triplet_values
 

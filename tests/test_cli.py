@@ -130,10 +130,16 @@ class TestSynth:
         assert run(["compress", "--out", tmp_path / "c", "--model-dir", model_dir] + FAST
                    + [arg for b in bounds for arg in ("--set", b)]) == 0
 
-    def test_unreadable_config_is_data_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["synth", "--config", bad, "--out", tmp_path / "x"]) == 2
+    def test_unreadable_config_is_data_error(self, tmp_path, capsys):
+        # the second text nests too deep for the JSON parser
+        for text in ("{not json", "[" * 100_000):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            out = tmp_path / "x"
+            assert run(["synth", "--config", bad, "--out", out]) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1]", '{"selector": {"rtae": 0.5}}'])
     def test_config_not_an_object_or_with_unknown_key_is_data_error(self, tmp_path, capsys,
@@ -176,11 +182,17 @@ class TestBarriersAndDiagnose:
         assert (out / "betti_curve_layer_001.csv").exists()
         assert (out / "diagnostics_series.json").exists()
 
-    def test_malformed_model_file_is_data_error(self, tmp_path):
+    def test_malformed_model_file_is_data_error(self, tmp_path, capsys):
         broken = tmp_path / "model"
         broken.mkdir()
-        (broken / "layer_000.json").write_text("{broken")
-        assert run(["diagnose", "--out", tmp_path / "d", "--model-dir", broken] + FAST) == 2
+        # the second text nests too deep for the JSON parser
+        for text in ("{broken", "[" * 100_000):
+            (broken / "layer_000.json").write_text(text)
+            out = tmp_path / "d"
+            assert run(["diagnose", "--out", out, "--model-dir", broken] + FAST) == 2
+            err = capsys.readouterr().err.strip()
+            assert "\n" not in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("fanout", 2.5), ("n", 6.0), ("seed", "x"), ("fanout", True),
@@ -411,6 +423,15 @@ def test_benchmark_tracer_sites_resolve(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     tracing = importlib.import_module("tracing")
     assert len(tracing.resolve_sites()) == len(tracing.SITES)
+
+
+def test_package_root_loads_no_submodule():
+    # the root exports only __version__; callers import the submodules they use
+    done = fresh_python("-c", "import sys, hodgecover; print(sorted(m for m in sys.modules "
+                              "if m.startswith('hodgecover.'))); "
+                              "from hodgecover import cli, moe, pipeline, selector")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy():

@@ -4,11 +4,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hodgecover import builder, complexes, selector
-from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, betti1,
-                                  boundary, boundary_gram, boundary_pivots, boundary_t,
-                                  build_incidence, complete_edges, kernel_dimension,
-                                  edge_laplacian, random_complex, rank, skeleton_components,
+from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, boundary,
+                                  boundary_gram, boundary_pivots, boundary_t, complete_edges,
                                   span_check_from)
+from hodgecover.oracles import (betti1, build_incidence, edge_laplacian, kernel_dimension,
+                                random_complex, rank, skeleton_components)
 from rank_oracle import RANK_BLOCK, prefix_ranks
 
 

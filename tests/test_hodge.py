@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hodgecover.complexes import (Complex2, EdgeSignal, build_incidence, complete_edges,
-                                  random_complex, rank, svd_rcond)
-from hodgecover.hodge import HodgeDecomp, decompose, residual_certificate
+from hodgecover.complexes import Complex2, EdgeSignal, complete_edges, svd_rcond
+from hodgecover.hodge import HodgeDecomp, decompose
 from hodgecover.moe import CalibCorpus, synth_layer
+from hodgecover.oracles import build_incidence, random_complex, rank, residual_certificate
 from hodgecover.pipeline import analyze_layer
 from hodgecover.selector import build_coverage
 
@@ -198,7 +198,7 @@ class TestDecompose:
         # barriers live in the signal, never inside the operator: the
         # Laplacians are integer matrices and the projection is linear in
         # the signal, so rescaling b rescales every component
-        from hodgecover.complexes import edge_laplacian
+        from hodgecover.oracles import edge_laplacian
 
         rng = np.random.default_rng(19)
         k, inc, b = random_pair(rng)

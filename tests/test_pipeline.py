@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hodgecover import builder, complexes, hodge
-from hodgecover.complexes import betti1
+from hodgecover import builder, oracles
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, compression_loss,
                             plant_discordant_triple, synth_layer)
 from hodgecover import pipeline
 from hodgecover.pipeline import (REDIRECT_METHODS, METHODS, SelectorParams, analyze_layer,
                                  compress_model, hybrid_prune, hybrid_stage2, model_loss,
                                  plan_layer)
+from hodgecover.oracles import betti1
 from hodgecover.selector import allocate_uniform
 from hodgecover.wanda import masks_to_json, prune_survivors
 
@@ -49,7 +49,7 @@ def test_analysis_and_plans_form_no_dense_incidence(monkeypatch):
     def refuse(k):
         raise AssertionError("dense incidence formed on the analysis path")
 
-    for module in (complexes, builder, pipeline, hodge):
+    for module in (oracles, builder, pipeline):
         monkeypatch.setattr(module, "build_incidence", refuse)
     corpus = CalibCorpus.sample(256, 1024, 42)
     layer = synth_layer(n=64, seed=0)

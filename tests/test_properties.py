@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgecover.complexes import EdgeSignal, build_incidence, random_complex
+from hodgecover.complexes import EdgeSignal
 from hodgecover.hodge import decompose
 from hodgecover.moe import barrier_sweep, kl_rows, synth_layer, CalibCorpus
+from hodgecover.oracles import build_incidence, random_complex
 from hodgecover.selector import allocate_uniform, allocate_weighted, phi
 from hodgecover.wanda import wanda_prune
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import set_oracle
-from hodgecover.complexes import (Complex2, EdgeSignal, UnionFind, _lex_keys,
-                                  complete_edges, random_complex)
+from hodgecover.complexes import Complex2, EdgeSignal, UnionFind, _lex_keys, complete_edges
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             cluster_assignment, synth_layer)
+from hodgecover.oracles import random_complex
 from hodgecover.pipeline import METHODS, analyze_layer, coverage_for, plan_layer
 from hodgecover.selector import (ABLATION_VARIANTS, CoverageInstance, LayerBudget,
                                  SurvivorPlan, _edge_order, _triplet_penalty_costs,
