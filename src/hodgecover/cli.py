@@ -36,6 +36,7 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 # an unreadable input file: decode and JSON errors are ValueErrors, deep nesting a RecursionError
 UNREADABLE = (OSError, ValueError, RecursionError)
+ECHO_LIMIT = 60  # characters of a bad value an error message echoes
 
 
 class Num(NamedTuple):
@@ -100,7 +101,13 @@ def check_keys(cfg: dict, keys, code: int) -> None:
         else:
             ok, need = value in rule, f"choose from {', '.join(rule)}"
         if not ok:
-            raise CliError(f"invalid {section}.{field} {value!r}; {need}", code)
+            raise CliError(f"invalid {section}.{field} {clipped(value)}; {need}", code)
+
+
+def clipped(value) -> str:
+    """``repr(value)``, cut to ``ECHO_LIMIT`` characters: an error stays one short line."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -127,10 +134,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if field not in current:
                 raise KeyError(field)
         except (ValueError, KeyError):
-            raise CliError(f"bad override {item!r}; use section.key=value", USAGE_ERROR)
+            raise CliError(f"bad override {clipped(item)}; use section.key=value", USAGE_ERROR)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # too deeply nested to parse
             value = raw
         current[field] = value
     check_keys(cfg, [(s, f) for s, fields in SCHEMA.items() for f in fields], DATA_ERROR)

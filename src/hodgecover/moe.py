@@ -57,6 +57,7 @@ KL_FLOOR = 1e-12        # probability floor on the merged (second) argument
 FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain average
 # float64 entries of one sweep block's largest array: 512 KiB.  Blocks of a few MiB
 # ran slower: each one's temporaries fell out of cache and were page-faulted anew.
+# Smaller blocks cost more numpy calls per cell; the step arrays reuse buffers instead.
 BLOCK_FLOATS = 1 << 16
 
 T = TypeVar("T")
@@ -66,6 +67,23 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: a cached array is shared by every caller."""
     a.flags.writeable = False
     return a
+
+
+class KeepsConstants:
+    """Quantities derived from a frozen object alone, each computed once and
+    kept while the object lives."""
+
+    @cached_property
+    def _constants(self) -> dict:
+        return {}
+
+    def constant(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per object and ``key``, then shared.
+        Keys name values, never object identities; arrays among the results
+        should be read-only."""
+        if key not in self._constants:
+            self._constants[key] = compute()
+        return self._constants[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,24 +309,18 @@ def _route(router_cols: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray
     return idx, gates
 
 
-def _mixture_outputs(dists: np.ndarray, router_cols: np.ndarray, fanout: int) -> np.ndarray:
-    """Gate-weighted mixture over routed experts for every context column.
-
-    ``dists`` is (m, vocab) for context-independent experts or
-    (m, u, vocab) when expert outputs vary per symbol (pruned survivors).
-    """
-    idx, gates = _route(router_cols, fanout)
-    if dists.ndim == 2:
-        chosen = dists[idx]                                     # (f, u, vocab)
-    else:
-        chosen = np.take_along_axis(dists, idx[:, :, None], axis=0)
+def _mixture_outputs(gates: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Gate-weighted mixture at every context column: ``gates`` (fanout, u)
+    of :func:`_route`, ``chosen`` (fanout, u, vocab) the distribution of
+    each routed (slot, column) cell."""
     return np.einsum("fu,fuv->uv", gates, chosen)
 
 
 def layer_symbol_outputs(layer: MoeLayer, symbols: np.ndarray) -> np.ndarray:
     """Layer output distribution at each context symbol, (u, vocab)."""
-    cols = layer.router_logits[:, np.asarray(symbols, dtype=np.int64)]
-    return _mixture_outputs(layer.expert_dists, cols, layer.fanout)
+    idx, gates = _route(layer.router_logits[:, np.asarray(symbols, dtype=np.int64)],
+                        layer.fanout)
+    return _mixture_outputs(gates, layer.expert_dists[idx])
 
 
 def routing_frequencies(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
@@ -361,13 +373,15 @@ def kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np
 
 
 @dataclass(frozen=True, eq=False)
-class BarrierTable:
+class BarrierTable(KeepsConstants):
     """All pairwise barriers, candidate triplet barriers, routing frequencies.
 
     The triplet barriers are two arrays: ``triples``, (m, 3) int64 vertex rows
     with i < j < k, distinct and in lexicographic order, and ``triplet``, (m,)
     float64, the barrier of each row.  :meth:`triplet_values` looks rows up by
     binary search over their lexicographic keys, which needs that order.
+    The selector keeps its merge orders, veto and merge sequences on the
+    table as constants (:meth:`~KeepsConstants.constant`).
     """
 
     pairwise: np.ndarray                              # (n, n) symmetric, zero diagonal
@@ -402,18 +416,6 @@ class BarrierTable:
     def triple_keys(self) -> np.ndarray:
         """The lexicographic keys of ``triples``, ascending; read-only."""
         return read_only(_lex_keys(self.triples, self.n))
-
-    @cached_property
-    def _constants(self) -> dict:
-        return {}
-
-    def constant(self, key: Hashable, compute: Callable[[], T]) -> T:
-        """``compute()``, evaluated once per table and ``key``, then shared: for
-        quantities of the frozen table alone, such as the selector's merge
-        orders.  Arrays among them should be read-only."""
-        if key not in self._constants:
-            self._constants[key] = compute()
-        return self._constants[key]
 
     def upper_entries(self) -> np.ndarray:
         i, j = np.triu_indices(self.n, k=1)
@@ -511,6 +513,11 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     w = np.divide(w, total, out=np.full(w.shape, 1.0 / size), where=total >= FREQ_GUARD)
     group_step = max(1, BLOCK_FLOATS // (size * max(u, layer.n)))
     cell_step = max(1, BLOCK_FLOATS // (fanout * layer.vocab))
+    # the step's (cells, vocab) arrays are written into buffers made once per call:
+    # fresh ones each step were mapped and trimmed anew by malloc, and page-faulted
+    vocab = layer.vocab
+    chosen_buf = np.empty(fanout * cell_step * vocab)
+    mixed_buf, p_buf, log_p_buf = (np.empty(cell_step * vocab) for _ in range(3))
     vals: list[float] = []
     for start in range(0, len(groups), group_step):
         block = groups[start:start + group_step]
@@ -535,9 +542,16 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
             key = np.vstack([cand, block[g, 0]])
             pick = np.lexsort((key, -logit), axis=0)[:fanout]
             gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
-            chosen = bank[np.take_along_axis(ids, pick, axis=0)]   # (fanout, cells, vocab)
-            rows[g, s] = kl_rows(originals[s], np.einsum("fu,fuv->uv", gates, chosen),
-                                 log_originals[s])
+            m = len(s)
+            # the indices are in range: mode="clip" only lets take write into out unbuffered
+            chosen = np.take(bank, np.take_along_axis(ids, pick, axis=0), axis=0, mode="clip",
+                             out=chosen_buf[:fanout * m * vocab].reshape(fanout, m, vocab))
+            mixed = np.einsum("fu,fuv->uv", gates, chosen,
+                              out=mixed_buf[:m * vocab].reshape(m, vocab))
+            p = np.take(originals, s, axis=0, mode="clip", out=p_buf[:m * vocab].reshape(m, vocab))
+            log_p = np.take(log_originals, s, axis=0, mode="clip",
+                            out=log_p_buf[:m * vocab].reshape(m, vocab))
+            rows[g, s] = kl_rows(p, mixed, log_p)
         # one dot per row, as ``weights @ row``; ``rows @ weights`` (gemv) rounds differently
         vals.extend(np.matmul(rows[:, None, :], weights)[:, 0].tolist())
     return vals
@@ -583,6 +597,15 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
     its keep mask (vocab x ctx) from the weight-pruning stage: at context c
     the pruned expert's logits are its logit row times column c of the mask.
 
+    A pruned survivor's distribution differs per symbol, and the mixture
+    reads it only at the fanout (survivor, symbol) cells the folded router
+    picks.  So routing runs first, and only those cells are softmaxed: their
+    pruned logits form one C-ordered (cells, vocab) array, reduced over
+    axis 1.  Each cell's row is contiguous, as each symbol's row is in the
+    C-ordered (symbols, vocab) array of a softmax over every symbol (kept as
+    the tests' oracle), so numpy sums it over vocab the same pairwise way and
+    the bits match.  The cells are then mixed as unpruned experts are.
+
     Lists of one length are folded together by one
     ``_logsumexp(..., axis=1)`` on their stacked (lists, length, ctx) router
     rows, and a one-expert list is its row, so a plan costs one call per
@@ -613,13 +636,17 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
     elif set(masks) != set(plan.survivors):
         raise ValueError(f"masks of experts {sorted(masks)} do not match the plan's "
                          f"survivors {sorted(plan.survivors)}")
-    else:
-        dists = np.stack([
-            _softmax((layer.expert_logits[j][:, None] * masks[j].mask[:, symbols]).T, axis=1)
-            for j in plan.survivors
-        ])                                                     # (k, u, vocab)
-    cols = _fold_router(layer.router_logits, sources)[:, symbols]
-    return _mixture_outputs(dists, cols, min(layer.fanout, len(sources)))
+    idx, gates = _route(_fold_router(layer.router_logits, sources)[:, symbols],
+                        min(layer.fanout, len(sources)))
+    if masks is None:
+        return _mixture_outputs(gates, dists[idx])
+    # the routed cells in (slot, symbol) order: survivor position and symbol of each
+    pos, sym = idx.ravel(), np.broadcast_to(symbols, idx.shape).ravel()
+    logits = np.empty((pos.size, layer.vocab))
+    for r, j in enumerate(plan.survivors):
+        cells = np.flatnonzero(pos == r)
+        logits[cells] = layer.expert_logits[j] * masks[j].mask[:, sym[cells]].T
+    return _mixture_outputs(gates, _softmax(logits, axis=1).reshape(*idx.shape, layer.vocab))
 
 
 def _fold_router(router_logits: np.ndarray, sources: Sequence[Sequence[int]]) -> np.ndarray:

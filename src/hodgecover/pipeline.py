@@ -23,12 +23,12 @@ import numpy as np
 from .builder import FiltrationResult, stage_a_candidates, stage_b_filtration
 from .complexes import Complex2, EdgeSignal
 from .hodge import HodgeDecomp, decompose
-from .moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep, compression_loss,
-                  extend_triplets, saliency)
+from .moe import (BarrierTable, CalibCorpus, KeepsConstants, MoeLayer, barrier_sweep,
+                  compression_loss, extend_triplets, saliency)
 # unused here but kept importable: the benchmark's tracer (perfbench/tracing.py) patches them
 from .oracles import betti1, build_incidence  # noqa: F401
 from .selector import (CoverageInstance, SurvivorPlan, build_coverage, greedy_select,
-                       phi, redirect, select_ablation, select_random)
+                       phi, redirect, redirect_costs, select_ablation, select_random)
 from .wanda import PruneMask, prune_survivors, residual_sparsity
 
 logger = logging.getLogger(__name__)
@@ -54,10 +54,15 @@ class SelectorParams:
 
 
 @dataclass(frozen=True, eq=False)
-class LayerAnalysis:
+class LayerAnalysis(KeepsConstants):
     """Everything the selectors need about one layer, computed once.
 
     ``sal`` is the per-expert saliency of :func:`~hodgecover.moe.saliency`.
+    What no survivor count changes is kept as constants of the analysis
+    (:meth:`~hodgecover.moe.KeepsConstants.constant`), so a point on the
+    rate-loss curve pays only for its own k: the coverage instance per
+    coverage parameters (with its greedy picks so far), and the redirect
+    costs per alpha.  The merge methods keep theirs on the table.
     """
 
     layer: MoeLayer
@@ -111,19 +116,25 @@ def plan_layer(analysis: LayerAnalysis, k: int, method: str,
     inst = coverage_for(analysis, params)
     survivors = select_random(analysis.layer.n, k, seed) if method == "random" \
         else greedy_select(inst, k)
+    costs = analysis.constant(
+        ("redirect_costs", float(params.alpha).hex()),
+        lambda: redirect_costs(analysis.complex, analysis.table, analysis.decomp, params.alpha))
     return SurvivorPlan(
-        n=analysis.layer.n, k=k, survivors=survivors,
-        redirect=redirect(analysis.complex, analysis.table, analysis.decomp,
-                          survivors, params.alpha),
+        n=analysis.layer.n, k=k, survivors=survivors, redirect=redirect(costs, survivors),
         method=method, phi=phi(inst, survivors), alpha=params.alpha, layer=layer_id,
     )
 
 
 def coverage_for(analysis: LayerAnalysis,
                  params: SelectorParams = SelectorParams()) -> CoverageInstance:
-    return build_coverage(analysis.complex, analysis.decomp, analysis.table,
-                          analysis.sal, p=params.p, q_t=params.q_t,
-                          lam_e=params.lam_e, lam_t=params.lam_t)
+    """The analysis's coverage instance under ``params``, built once per value
+    of (p, q_t, lam_e, lam_t)."""
+    # float.hex names every float exactly, and every nan alike
+    key = ("coverage", *(float(v).hex() for v in (params.p, params.q_t, params.lam_e,
+                                                   params.lam_t)))
+    return analysis.constant(key, lambda: build_coverage(
+        analysis.complex, analysis.decomp, analysis.table, analysis.sal, p=params.p,
+        q_t=params.q_t, lam_e=params.lam_e, lam_t=params.lam_t))
 
 
 def compress_model(analyses: Sequence[LayerAnalysis], budget_ks: Sequence[int],

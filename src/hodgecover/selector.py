@@ -27,10 +27,12 @@ average instead of redirecting.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -70,6 +72,26 @@ class CoverageInstance:
         """(incidence, weight) of each coverage term whose critical set is non-empty."""
         return [(inc, lam) for inc, lam in ((self.edge_incidence, self.lam_e),
                                             (self.tri_incidence, self.lam_t)) if inc.shape[1]]
+
+    @cached_property
+    def _greedy(self) -> "_LazySequence":
+        """The greedy picks, made as far as they have been asked for."""
+        # the run is handed the arrays, not the instance: no reference cycle
+        # keeps a dropped instance alive until the garbage collector runs
+        return _LazySequence(_greedy_picks(self.sal, self.coverage_terms()))
+
+
+class _LazySequence:
+    """The items of an iterator, each made once, as far as they are asked for."""
+
+    def __init__(self, items: Iterator):
+        self._made: list = []
+        self._rest = items
+
+    def first(self, m: int) -> list:
+        """The first m items (all of them, if there are fewer)."""
+        self._made.extend(itertools.islice(self._rest, max(0, m - len(self._made))))
+        return self._made[:m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,12 +213,13 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
     crit_edges = crit_edges[:math.ceil(p / 100.0 * k.num_edges)]
     crit_tris = np.argsort(-np.abs(barriers.triplet_values(k.triangles)), kind="stable")
     crit_tris = crit_tris[:math.ceil(q_t / 100.0 * k.num_triangles)]
+    # read-only: an analysis keeps the instance, and its greedy picks, for every plan
     return CoverageInstance(
-        crit_edges=crit_edges,
-        crit_triangles=crit_tris,
-        edge_incidence=_incidence(k.n, k.edges[crit_edges]),
-        tri_incidence=_incidence(k.n, k.triangles[crit_tris]),
-        sal=np.asarray(sal, dtype=np.float64),
+        crit_edges=read_only(crit_edges),
+        crit_triangles=read_only(crit_tris),
+        edge_incidence=read_only(_incidence(k.n, k.edges[crit_edges])),
+        tri_incidence=read_only(_incidence(k.n, k.triangles[crit_tris])),
+        sal=read_only(np.array(sal, dtype=np.float64)),
         lam_e=float(lam_e),
         lam_t=float(lam_t),
     )
@@ -224,41 +247,54 @@ def greedy_select(inst: CoverageInstance, k: int) -> tuple[int, ...]:
 
     Each pick adds the expert with the largest marginal gain, ties to the
     lowest index, so the result carries the (1 - (1 - 1/k)^k) guarantee.
+    No pick depends on k, so the survivors for k are the first k picks of
+    one sequence, sorted.  The instance keeps the picks made so far, and a
+    call makes only those beyond the largest k asked for before.
     """
     if not (0 <= k <= inst.n):
         raise ValueError(f"need 0 <= k <= n, got k={k}")
+    return tuple(sorted(inst._greedy.first(k)))
+
+
+def _greedy_picks(sal: np.ndarray,
+                  coverage_terms: list[tuple[np.ndarray, float]]) -> Iterator[int]:
+    """The greedy picks, in order, until every expert is picked."""
     # (incidence, weight, uncovered columns) as floats: one product counts a term
     terms = [(inc.astype(np.float64), lam, np.ones(inc.shape[1]))
-             for inc, lam in inst.coverage_terms()]
-    score = inst.sal.copy()  # -inf once chosen
-    chosen = []
-    for _ in range(k):
+             for inc, lam in coverage_terms]
+    score = sal.copy()  # -inf once chosen
+    for _ in range(len(sal)):
         gain = score
         for inc, lam, uncovered in terms:
             gain = gain + lam * (inc @ uncovered) / len(uncovered)
         best = int(gain.argmax())  # the first maximum
-        chosen.append(best)
+        yield best
         score[best] = -np.inf
         for inc, _, uncovered in terms:
             uncovered[inc[best] > 0] = 0.0
-    return tuple(sorted(chosen))
 
 
-def redirect(k: Complex2, barriers: BarrierTable, decomp: HodgeDecomp,
-             survivors: Sequence[int], alpha: float = 3.0) -> dict[int, int]:
-    """Map each dropped expert to its nearest survivor under the
-    Hodge-weighted barrier, ties to the lowest survivor index."""
-    kept = np.zeros(barriers.n, dtype=bool)
-    kept[np.asarray(survivors, dtype=np.int64)] = True
-    if not kept.any():
-        raise ValueError("survivor set is empty")
+def redirect_costs(k: Complex2, barriers: BarrierTable, decomp: HodgeDecomp,
+                   alpha: float = 3.0) -> np.ndarray:
+    """(n, n) Hodge-weighted redirect costs b_ij * (1 + alpha * |harm_ij| / ||b||),
+    with |harm| 0 off the complex; read-only, as an analysis keeps them."""
     signal = barriers.pairwise[k.edges[:, 0], k.edges[:, 1]]
     b_norm = float(np.linalg.norm(signal))
     harm = np.zeros((barriers.n, barriers.n))  # |harm| on edges, 0 off the complex
     harm[k.edges[:, 0], k.edges[:, 1]] = np.abs(decomp.harm.values)
-    cost = barriers.pairwise * (1.0 + alpha * (harm + harm.T) / max(b_norm, REDIRECT_GUARD))
+    return read_only(barriers.pairwise
+                     * (1.0 + alpha * (harm + harm.T) / max(b_norm, REDIRECT_GUARD)))
+
+
+def redirect(costs: np.ndarray, survivors: Sequence[int]) -> dict[int, int]:
+    """Map each dropped expert to its nearest survivor under ``costs`` (see
+    :func:`redirect_costs`), ties to the lowest survivor index."""
+    kept = np.zeros(costs.shape[0], dtype=bool)
+    kept[np.asarray(survivors, dtype=np.int64)] = True
+    if not kept.any():
+        raise ValueError("survivor set is empty")
     surv, dropped = np.flatnonzero(kept), np.flatnonzero(~kept)
-    best = cost[dropped][:, surv].argmin(axis=1)  # first minimum
+    best = costs[dropped][:, surv].argmin(axis=1)  # first minimum
     return dict(zip(dropped.tolist(), surv[best].tolist()))
 
 
@@ -299,28 +335,33 @@ def _triplet_penalty_costs(barriers: BarrierTable, alpha_t: float) -> np.ndarray
     return barriers.pairwise * (1.0 + alpha_t * norm)
 
 
-def _merge_until(label: np.ndarray, pairs: np.ndarray, k: int,
-                 veto: np.ndarray | None = None) -> int:
-    """Merge the groups of ``label`` along ``pairs`` in order until k remain.
+def _merges(n: int, pairs: np.ndarray,
+            veto: np.ndarray | None = None) -> Iterator[tuple[int, int, bool]]:
+    """The merges of a union-find run along ``pairs``, in order, down to one group.
 
-    ``label`` names each expert's group by its lowest member and is updated
-    in place; returns the number of merges.  A merge that would put all
-    three vertices of a ``veto`` row in one group is skipped.
+    Groups are named by their lowest member.  A pass merges the groups of
+    each pair in order, skipping a merge that would put all three vertices
+    of a ``veto`` row in one group; a second pass, with the veto off,
+    finishes by ascending cost.  Each merge is (kept, absorbed, forced):
+    the two group names and whether the second pass made it.  A run that
+    stops at k groups makes the first n - k of these merges: up to that
+    point it takes the same decisions on the same groups.
     """
-    groups = len(np.unique(label))
-    merges = 0
-    for a, b in pairs.tolist():
-        if groups == k:
-            break
-        ra, rb = label[a], label[b]
-        if ra == rb:
-            continue
-        if veto is not None and (((label == ra) | (label == rb))[veto].all(axis=1)).any():
-            continue
-        label[label == max(ra, rb)] = min(ra, rb)
-        groups -= 1
-        merges += 1
-    return merges
+    label = np.arange(n)
+    groups = n
+    for rows in (veto, None) if veto is not None else (None,):
+        for a, b in pairs.tolist():
+            if groups == 1:
+                return
+            ra, rb = label[a], label[b]
+            if ra == rb:
+                continue
+            if rows is not None and (((label == ra) | (label == rb))[rows].all(axis=1)).any():
+                continue
+            lo, hi = int(min(ra, rb)), int(max(ra, rb))
+            label[label == hi] = lo
+            groups -= 1
+            yield lo, hi, veto is not None and rows is None
 
 
 def _median_veto(barriers: BarrierTable) -> tuple[float, np.ndarray]:
@@ -329,25 +370,26 @@ def _median_veto(barriers: BarrierTable) -> tuple[float, np.ndarray]:
     return tau_t, read_only(barriers.triples[barriers.triplet > tau_t])
 
 
-def _unionfind_plan(barriers: BarrierTable, k: int, pairs: np.ndarray,
-                    method: str, *, veto: tuple[float, np.ndarray] | None = None,
-                    layer: int = 0, params: dict | None = None) -> SurvivorPlan:
-    """Merge along ``pairs`` (an :func:`_edge_order`) until k groups remain;
-    ``veto`` is (tau_t, rows) of :func:`_median_veto`."""
+def _unionfind_plan(barriers: BarrierTable, k: int, merges: _LazySequence,
+                    method: str, *, veto_tau: float | None = None, layer: int = 0,
+                    params: dict | None = None) -> SurvivorPlan:
+    """The plan of the first n - k of ``merges`` (of :func:`_merges`);
+    ``veto_tau`` is the veto's tau_t, if the run had one."""
     n = barriers.n
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     label = np.arange(n)
-    _merge_until(label, pairs, k, None if veto is None else veto[1])
-    # a veto that made the budget unreachable: finish by ascending cost, veto off
-    forced = _merge_until(label, pairs, k)
+    forced = 0
+    for lo, hi, by_force in merges.first(n - k):
+        label[label == hi] = lo
+        forced += by_force
 
     # a group is named by its lowest member, its survivor; the redirects go
     # group by group, as the plan's JSON lists them
     lab = label.tolist()
     extra = dict(params or {})
-    if veto is not None:
-        extra.update(veto_tau=veto[0], forced_merges=forced)
+    if veto_tau is not None:
+        extra.update(veto_tau=veto_tau, forced_merges=forced)
     return SurvivorPlan(
         n=n, k=k, survivors=tuple(sorted(set(lab))), method=method,
         redirect={i: lab[i] for i in np.argsort(label, kind="stable").tolist() if lab[i] != i},
@@ -363,23 +405,31 @@ def select_ablation(variant: str, barriers: BarrierTable, k: int, *,
     Their plans merge each group rather than redirect.  The fourth matched
     ablation, ``no_triangle``, is coverage selection with the triangle
     weight zeroed (see :func:`hodgecover.pipeline.plan_layer`).  The merge
-    orders and the veto depend on the table (and ``alpha_t``) alone, so the
-    table keeps them across calls.
+    orders, the veto and each variant's merges depend on the table (and
+    ``alpha_t``) alone, so the table keeps them across calls: the merges as
+    far as a plan has asked for them, and the plan for k replays the first
+    n - k.
     """
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
+    n = barriers.n
     if variant == "triplet_penalty":
         # float.hex names every float exactly, and every nan alike
+        key = ("penalty_order", float(alpha_t).hex())
         pairs = barriers.constant(
-            ("penalty_order", float(alpha_t).hex()),
-            lambda: _edge_order(_triplet_penalty_costs(barriers, alpha_t)))
-        return _unionfind_plan(barriers, k, pairs, variant, layer=layer,
+            key, lambda: _edge_order(_triplet_penalty_costs(barriers, alpha_t)))
+        merges = barriers.constant(("merges", *key), lambda: _LazySequence(_merges(n, pairs)))
+        return _unionfind_plan(barriers, k, merges, variant, layer=layer,
                                params={"alpha_t": alpha_t})
     pairs = barriers.constant("pair_order", lambda: _edge_order(barriers.pairwise))
     if variant == "greedy_barrier":
-        return _unionfind_plan(barriers, k, pairs, variant, layer=layer)
-    veto = barriers.constant("median_veto", lambda: _median_veto(barriers))
-    return _unionfind_plan(barriers, k, pairs, variant, veto=veto, layer=layer)
+        merges = barriers.constant(("merges", "pair_order"),
+                                   lambda: _LazySequence(_merges(n, pairs)))
+        return _unionfind_plan(barriers, k, merges, variant, layer=layer)
+    tau_t, veto = barriers.constant("median_veto", lambda: _median_veto(barriers))
+    merges = barriers.constant(("merges", "median_veto"),
+                               lambda: _LazySequence(_merges(n, pairs, veto)))
+    return _unionfind_plan(barriers, k, merges, variant, veto_tau=tau_t, layer=layer)
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,20 @@ counts, so :func:`prune_survivors` takes them once per call from a
 ``np.linalg.norm(X, axis=0)`` bit for bit: both take the correctly
 rounded ``sqrt`` of an exact integer count.
 
-Row i's scores are then |l_i| * norms, so one sort serves every row.  A
-row's stable descending order (``argsort(-scores, kind="stable")``) is the
-unique permutation that sorts its entries by (-score, column).  So a
-permutation ``order`` is that row's order if and only if, along ``order``,
-the scores never increase and each equal adjacent pair has ascending
-columns.  :func:`prune_survivors` takes ``order`` as the stable descending
-order of ``norms``, checks that condition on every row in one vectorised
-comparison, and sorts only the rows where it fails.  Rounding is
-monotone, so |l_i| * norms never reverses two norms, but it can tie them:
-every score is 0 when l_i is zero, and products underflow or overflow
-when l_i is subnormal or huge.
+Row i's scores are then |l_i| * norms, so one sort of the norms serves
+every row it can.  A row's stable descending order
+(``argsort(-scores, kind="stable")``) is the unique permutation that sorts
+its entries by (-score, column).  Take ``order``, the stable descending
+order of the norms.  Along it, equal norms come in ascending column order
+and give equal scores, so each such adjacent pair is already in the row's
+order.  Rounding is monotone, so |l_i| * norms never reverses two norms,
+but where the norm drops it can tie them: every score is 0 when l_i is
+zero, and products underflow or overflow when l_i is subnormal or huge.
+So ``order`` is a row's order exactly when, at every adjacent pair where
+the norm drops, the score drops too or ties with ascending columns.
+:func:`prune_survivors` checks those pairs (a few: one fewer than the
+distinct context counts) for every row of every survivor in one comparison
+and sorts only the rows that fail.
 """
 
 from __future__ import annotations
@@ -88,45 +91,24 @@ def wanda_prune(w: np.ndarray, x: np.ndarray, r2: float) -> tuple[np.ndarray, Pr
     x = np.asarray(x, dtype=np.float64)
     if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ValueError(f"shapes do not conform: W {w.shape}, X {x.shape}")
-    mask = _prune_rows(w, np.linalg.norm(x, axis=0), r2)
-    return w * mask.mask, mask
+    keep = _keep_per_row(r2, w.shape[1])
+    mask = _sorted_mask(np.abs(w) * np.linalg.norm(x, axis=0)[None, :], keep)
+    return w * mask, PruneMask(mask, keep, 1.0 - keep / w.shape[1])
 
 
-def _prune_rows(w: np.ndarray, norms: np.ndarray, r2: float,
-                order: np.ndarray | None = None) -> PruneMask:
-    """Keep mask of ``w`` at sparsity r2 given the activation column norms.
-
-    ``order``, when given, is a candidate stable descending order of every
-    row's scores; only the rows it does not fit are sorted (see the module
-    docstring).
-    """
+def _keep_per_row(r2: float, b: int) -> int:
+    """Entries a row of b keeps at sparsity r2."""
     if not (0.0 <= r2 < 1.0):
         raise ValueError(f"sparsity must be in [0, 1), got {r2}")
-    a, b = w.shape
-    keep = math.ceil((1.0 - r2) * b)
-    scores = np.abs(w) * norms[None, :]
-    mask = np.zeros((a, b), dtype=np.uint8)
-    rows = np.arange(a)
-    if order is not None:
-        fits = _in_order(scores, order)
-        mask[:, order[:keep]] = fits[:, None]
-        rows = rows[~fits]
-    kept_cols = np.argsort(-scores[rows], axis=1, kind="stable")[:, :keep]
-    mask[rows[:, None], kept_cols] = 1
-    return PruneMask(mask, keep, 1.0 - keep / b)
+    return math.ceil((1.0 - r2) * b)
 
 
-def _in_order(scores: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Per row: is ``order`` the row's stable descending order of ``scores``?"""
-    along = scores.take(order, axis=1)
-    before, after = along[:, :-1], along[:, 1:]
-    return ((before > after) | ((before == after) & (order[:-1] < order[1:]))).all(axis=1)
-
-
-def expert_weight_matrix(layer: MoeLayer, expert: int) -> np.ndarray:
-    """The expert as a one-hot-context-to-logits map: (vocab x ctx), every
-    column the expert's logit row."""
-    return np.repeat(layer.expert_logits[expert][:, None], layer.ctx, axis=1)
+def _sorted_mask(scores: np.ndarray, keep: int) -> np.ndarray:
+    """uint8 mask of each row's first ``keep`` columns in its stable
+    descending order of ``scores``: the top scores, ties to the lower column."""
+    mask = np.zeros(scores.shape, dtype=np.uint8)
+    np.put_along_axis(mask, np.argsort(-scores, axis=1, kind="stable")[:, :keep], 1, axis=1)
+    return mask
 
 
 def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[int],
@@ -135,14 +117,25 @@ def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[in
 
     Reuses the calibration corpus already consumed by the barrier sweep;
     no further forward passes are needed.  Returns the keep masks keyed by
-    expert index; the pruned matrix of survivor j is
-    ``expert_weight_matrix(layer, j) * mask``.  One sort of the norms orders
-    every row it can (see the module docstring).
+    expert index, each a (vocab x ctx) mask of survivor j's matrix, whose
+    every column is j's logit row.  One sort of the norms orders every row
+    it can, over all survivors at once (see the module docstring).
     """
+    keep = _keep_per_row(r2, layer.ctx)
     norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
     order = np.argsort(-norms, kind="stable")
-    return {int(j): _prune_rows(expert_weight_matrix(layer, int(j)), norms, r2, order)
-            for j in survivors}
+    drops = np.flatnonzero(norms[order[:-1]] > norms[order[1:]])
+    hi_col, lo_col = order[drops], order[drops + 1]
+    # one row per (survivor, vocab entry): |l_i|, the row's scores over norms
+    logits = np.abs(layer.expert_logits[np.asarray(survivors, dtype=np.int64)]).reshape(-1, 1)
+    hi, lo = logits * norms[hi_col], logits * norms[lo_col]
+    fits = ((hi > lo) | ((hi == lo) & (hi_col < lo_col))).all(axis=1)
+    mask = np.zeros((len(logits), layer.ctx), dtype=np.uint8)
+    mask[:, order[:keep]] = fits[:, None]
+    rows = np.flatnonzero(~fits)
+    mask[rows] = _sorted_mask(logits[rows] * norms, keep)
+    mask = mask.reshape(-1, layer.vocab, layer.ctx)
+    return {int(j): PruneMask(m, keep, 1.0 - keep / layer.ctx) for j, m in zip(survivors, mask)}
 
 
 def masks_to_json(masks: Mapping[int, PruneMask]) -> str:

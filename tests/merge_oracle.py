@@ -1,10 +1,16 @@
-"""The whole-merged-layer barrier kernels, kept as the sweep kernel's oracle.
+"""Whole-layer evaluations, kept as the oracles of the kernels that skip cells.
 
 ``hodgecover.moe._merge_kls`` evaluates every merge group's barrier on the
 touched cells alone.  This module is the direct definition it is pinned to:
 build the layer with one group replaced by its frequency-weighted merge,
 evaluate both layers at every corpus symbol, and take the weighted mean KL.
-The sweep tests require equal results, bit for bit.
+
+``hodgecover.moe.compressed_symbol_outputs`` softmaxes a pruned survivor
+only at the (survivor, symbol) cells the router picks.
+:func:`stacked_pruned_outputs` softmaxes every pruned survivor at every
+symbol and mixes the routed rows of that stack.
+
+The tests require equal results, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hodgecover.moe import (CalibCorpus, MoeLayer, _logsumexp, _mixture_outputs, kl_rows,
-                            layer_symbol_outputs, merged_distribution, routing_frequencies)
+from hodgecover.moe import (CalibCorpus, MoeLayer, _fold_router, _logsumexp,
+                            _route, _softmax, kl_rows, layer_symbol_outputs,
+                            merged_distribution, routing_frequencies)
 
 
 def layer_output(layer: MoeLayer, context: int) -> np.ndarray:
@@ -40,7 +47,7 @@ class MergedLayer:
 
     def outputs(self, symbols: np.ndarray) -> np.ndarray:
         cols = self.router_logits[:, np.asarray(symbols, dtype=np.int64)]
-        return _mixture_outputs(self.dists, cols, self.fanout)
+        return mixture(self.dists, cols, self.fanout)
 
 
 def _merge_group(layer: MoeLayer, group: Sequence[int], freqs: np.ndarray) -> MergedLayer:
@@ -87,3 +94,34 @@ def triplet_barrier(layer: MoeLayer, corpus: CalibCorpus, i: int, j: int, k: int
         raise ValueError("triplet barrier needs three distinct experts")
     freqs = routing_frequencies(layer, corpus)
     return _mean_merge_kl(layer, corpus, (i, j, k), freqs)
+
+
+def expert_weight_matrix(layer: MoeLayer, expert: int) -> np.ndarray:
+    """The expert as a one-hot-context-to-logits map: (vocab x ctx), every
+    column the expert's logit row."""
+    return np.repeat(layer.expert_logits[expert][:, None], layer.ctx, axis=1)
+
+
+def mixture(dists: np.ndarray, router_cols: np.ndarray, fanout: int) -> np.ndarray:
+    """Gate-weighted mixture over the routed experts at every context column.
+
+    ``dists`` is (m, vocab) for context-independent experts or (m, u, vocab)
+    when expert outputs vary per symbol (pruned survivors).
+    """
+    idx, gates = _route(router_cols, fanout)
+    if dists.ndim == 2:
+        chosen = dists[idx]                                     # (f, u, vocab)
+    else:
+        chosen = np.take_along_axis(dists, idx[:, :, None], axis=0)
+    return np.einsum("fu,fuv->uv", gates, chosen)
+
+
+def stacked_pruned_outputs(layer: MoeLayer, plan, symbols: np.ndarray, masks) -> np.ndarray:
+    """A redirect plan's output with pruned survivors: each survivor's
+    softmax at every symbol, stacked (k, u, vocab), then mixed."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    dists = np.stack([
+        _softmax((layer.expert_logits[j][:, None] * masks[j].mask[:, symbols]).T, axis=1)
+        for j in plan.survivors])
+    cols = _fold_router(layer.router_logits, plan.groups)[:, symbols]
+    return mixture(dists, cols, min(layer.fanout, plan.k))

@@ -11,14 +11,15 @@ from scipy.special import logsumexp, softmax
 
 from hodgecover.builder import stage_a_candidates
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _logsumexp,
-                            _merge_kls, _mixture_outputs, _softmax, barrier_sweep,
+                            _merge_kls, _softmax, barrier_sweep,
                             cluster_assignment, compressed_symbol_outputs, compression_loss,
                             extend_triplets, kl_rows, layer_symbol_outputs,
                             merged_distribution, plant_discordant_triple, routing_frequencies,
                             saliency, synth_layer)
 from hodgecover.selector import SurvivorPlan
-from hodgecover.wanda import expert_weight_matrix, prune_survivors
-from merge_oracle import (_mean_merge_kl, layer_output, merge_experts, pairwise_barrier,
+from hodgecover.wanda import prune_survivors
+from merge_oracle import (_mean_merge_kl, expert_weight_matrix, layer_output, merge_experts,
+                          mixture, pairwise_barrier, stacked_pruned_outputs,
                           triplet_barrier)
 
 
@@ -670,7 +671,7 @@ def oracle_compressed_outputs(layer, plan, symbols, masks=None):
             softmax(pruned[j][:, symbols].T, axis=1) if j in pruned
             else np.repeat(layer.expert_dists[j][None, :], len(symbols), axis=0)
             for j in survivors])
-    return _mixture_outputs(dists, folded[:, symbols], min(layer.fanout, len(dists)))
+    return mixture(dists, folded[:, symbols], min(layer.fanout, len(dists)))
 
 
 def assert_fold_matches_oracle(layer, heldout, plan, masks=None):
@@ -788,6 +789,32 @@ class TestCompressedFoldMatchesOracle:
                  **prune_survivors(layer, calib, survivors[1::2], 0.0)}
         assert_fold_matches_oracle(layer, heldout, plan, masks)
         assert_fold_matches_oracle(layer, heldout, plan)
+
+
+class TestRoutedCellsMatchStackedSoftmax:
+    """Pruned survivors softmaxed at their routed cells alone, against the
+    softmax of every survivor at every symbol."""
+
+    @pytest.mark.parametrize("fanout", [1, 2, 4])
+    def test_every_k_on_a_strict_subset_of_the_contexts(self, fanout):
+        calib = small_corpus(size=2048)
+        heldout = small_corpus(size=120, seed=43)
+        symbols, weights = heldout.symbol_weights
+        assert len(symbols) < 256
+        for seed in range(8):
+            layer = synth_layer(seed=seed, fanout=fanout)
+            rng = np.random.default_rng(seed)
+            original = layer.corpus_outputs(heldout)
+            for k in range(1, 17):
+                order = rng.permutation(16).tolist()
+                plan = redirect_plan(16, {i: int(rng.choice(order[:k])) for i in order[k:]})
+                for r2 in (0.1625, 0.575):
+                    masks = prune_survivors(layer, calib, plan.survivors, r2)
+                    want = stacked_pruned_outputs(layer, plan, symbols, masks)
+                    assert np.array_equal(compressed_symbol_outputs(layer, plan, symbols, masks),
+                                          want), (seed, k, r2)
+                    assert compression_loss(layer, heldout, plan, masks) == \
+                        float(weights @ kl_rows(original, want))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -79,16 +81,47 @@ class TestPlanLayer:
             plan_layer(a, 6, "oracle")
 
     def test_coverage_built_once_and_only_where_read(self, default_analysis, monkeypatch):
-        a, _ = default_analysis
+        a = dataclasses.replace(default_analysis[0])  # keeps no coverage instance yet
         built = []
         original = pipeline.build_coverage
         monkeypatch.setattr(pipeline, "build_coverage",
-                            lambda *args, **kw: built.append(1) or original(*args, **kw))
-        for method in METHODS:
-            before = len(built)
-            plan = plan_layer(a, 6, method)
-            assert len(built) - before == (method in REDIRECT_METHODS)
-            assert (plan.phi is not None) == (method in REDIRECT_METHODS)
+                            lambda *args, **kw: built.append(kw) or original(*args, **kw))
+        for k in (6, 3, 12, 6):
+            for method in METHODS:
+                before = len(built)
+                plan = plan_layer(a, k, method, SelectorParams())
+                if method not in REDIRECT_METHODS:
+                    assert len(built) == before
+                assert (plan.phi is not None) == (method in REDIRECT_METHODS)
+        # one build per analysis and coverage parameters: hodgecover and random
+        # share theirs, no_triangle zeroes lam_t
+        assert [kw["lam_t"] for kw in built] == [0.5, 0.0]
+        plan_layer(a, 6, "hodgecover", SelectorParams(p=30.0))
+        plan_layer(dataclasses.replace(a), 6, "random")
+        assert [(kw["p"], kw["lam_t"]) for kw in built[2:]] == [(30.0, 0.5), (20.0, 0.5)]
+
+    def test_kept_coverage_is_read_only_and_owns_its_saliency(self, default_analysis):
+        a = dataclasses.replace(default_analysis[0])
+        inst = pipeline.coverage_for(a)
+        assert not np.shares_memory(inst.sal, a.sal) and np.array_equal(inst.sal, a.sal)
+        for kept in (inst.crit_edges, inst.crit_triangles, inst.edge_incidence,
+                     inst.tri_incidence, inst.sal):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[...] = kept
+
+    def test_kept_state_freed_with_the_analysis(self, default_analysis):
+        a = dataclasses.replace(default_analysis[0],
+                                table=dataclasses.replace(default_analysis[0].table))
+        for k in (6, 3):
+            for method in METHODS:
+                plan_layer(a, k, method)
+        kept = [weakref.ref(x) for x in (pipeline.coverage_for(a), a.table, a)]
+        gc.disable()  # no reference cycle may hold the kept state
+        try:
+            del a
+            assert [r() for r in kept] == [None] * 3
+        finally:
+            gc.enable()
 
     def test_hodgecover_phi_recorded(self, default_analysis):
         a, _ = default_analysis

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -13,10 +14,10 @@ from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
 from hodgecover.oracles import random_complex
 from hodgecover.pipeline import METHODS, analyze_layer, coverage_for, plan_layer
 from hodgecover.selector import (ABLATION_VARIANTS, CoverageInstance, LayerBudget,
-                                 SurvivorPlan, _edge_order, _triplet_penalty_costs,
-                                 _unionfind_plan, allocate_uniform, allocate_weighted,
-                                 build_coverage, greedy_select, phi, redirect, select_ablation,
-                                 select_random)
+                                 SurvivorPlan, _edge_order, _LazySequence, _merges,
+                                 _triplet_penalty_costs, _unionfind_plan, allocate_uniform,
+                                 allocate_weighted, build_coverage, greedy_select, phi,
+                                 redirect, redirect_costs, select_ablation, select_random)
 
 
 def incidence(n, sets, cols):
@@ -31,8 +32,33 @@ def incidence(n, sets, cols):
 
 def unionfind_plan(table, k, costs, method, veto_tau=None):
     """``_unionfind_plan`` along the order of ``costs``; triples above ``veto_tau`` veto."""
-    veto = None if veto_tau is None else (veto_tau, table.triples[table.triplet > veto_tau])
-    return _unionfind_plan(table, k, _edge_order(costs), method, veto=veto)
+    veto = None if veto_tau is None else table.triples[table.triplet > veto_tau]
+    merges = _LazySequence(_merges(table.n, _edge_order(costs), veto))
+    return _unionfind_plan(table, k, merges, method, veto_tau=veto_tau)
+
+
+def merge_until(label, pairs, k, veto=None):
+    """Merge the groups of ``label`` along ``pairs`` in order until k remain.
+
+    ``label`` names each expert's group by its lowest member and is updated
+    in place; returns the number of merges.  A merge that would put all
+    three vertices of a ``veto`` row in one group is skipped.  This is the
+    run per k that the merge sequence replaces.
+    """
+    groups = len(np.unique(label))
+    merges = 0
+    for a, b in pairs.tolist():
+        if groups == k:
+            break
+        ra, rb = label[a], label[b]
+        if ra == rb:
+            continue
+        if veto is not None and (((label == ra) | (label == rb))[veto].all(axis=1)).any():
+            continue
+        label[label == max(ra, rb)] = min(ra, rb)
+        groups -= 1
+        merges += 1
+    return merges
 
 
 def manual_instance(n, crit_edges_by_expert, sal=None, lam_e=1.0, lam_t=0.0,
@@ -226,7 +252,7 @@ class TestRedirect:
             d = decompose(k, EdgeSignal(pair[k.edges[:, 0], k.edges[:, 1]]))
             survivors = rng.choice(k.n, size=int(rng.integers(1, k.n + 1)), replace=False)
             for alpha in (0.0, 3.0, -0.5):
-                assert redirect(k, table, d, survivors, alpha) == \
+                assert redirect(redirect_costs(k, table, d, alpha), survivors) == \
                     redirect_loop(k, table, d, survivors, alpha)
 
     def test_alpha_zero_is_nearest_barrier(self):
@@ -235,7 +261,7 @@ class TestRedirect:
         table = barrier_sweep(layer, corpus)
         k = Complex2(6, complete_edges(6), [])
         d = decompose(k, EdgeSignal(table.pairwise[k.edges[:, 0], k.edges[:, 1]]))
-        mapping = redirect(k, table, d, [0, 3], alpha=0.0)
+        mapping = redirect(redirect_costs(k, table, d, alpha=0.0), [0, 3])
         for i, j in mapping.items():
             others = [s for s in (0, 3) if s != j]
             assert table.pairwise[i, j] <= min(table.pairwise[i, s] for s in others) + 1e-15
@@ -246,7 +272,7 @@ class TestRedirect:
         table = barrier_sweep(layer, corpus)
         k = Complex2(4, complete_edges(4), [])
         d = decompose(k, EdgeSignal(table.pairwise[k.edges[:, 0], k.edges[:, 1]]))
-        assert redirect(k, table, d, [2]) == {0: 2, 1: 2, 3: 2}
+        assert redirect(redirect_costs(k, table, d), [2]) == {0: 2, 1: 2, 3: 2}
 
     def test_harmonic_term_breaks_barrier_tie(self):
         # cycle 0-1-3-4-0 plus the bridge (0, 2): the cycle flow is fully
@@ -258,10 +284,10 @@ class TestRedirect:
         assert abs(d.harm.values[0]) > 0.5 and abs(d.harm.values[1]) < 1e-12
         pair = np.ones((5, 5)) - np.eye(5)
         table = BarrierTable(pair, np.full(5, 0.4))
-        mapping = redirect(k, table, d, [1, 2], alpha=3.0)
+        mapping = redirect(redirect_costs(k, table, d, alpha=3.0), [1, 2])
         assert mapping[0] == 2
         # with alpha = 0 the tie falls to the lower survivor index instead
-        assert redirect(k, table, d, [1, 2], alpha=0.0)[0] == 1
+        assert redirect(redirect_costs(k, table, d, alpha=0.0), [1, 2])[0] == 1
 
 
 class TestAblations:
@@ -464,6 +490,43 @@ class TestArraysMatchSetOracle:
                     assert got.to_json() == want.to_json(), (model_seed, idx, k, method)
                     assert got.phi == want.phi
 
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_plans_identical_whatever_order_k_comes_in(self, synth_analyses, order):
+        rng = np.random.default_rng(44)
+        for seed, a in synth_analyses.items():
+            # a fresh analysis and table: the kept state fills in this k order
+            a = dataclasses.replace(a, table=dataclasses.replace(a.table))
+            ks = range(16, 0, -1) if order == "descending" else (rng.permutation(16) + 1).tolist()
+            for k in ks:
+                for method in METHODS:
+                    got = plan_layer(a, k, method, seed=seed)
+                    want = set_oracle.plan_layer(a, k, method, seed=seed)
+                    assert got.to_json() == want.to_json(), (seed, k, method)
+                    assert got.phi == want.phi
+
+    def test_merge_sequence_replays_the_run_per_k(self, synth_analyses):
+        # the last table's veto holds every triple, so small k forces merges
+        tables = [a.table for a in synth_analyses.values()]
+        tables.append(uniform_table(6, triples=list(itertools.combinations(range(6), 3))))
+        forced_seen = 0
+        for table in tables:
+            pairs = _edge_order(table.pairwise)
+            above = table.triples[table.triplet > np.median(table.triplet)]
+            for veto in (None, above, table.triples):
+                merges = _LazySequence(_merges(table.n, pairs, veto))
+                for k in range(table.n, 0, -1):  # each k makes a merge more
+                    label = np.arange(table.n)
+                    merge_until(label, pairs, k, veto)
+                    forced = merge_until(label, pairs, k)
+                    plan = _unionfind_plan(table, k, merges, "x",
+                                           veto_tau=None if veto is None else 0.0)
+                    assert plan.survivors == tuple(np.unique(label).tolist())
+                    assert plan.redirect == {i: int(t) for i, t in enumerate(label) if t != i}
+                    if veto is not None:
+                        assert plan.params["forced_merges"] == forced
+                        forced_seen += forced > 0
+        assert forced_seen
+
     def test_phi_bit_for_bit_on_random_sets(self, synth_analyses):
         rng = np.random.default_rng(40)
         for a in synth_analyses.values():
@@ -504,6 +567,14 @@ class TestArraysMatchSetOracle:
             tau_t, veto = table.constant("median_veto", None)
             assert tau_t == float(np.percentile(table.triplet, 50))
             kept.append((veto, table.triples[table.triplet > tau_t]))
+            pairs = _edge_order(table.pairwise)
+            merges = [(("merges", "pair_order"), _merges(table.n, pairs)),
+                      (("merges", "median_veto"), _merges(table.n, pairs, veto))]
+            merges += [(("merges", "penalty_order", alpha_t.hex()),
+                        _merges(table.n, _edge_order(_triplet_penalty_costs(table, alpha_t))))
+                       for alpha_t in (0.0, 1.0, 2.5)]
+            for key, fresh in merges:
+                assert table.constant(key, None).first(table.n) == list(fresh)
             for got, want in kept:
                 assert np.array_equal(got, want)
                 with pytest.raises(ValueError, match="read-only"):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgecover.moe import CalibCorpus, MoeLayer, synth_layer
-from hodgecover.wanda import (PruneMask, _in_order, expert_weight_matrix, prune_survivors,
-                              residual_sparsity, wanda_prune)
+from hodgecover.wanda import PruneMask, prune_survivors, residual_sparsity, wanda_prune
+from merge_oracle import expert_weight_matrix
 
 
 class TestResidualSparsity:
@@ -199,11 +199,19 @@ def argsort_masks(layer, corpus, survivors, r2):
     return masks
 
 
+def in_order(scores, order):
+    """Per row: is ``order`` the row's stable descending order of ``scores``?
+    Every adjacent pair along it is checked."""
+    along = scores.take(order, axis=1)
+    before, after = along[:, :-1], along[:, 1:]
+    return ((before > after) | ((before == after) & (order[:-1] < order[1:]))).all(axis=1)
+
+
 def order_fits(layer, corpus, survivors):
     """Per survivor row: does the shared order of the norms fit it?"""
     norms = np.sqrt(np.bincount(corpus.contexts, minlength=layer.ctx).astype(np.float64))
     order = np.argsort(-norms, kind="stable")
-    return np.concatenate([_in_order(np.abs(expert_weight_matrix(layer, j)) * norms, order)
+    return np.concatenate([in_order(np.abs(expert_weight_matrix(layer, j)) * norms, order)
                            for j in survivors])
 
 
