@@ -23,13 +23,13 @@ import numpy as np
 from . import __version__
 # discordance, plan_layer and prune_survivors are unused here but stay importable:
 # the benchmark's tracer (perfbench/tracing.py) patches them as hodgecover.cli.<name>.
-from .diagnostics import (RetainedMass, diagnose_model, diagnostics_csv,  # noqa: F401
-                          discordance, mechanism_table, retained_mass, series_json)
+from .diagnostics import (diagnose_model, diagnostics_csv, discordance,  # noqa: F401
+                          mechanism_table, retained_mass, series_json)
 from .moe import CalibCorpus, MoeLayer, synth_layer
 from .pipeline import (METHODS, REDIRECT_METHODS, SelectorParams, analyze_layer,  # noqa: F401
                        compress_model, hybrid_prune, model_loss, plan_layer)
 from .selector import allocate_uniform, allocate_weighted
-from .verification import run_checks
+from .verification import CHECKS, run_checks
 from .wanda import masks_to_json, prune_survivors  # noqa: F401
 
 USAGE_ERROR = 1
@@ -304,10 +304,9 @@ def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
         plans, grid[method], _ = _compress(cfg, analyses, corpus, heldout, method, rate)
         per_layer = [retained_mass(a.complex, a.decomp, a.table, plan.survivors)
                      for a, plan in zip(analyses, plans)]
-        retained[method] = {key: float(np.mean([m.as_dict()[key] for m in per_layer]))
+        retained[method] = {key: float(np.mean([m[key] for m in per_layer]))
                             for key in ("harm", "grad", "curl", "triplet")}
-    deviations = mechanism_table(
-        {m: RetainedMass(**vals) for m, vals in retained.items()})
+    deviations = mechanism_table(retained)
     doc = {"rate": rate, "grid": grid, "retained_mass": retained,
            "deviation_from_hodgecover": deviations}
     lines = ["method,heldout_loss,ret_harm,ret_grad,ret_curl,ret_triplet"]
@@ -411,10 +410,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             only = None
             if args.only:
+                numbers = {str(number): number for number, _, _ in CHECKS}
                 try:
-                    only = [int(x) for x in args.only.split(",")]
-                except ValueError:
-                    raise CliError(f"bad --only list {args.only!r}", USAGE_ERROR)
+                    only = [numbers[x.strip()] for x in args.only.split(",")]
+                except KeyError:
+                    raise CliError(f"bad --only list {args.only!r}: criteria are numbered "
+                                   f"1-{len(CHECKS)}", USAGE_ERROR)
             return cmd_verify(only, Path(args.out) if args.out else None)
         if args.command == "report":
             return cmd_report(args.run_dir)

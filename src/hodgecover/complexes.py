@@ -16,7 +16,6 @@ gathers and scatter-adds.  No |E| x |T| matrix is formed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +117,7 @@ class EdgeSignal:
             raise ValueError("edge signal has non-finite entries")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return float(np.sqrt(self.values.dot(self.values)))
 
 
 def vertex_boundary(k: Complex2, dtype=np.float64) -> np.ndarray:
@@ -130,110 +129,49 @@ def vertex_boundary(k: Complex2, dtype=np.float64) -> np.ndarray:
     return d1
 
 
-RANK_CUTOFF = 1e-8    # a column's distance from a span, relative to its norm, read as zero
-# p = 2^61 - 1 first, then the largest primes below 2^62 and 2^63
-PRIMES = (2**61 - 1, 2**62 - 57, 2**63 - 25)
 SIGNS = np.array([1.0, -1.0, 1.0])  # d2 on a triangle's edges (i,j), (i,k), (j,k)
 
 
 def boundary_pivots(rows: np.ndarray) -> np.ndarray:
-    """Pivot columns of d2 over the reals, from one column reduction mod a prime.
+    """Pivot columns of d2 over the reals, from one column reduction over the integers.
 
     Column c of d2 holds +1, -1, +1 at the edge rows ``rows[:, c]`` (the
     layout of ``Complex2.edge_rows``).  The columns are reduced left to
-    right mod p = 2^61 - 1, each against the pivot columns before it by their
-    lowest nonzero row, as in persistent homology (Edelsbrunner, Letscher and
-    Zomorodian 2002; Zomorodian and Carlsson 2005).  A column that does not
-    reduce to zero is a pivot.  The pivots among the first s columns number
-    rank(d2[:, :s]) and their columns span d2[:, :s].  The count is over the
-    reals, never over Z/p:
+    right, each against the pivot columns before it by their lowest nonzero
+    row, as in persistent homology (Edelsbrunner, Letscher and Zomorodian
+    2002; Zomorodian and Carlsson 2005): while a column's lowest row r is
+    some pivot's lowest row, col := f * col - g * pivot, with f and g their
+    entries at r.  A column that does not reduce to zero is a pivot.
 
-    - Columns independent mod p are independent over the integers, so the
-      pivots are independent over the reals and a prefix's rank mod p is
-      never above its real rank.
-    - A non-pivot column with m pivots before it can be independent of them
-      over the reals only if p divides a nonzero (m+1)-minor of those m + 1
-      columns.  Each column has three entries of +-1, so the Hadamard bound
-      caps that minor at 3^((m+1)/2).  While 3^(m+1) < p^2 (m + 1 <= 76 for
-      p = 2^61 - 1) no such column needs a check.
-    - Beyond that, each non-pivot column must lie in the real span of the
-      pivots before it: its distance from that span, by the normal
-      equations of those pivots, must be at most ``RANK_CUTOFF`` times its
-      norm.  A dependent column of these integer matrices leaves a distance
-      near 1e-15 and an independent one a distance of order one.  A failed
-      check means p divides the torsion of that prefix's H1 (RP^2 has Z/2),
-      and the reduction is redone with the next prime of ``PRIMES``.
-
-    Raises :class:`ValueError` if every prime fails.  Returns a boolean mask
-    over the columns.
+    The arithmetic is on Python ints, so it is exact.  The pivots have
+    distinct lowest rows, so they are independent.  A column that reaches
+    zero is a rational combination of the columns before it, so it lies in
+    their real span.  Hence the pivots among the first s columns number
+    rank(d2[:, :s]) over the reals and span d2[:, :s].  Returns a boolean
+    mask over the columns.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(3, -1)
-    for prime in PRIMES:
-        pivot = _pivots_mod(rows, prime)
-        if _dependents_in_span(rows, pivot, prime):
-            return pivot
-    raise ValueError(f"rank of d2 is not settled mod any of the primes {PRIMES}: "
-                     "each divides the torsion of the complex's homology")
-
-
-def span_check_from(prime: int) -> int:
-    """Fewest pivots before a non-pivot column at which it needs the real check:
-    the least m with 3^(m+1) >= prime^2."""
-    return next(m for m in itertools.count() if 3 ** (m + 1) >= prime * prime)
-
-
-def _pivots_mod(rows: np.ndarray, prime: int) -> np.ndarray:
-    """Pivot mask of the left-to-right column reduction of d2 mod ``prime``."""
-    reduced: dict[int, dict[int, int]] = {}  # lowest row -> pivot column, 1 there
+    reduced: dict[int, dict[int, int]] = {}  # lowest row -> pivot column
     pivot = np.zeros(rows.shape[1], dtype=bool)
     for c, (a, b, d) in enumerate(rows.T.tolist()):
-        col = {a: 1, b: prime - 1, d: 1}
+        col = {a: 1, b: -1, d: 1}
         while col:
             low = max(col)
             other = reduced.get(low)
             if other is None:
-                scale = pow(col[low], -1, prime)
-                reduced[low] = {r: v * scale % prime for r, v in col.items()}
+                reduced[low] = col
                 pivot[c] = True
                 break
-            factor = col[low]
+            f, g = other[low], col[low]
+            if f != 1:
+                col = {r: f * v for r, v in col.items()}
             for r, v in other.items():
-                v = (col.get(r, 0) - factor * v) % prime
+                v = col.get(r, 0) - g * v
                 if v:
                     col[r] = v
                 else:
                     del col[r]
     return pivot
-
-
-def _dependents_in_span(rows: np.ndarray, pivot: np.ndarray, prime: int) -> bool:
-    """Whether each non-pivot column the Hadamard bound leaves open lies in
-    the real span of the pivots before it (see :func:`boundary_pivots`).
-
-    A real dependency is a 2-chain with zero boundary, on whose support each
-    edge lies on two triangles or more, so peeling off columns with an edge
-    no other kept column has spares it.  One solve of the normal equations
-    of the pivots left serves all open columns: with its coefficients on
-    later pivots dropped, what is left of a column is rounding if it is in
-    the span of the pivots before it, and at least its distance from it if not.
-    """
-    before = np.cumsum(pivot) - pivot
-    keep = pivot | (before >= span_check_from(prime))
-    open_cols = np.flatnonzero(keep & ~pivot)
-    if not len(open_cols):
-        return True
-    num_edges, lone = int(rows.max()) + 1, keep
-    while lone.any():
-        count = np.bincount(rows[:, keep].ravel(), minlength=num_edges)
-        lone = keep & (count[rows] == 1).any(axis=0)
-        keep &= ~lone
-    piv_cols = np.flatnonzero(keep & pivot)
-    piv = rows[:, piv_cols]
-    cols = boundary(rows[:, open_cols], np.eye(len(open_cols)), num_edges)
-    coef = np.linalg.solve(boundary_gram(piv), boundary_t(piv, cols))
-    coef[piv_cols[:, None] > open_cols] = 0.0
-    resid = cols - boundary(piv, coef, num_edges)
-    return bool((np.linalg.norm(resid, axis=0) <= RANK_CUTOFF * np.sqrt(3.0)).all())
 
 
 def boundary_gram(rows: np.ndarray) -> np.ndarray:

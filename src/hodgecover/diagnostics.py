@@ -53,23 +53,6 @@ def diagnostics_csv(diags: Iterable[LayerDiagnostics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
-class RetainedMass:
-    """Component mass fractions kept by one survivor set."""
-
-    harm: float
-    grad: float
-    curl: float
-    triplet: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"harm": self.harm, "grad": self.grad,
-                "curl": self.curl, "triplet": self.triplet}
-
-    def deviation_from(self, ref: "RetainedMass") -> dict[str, float]:
-        return {key: self.as_dict()[key] - ref.as_dict()[key] for key in self.as_dict()}
-
-
 def discordance(barriers: BarrierTable, candidates: np.ndarray) -> float:
     """Fraction of candidate triangles whose joint barrier beats the worst
     pairwise barrier by the factor ``DISCORDANCE_MARGIN``."""
@@ -84,8 +67,9 @@ def discordance(barriers: BarrierTable, candidates: np.ndarray) -> float:
 
 
 def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
-                  survivors: Iterable[int]) -> RetainedMass:
-    """l1 mass fractions of each component on simplices meeting the survivors."""
+                  survivors: Iterable[int]) -> dict[str, float]:
+    """l1 mass fractions of each component on simplices meeting the survivors,
+    keyed "harm", "grad", "curl" and "triplet"."""
     surv = set(int(i) for i in survivors)
     edge_hit = np.isin(k.edges, sorted(surv)).any(axis=1) if k.num_edges else np.zeros(0, bool)
 
@@ -104,12 +88,10 @@ def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
     else:
         tri_frac = float(tri_vals[tri_hit].sum()) / tri_total
 
-    return RetainedMass(
-        harm=edge_fraction(decomp.harm.values),
-        grad=edge_fraction(decomp.grad.values),
-        curl=edge_fraction(decomp.curl.values),
-        triplet=tri_frac,
-    )
+    return {"harm": edge_fraction(decomp.harm.values),
+            "grad": edge_fraction(decomp.grad.values),
+            "curl": edge_fraction(decomp.curl.values),
+            "triplet": tri_frac}
 
 
 def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:
@@ -128,12 +110,13 @@ def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:
     return out
 
 
-def mechanism_table(retained: Mapping[str, RetainedMass]) -> dict[str, dict[str, float]]:
+def mechanism_table(retained: Mapping[str, Mapping[str, float]]) -> dict[str, dict[str, float]]:
     """Deviation of each method's retained mass from that of hodgecover."""
     if "hodgecover" not in retained:
         raise ValueError("reference method 'hodgecover' missing from results")
     ref = retained["hodgecover"]
-    return {method: mass.deviation_from(ref) for method, mass in retained.items()}
+    return {method: {key: mass[key] - ref[key] for key in mass}
+            for method, mass in retained.items()}
 
 
 def series_json(diags: Sequence[LayerDiagnostics]) -> str:

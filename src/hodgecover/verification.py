@@ -17,12 +17,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import Complex2, EdgeSignal, complete_edges
+from .complexes import Complex2, EdgeSignal, boundary_pivots, complete_edges
 from .hodge import decompose
 from .moe import (CalibCorpus, MoeLayer, barrier_sweep, merged_distribution,
                   plant_discordant_triple, synth_layer)
 from .oracles import (betti1, build_incidence, edge_laplacian, kernel_dimension,
-                      random_complex, residual_certificate)
+                      random_complex, residual_certificate, skeleton_components)
 from .pipeline import SelectorParams, analyze_layer, compress_model, model_loss
 from .selector import (CoverageInstance, allocate_uniform, allocate_weighted,
                        greedy_select, phi)
@@ -74,12 +74,19 @@ def check_hodge_orthogonality() -> tuple[bool, str]:
     return True, f"100 random pairs orthogonal; worst ratio {worst:.2e}"
 
 
+def pivot_betti1(k: Complex2) -> int:
+    """beta1 from the rank the analysis takes: the pivots of d2's column reduction."""
+    return (k.num_edges - k.n + skeleton_components(k)
+            - int(boundary_pivots(k.edge_rows).sum()))
+
+
 def check_betti_agreement() -> tuple[bool, str]:
-    """Euler-Poincare equals kernel dimension, including the 31 885 pin."""
+    """Euler-Poincare (by dense rank and by the analysis's pivot count) equals
+    kernel dimension, including the 31 885 pin."""
     rng = np.random.default_rng(1003)
     for _ in range(30):
         k = random_complex(rng, n_max=14)
-        if betti1(k) != kernel_dimension(build_incidence(k)):
+        if not betti1(k) == pivot_betti1(k) == kernel_dimension(build_incidence(k)):
             return False, f"count mismatch on random complex n={k.n}"
     fixtures = [
         (Complex2(3, [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]), 0),
@@ -90,7 +97,7 @@ def check_betti_agreement() -> tuple[bool, str]:
     ]
     for k, expected in fixtures:
         inc = build_incidence(k)
-        if betti1(k) != expected or kernel_dimension(inc) != expected:
+        if not betti1(k) == pivot_betti1(k) == kernel_dimension(inc) == expected:
             return False, f"fixture with n={k.n} expected {expected}"
         l1 = edge_laplacian(inc)
         eig_dim = int((np.abs(np.linalg.eigvalsh(l1)) < 1e-8).sum())
@@ -103,11 +110,12 @@ def check_betti_agreement() -> tuple[bool, str]:
     while len(seen) < 500:
         seen.add(tuple(sorted(pin_rng.choice(256, size=3, replace=False))))
     k256 = Complex2(256, complete_edges(256), np.array(sorted(seen)))
-    ep = betti1(k256)
-    kd = kernel_dimension(build_incidence(k256))
-    if ep != 31885 or kd != 31885:
-        return False, f"n=256 pin gave euler={ep}, kernel={kd}, expected 31885"
-    return True, "random + fixture complexes agree; n=256 pin = 31885 both ways"
+    counts = {"euler": betti1(k256), "pivots": pivot_betti1(k256),
+              "kernel": kernel_dimension(build_incidence(k256))}
+    if set(counts.values()) != {31885}:
+        found = ", ".join(f"{name}={value}" for name, value in counts.items())
+        return False, f"n=256 pin gave {found}, expected 31885"
+    return True, "random + fixture complexes agree; n=256 pin = 31885 three ways"
 
 
 def check_residual_minimality() -> tuple[bool, str]:
@@ -321,8 +329,8 @@ def check_diagnostics_closure() -> tuple[bool, str]:
     for _ in range(100):
         small = set(rng.choice(16, rng.integers(0, 12), replace=False).tolist())
         big = small | set(rng.choice(16, 4).tolist())
-        lo = retained_mass(analysis.complex, analysis.decomp, analysis.table, small).as_dict()
-        hi = retained_mass(analysis.complex, analysis.decomp, analysis.table, big).as_dict()
+        lo = retained_mass(analysis.complex, analysis.decomp, analysis.table, small)
+        hi = retained_mass(analysis.complex, analysis.decomp, analysis.table, big)
         if any(lo[key] > hi[key] + 1e-12 for key in lo):
             return False, f"retained mass shrank when growing {sorted(small)}"
     return True, "closure holds on 6 layers; retained mass monotone on 100 nested pairs"

@@ -1,14 +1,13 @@
 """Prefix ranks by block Gram-Schmidt: Stage B's rank kernel before the
-column reduction mod p, kept as the oracle of
+exact column reduction, kept as the oracle of
 :func:`hodgecover.complexes.boundary_pivots`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from hodgecover.complexes import RANK_CUTOFF
-
 RANK_BLOCK = 64       # widest column block one Gram-Schmidt step takes
+RANK_CUTOFF = 1e-8    # a singular value below this times the block's largest column norm is zero
 
 
 def prefix_ranks(matrix: np.ndarray, stops) -> tuple[np.ndarray, np.ndarray]:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgecover import complexes
 from hodgecover.builder import (GRID_POINTS, stage_a_candidates,
                                 stage_b_filtration)
 from hodgecover.complexes import Complex2, complete_edges
-from hodgecover.moe import CalibCorpus, MoeLayer, barrier_sweep, cluster_assignment, synth_layer
+from hodgecover.moe import (CalibCorpus, MoeLayer, barrier_sweep, cluster_assignment,
+                            extend_triplets, synth_layer)
 from hodgecover.oracles import (betti1, build_incidence, kernel_dimension, random_complex, rank,
                                 skeleton_components)
 from rank_oracle import prefix_ranks
@@ -351,19 +351,26 @@ def test_rp2_rank_is_taken_over_the_reals():
     table = table_from_matrix(table.pairwise, {t: 1.0 for t in tris})
     result = stage_b_filtration(table, np.array(tris))
     assert result.chosen_complex.num_triangles == 10
-    assert result.beta1 == 0
-    assert all(beta == 0 for _, beta in result.betti_curve)
-
-
-def test_rp2_stage_b_recovers_from_a_mod_2_reduction(monkeypatch):
-    # mod 2 the last column of RP^2 reduces to zero; the span check refuses
-    # that and the next prime gives the real ranks
-    monkeypatch.setattr(complexes, "PRIMES", (2, 2**61 - 1))
-    table = table_from_matrix(all_equal_table(6, 1.0).pairwise, {t: 1.0 for t in RP2})
-    result = stage_b_filtration(table, np.array(RP2))
-    assert result.beta1 == 0
-    assert all(beta == 0 for _, beta in result.betti_curve)
     assert result.pivots.tolist() == list(range(10))
-    monkeypatch.setattr(complexes, "PRIMES", (2,))
-    with pytest.raises(ValueError, match="not settled mod any of the primes"):
-        stage_b_filtration(table, np.array(RP2))
+    assert result.beta1 == 0
+    assert all(beta == 0 for _, beta in result.betti_curve)
+
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_stage_b_makes_no_lapack_call(monkeypatch, n):
+    # the default synth layer of that size, seed 0
+    layer, corpus = synth_layer(n=n, seed=0), CalibCorpus.sample(256, 2048, 42)
+    table = barrier_sweep(layer, corpus)
+    candidates = stage_a_candidates(table)
+    table = extend_triplets(layer, corpus, table, candidates)
+    expected = stage_b_filtration(table, candidates)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call in Stage B")
+    for name in ("solve", "lstsq", "svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = stage_b_filtration(table, candidates)
+    assert got.tau_star == expected.tau_star and got.betti_curve == expected.betti_curve
+    assert np.array_equal(got.pivots, expected.pivots)
+    assert np.array_equal(got.chosen_complex.triangles, expected.chosen_complex.triangles)

@@ -331,8 +331,11 @@ class TestAblateVerifyReport:
         doc = json.loads((out / "verify.json").read_text())
         assert [entry["number"] for entry in doc] == [1, 6, 8]
 
-    def test_verify_bad_only_list(self):
-        assert run(["verify", "--only", "one,two"]) == 1
+    def test_verify_bad_only_list(self, capsys):
+        for only in ("one,two", "99", "0", "3,99"):
+            assert run(["verify", "--only", only]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "numbered 1-12" in err
 
     def test_report_bundles_run_dir(self, tmp_path, model_dir, capsys):
         out = tmp_path / "c"

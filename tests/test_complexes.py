@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -5,8 +7,7 @@ from scipy.sparse.csgraph import connected_components
 
 from hodgecover import builder, complexes, selector
 from hodgecover.complexes import (Complex2, ComplexStructureError, UnionFind, boundary,
-                                  boundary_gram, boundary_pivots, boundary_t, complete_edges,
-                                  span_check_from)
+                                  boundary_gram, boundary_pivots, boundary_t, complete_edges)
 from hodgecover.oracles import (betti1, build_incidence, edge_laplacian, kernel_dimension,
                                 random_complex, rank, skeleton_components)
 from rank_oracle import RANK_BLOCK, prefix_ranks
@@ -294,11 +295,18 @@ def fan_then_tetrahedron(fan):
     return Complex2(n, complete_edges(n), tris).edge_rows
 
 
+OCTAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4),
+              (1, 2, 5), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
+
+
 class TestBoundaryPivots:
     def test_prefix_ranks_match_gram_schmidt_oracle(self):
+        # the octahedron has every edge on two faces, and RP^2's last column
+        # is dependent mod 2 only
         rng = np.random.default_rng(8)
-        for _ in range(60):
-            k = random_complex(rng, n_max=14)
+        cases = [Complex2(6, complete_edges(6), OCTAHEDRON), Complex2(6, complete_edges(6), RP2)]
+        cases += [random_complex(rng, n_max=14) for _ in range(60)]
+        for k in cases:
             order = rng.permutation(k.num_triangles)
             pivot = boundary_pivots(k.edge_rows[:, order])
             stops = np.arange(k.num_triangles + 1)
@@ -316,76 +324,37 @@ class TestBoundaryPivots:
     def test_no_columns(self):
         assert boundary_pivots(np.zeros((3, 0), dtype=np.int64)).shape == (0,)
 
-    def test_rp2_mod_2_miscount_is_caught_and_retried(self, monkeypatch):
+    def test_rp2_mod_2_miscount_is_caught_and_retried(self):
         # H1(RP^2) = Z/2: mod 2 the last column reduces to zero, one short of
-        # the real rank 10; the span check refuses it and the next prime counts 10
+        # the real rank 10; over the integers it keeps a nonzero entry
         rows = Complex2(6, complete_edges(6), RP2).edge_rows
-        mod_2 = complexes._pivots_mod(rows, 2)
-        assert mod_2.sum() == 9 and not mod_2[-1]
-        assert not complexes._dependents_in_span(rows, mod_2, 2)
-        monkeypatch.setattr(complexes, "PRIMES", (2, 2**61 - 1))
         assert boundary_pivots(rows).all()
 
-    def test_every_prime_failing_raises(self, monkeypatch):
-        monkeypatch.setattr(complexes, "PRIMES", (2,))
-        rows = Complex2(6, complete_edges(6), RP2).edge_rows
-        with pytest.raises(ValueError, match="not settled mod any of the primes"):
-            boundary_pivots(rows)
+    def test_prefix_ranks_through_scaled_steps(self):
+        # RP^2's ten columns, then K6's other ten triangles: RP^2's last pivot
+        # has -2 at its lowest row, so each later column is scaled by -2
+        # before it is reduced against that pivot
+        k6 = Complex2(6, complete_edges(6), list(itertools.combinations(range(6), 3)))
+        tris = list(map(tuple, k6.triangles.tolist()))
+        order = [tris.index(t) for t in RP2] + [c for c, t in enumerate(tris) if t not in RP2]
+        pivot = boundary_pivots(k6.edge_rows[:, order])
+        ranks = prefix_ranks(build_incidence(k6).b2[:, order], np.arange(21))[0]
+        assert np.concatenate([[0], np.cumsum(pivot)]).tolist() == ranks.tolist()
+        assert pivot.tolist() == [True] * 10 + [False] * 10
 
-    def test_hadamard_threshold(self):
-        # a missed pivot needs a nonzero (m+1)-minor that p divides; the
-        # minor is at most 3^((m+1)/2), below p = 2^61 - 1 up to m + 1 = 76
-        p = 2**61 - 1
-        assert 3**76 < p * p <= 3**77
-        assert span_check_from(p) == 76
-        assert span_check_from(2) == 1
-
-    @pytest.mark.parametrize("fan, checked", [(72, 0), (73, 1)])
-    def test_span_checks_start_at_m_plus_one_77(self, monkeypatch, fan, checked):
-        # the tetrahedron's last face follows fan + 3 pivots: m + 1 = 76
-        # needs no check, m + 1 = 77 does
-        calls = []
-
-        def counting_gram(rows):
-            calls.append(rows.shape[1])
-            return boundary_gram(rows)
-        monkeypatch.setattr(complexes, "boundary_gram", counting_gram)
+    # the fans put 75 and 76 pivots before the tetrahedron's last face: the
+    # most a reduction mod 2^61 - 1 settles by the Hadamard bound, and one
+    # more.  Over the integers no such bound exists.  (Each id is the fan and
+    # whether a float check was needed past that bound.)
+    @pytest.mark.parametrize("fan", [pytest.param(72, id="72-0"), pytest.param(73, id="73-1")])
+    def test_span_checks_start_at_m_plus_one_77(self, fan):
         pivot = boundary_pivots(fan_then_tetrahedron(fan))
         assert pivot.sum() == fan + 3 and not pivot[-1]
-        assert len(calls) == checked
 
-    def test_span_check_solves_on_the_faces_that_can_close_a_cycle(self, monkeypatch):
-        # every fan triangle has an edge of its own, so no 2-cycle passes
-        # through it: the solve sees the tetrahedron's three pivots, not 76
-        calls = []
-
-        def counting_gram(rows):
-            calls.append(rows.shape[1])
-            return boundary_gram(rows)
-        monkeypatch.setattr(complexes, "boundary_gram", counting_gram)
-        assert not boundary_pivots(fan_then_tetrahedron(73))[-1]
-        assert calls == [3]
-
-    def test_span_check_matches_dense_rank_oracle(self):
-        # mod 2 nearly every non-pivot column is open (span_check_from(2) = 1);
-        # the verdict must be the dense rank's, on the octahedron (every edge
-        # on two faces), RP^2 (dependent mod 2 only) and random complexes
-        rng = np.random.default_rng(11)
-        octahedron = [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4),
-                      (1, 2, 5), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
-        cases = [Complex2(6, complete_edges(6), octahedron), Complex2(6, complete_edges(6), RP2)]
-        cases += [random_complex(rng, n_max=12) for _ in range(40)]
-        verdicts = []
-        for k in cases:
-            order = rng.permutation(k.num_triangles)
-            rows, b2 = k.edge_rows[:, order], build_incidence(k).b2[:, order]
-            pivot = complexes._pivots_mod(rows, 2)
-            before = np.cumsum(pivot) - pivot
-            expected = all(rank(b2[:, np.append(np.flatnonzero(pivot[:c]), c)]) == before[c]
-                           for c in np.flatnonzero(~pivot & (before >= span_check_from(2))))
-            assert complexes._dependents_in_span(rows, pivot, 2) == expected
-            verdicts.append(expected)
-        assert verdicts[:2] == [True, False]
+    def test_span_check_solves_on_the_faces_that_can_close_a_cycle(self):
+        # every fan triangle has an edge of its own, so only the tetrahedron
+        # closes a 2-cycle: its last face is the one non-pivot
+        assert boundary_pivots(fan_then_tetrahedron(73)).tolist() == [True] * 76 + [False]
 
     def test_products_match_dense_d2(self):
         rng = np.random.default_rng(10)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hodgecover.complexes import Complex2, EdgeSignal, complete_edges
-from hodgecover.diagnostics import (CSV_HEADER, RetainedMass, diagnose_model,
-                                    diagnostics_csv, discordance, mechanism_table,
-                                    retained_mass)
+from hodgecover.diagnostics import (CSV_HEADER, diagnose_model, diagnostics_csv,
+                                    discordance, mechanism_table, retained_mass)
 from hodgecover.hodge import decompose
 from hodgecover.moe import CalibCorpus, barrier_sweep, plant_discordant_triple, synth_layer
 from hodgecover.pipeline import analyze_layer
@@ -62,9 +61,9 @@ class TestRetainedMass:
     def test_full_and_empty_survivor_sets(self):
         k, d, triplets, table = self.fixture()
         full = retained_mass(k, d, table, range(6))
-        assert full.as_dict() == {"harm": 1.0, "grad": 1.0, "curl": 1.0, "triplet": 1.0}
+        assert full == {"harm": 1.0, "grad": 1.0, "curl": 1.0, "triplet": 1.0}
         empty = retained_mass(k, d, table, [])
-        assert empty.as_dict() == {"harm": 0.0, "grad": 0.0, "curl": 0.0, "triplet": 0.0}
+        assert empty == {"harm": 0.0, "grad": 0.0, "curl": 0.0, "triplet": 0.0}
 
     def test_matches_literal_summation(self):
         k, d, triplets, table = self.fixture()
@@ -74,9 +73,9 @@ class TestRetainedMass:
                              ("curl", d.curl.values)):
             num = sum(abs(values[e]) for e, (i, j) in enumerate(k.edges)
                       if i in survivors or j in survivors)
-            assert got.as_dict()[name] == pytest.approx(num / np.abs(values).sum())
+            assert got[name] == pytest.approx(num / np.abs(values).sum())
         tri_num = sum(abs(v) for t, v in triplets.items() if set(t) & survivors)
-        assert got.triplet == pytest.approx(tri_num / sum(abs(v) for v in triplets.values()))
+        assert got["triplet"] == pytest.approx(tri_num / sum(abs(v) for v in triplets.values()))
 
     def test_monotone_under_growth(self):
         k, d, triplets, table = self.fixture()
@@ -84,8 +83,8 @@ class TestRetainedMass:
         for _ in range(50):
             small = set(rng.choice(6, rng.integers(0, 4), replace=False).tolist())
             big = small | set(rng.choice(6, 2).tolist())
-            lo = retained_mass(k, d, table, small).as_dict()
-            hi = retained_mass(k, d, table, big).as_dict()
+            lo = retained_mass(k, d, table, small)
+            hi = retained_mass(k, d, table, big)
             assert all(lo[key] <= hi[key] + 1e-12 for key in lo)
 
 
@@ -137,8 +136,8 @@ class TestDiagnoseModel:
 class TestMechanism:
     def test_reference_deviation_is_zero(self):
         masses = {
-            "hodgecover": RetainedMass(0.7, 0.6, 0.4, 0.5),
-            "random": RetainedMass(0.5, 0.5, 0.6, 0.7),
+            "hodgecover": {"harm": 0.7, "grad": 0.6, "curl": 0.4, "triplet": 0.5},
+            "random": {"harm": 0.5, "grad": 0.5, "curl": 0.6, "triplet": 0.7},
         }
         table = mechanism_table(masses)
         assert all(v == 0.0 for v in table["hodgecover"].values())
@@ -146,4 +145,4 @@ class TestMechanism:
 
     def test_missing_reference(self):
         with pytest.raises(ValueError):
-            mechanism_table({"random": RetainedMass(1, 1, 1, 1)})
+            mechanism_table({"random": {"harm": 1.0, "grad": 1.0, "curl": 1.0, "triplet": 1.0}})
