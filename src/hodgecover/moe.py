@@ -32,9 +32,19 @@ because the merged slot keeps the group's lowest index and can win it).
 - Touched cells.  They go through the merged layer's own routing, softmax,
   mixture and ``kl_rows`` arithmetic, elementwise, and each group's mean is
   the same dot product of its dense KL row with the symbol weights.
+- Pair cells with one routed member.  If x is routed r-th and e is not,
+  the merged logit m = lse(c_x, c_e) >= c_x, so the merged layer routes the
+  original list without x plus the merged slot, placed at
+  q = #{r' < r : c_r' > m, or c_r' = m and R_r' < min(x, e)}: a tie goes to
+  the lower index, and the merged slot keeps the pair's lower one.  Nothing
+  ranked after x, routed or not, can pass the merged slot.  These cells are
+  evaluated on a fixed-shape grid over (r, e, symbol) with no search
+  (``_one_routed_grid``).  The general per-cell path, a candidate list and a
+  ``lexsort`` per cell, keeps the pair cells with both members routed,
+  those with none routed that reach the threshold, and every triplet cell.
 
-With fanout 2 about 6 % of the (pair, symbol) cells are touched at 64
-experts, and about 9 % pass the bound.
+With fanout 2 at 64 experts, 6.2 % of the (pair, symbol) cells have one
+routed member, 0.14 % more are touched, and 8.6 % pass the bound.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain 
 # ran slower: each one's temporaries fell out of cache and were page-faulted anew.
 # Smaller blocks cost more numpy calls per cell; the step arrays reuse buffers instead.
 BLOCK_FLOATS = 1 << 16
+LOG2 = np.log(2.0)       # _logsumexp's log(m) at two tied maxima
 
 T = TypeVar("T")
 
@@ -67,6 +78,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: a cached array is shared by every caller."""
     a.flags.writeable = False
     return a
+
+
+def _kept(kept: weakref.WeakKeyDictionary, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """``kept[key]``, first set to ``compute()`` marked read-only."""
+    found = kept.get(key)
+    if found is None:
+        found = kept[key] = read_only(compute())
+    return found
 
 
 class KeepsConstants:
@@ -118,17 +137,27 @@ class MoeLayer:
         return _softmax(self.expert_logits, axis=1)
 
     @cached_property
+    def _order_by_corpus(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
+    @cached_property
     def _outputs_by_corpus(self) -> weakref.WeakKeyDictionary:
         return weakref.WeakKeyDictionary()
+
+    def corpus_order(self, corpus: "CalibCorpus") -> np.ndarray:
+        """The experts in routing order at each of the corpus's symbols, (n, u):
+        a stable sort of the router logits, descending, so ties go to the lower
+        index.  Computed once per corpus and kept, read-only, while it lives."""
+        return _kept(self._order_by_corpus, corpus, lambda: np.argsort(
+            -self.router_logits[:, corpus.symbol_weights[0]], axis=0, kind="stable"))
 
     def corpus_outputs(self, corpus: "CalibCorpus") -> np.ndarray:
         """The layer's output distributions at the corpus's symbols, (u, vocab);
         computed once per corpus and kept, read-only, while the corpus lives."""
-        found = self._outputs_by_corpus.get(corpus)
-        if found is None:
-            found = read_only(layer_symbol_outputs(self, corpus.symbol_weights[0]))
-            self._outputs_by_corpus[corpus] = found
-        return found
+        def compute():
+            idx, gates = _corpus_routing(self, corpus)
+            return _mixture_outputs(gates, self.expert_dists[idx])
+        return _kept(self._outputs_by_corpus, corpus, compute)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -303,10 +332,18 @@ def _route(router_cols: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray
     Ties in router logits break toward the lower expert index (stable sort),
     so routing is deterministic even for degenerate layers.
     """
-    idx = np.argsort(-router_cols, axis=0, kind="stable")[:fanout]
-    sel = np.take_along_axis(router_cols, idx, axis=0)
-    gates = _softmax(sel, axis=0)
-    return idx, gates
+    return _gated(router_cols, np.argsort(-router_cols, axis=0, kind="stable")[:fanout])
+
+
+def _gated(router_cols: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``idx``, the routed experts per column, and their softmax gates."""
+    return idx, _softmax(np.take_along_axis(router_cols, idx, axis=0), axis=0)
+
+
+def _corpus_routing(layer: MoeLayer, corpus: CalibCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_route` at the corpus's symbols, from the layer's kept routing order."""
+    return _gated(layer.router_logits[:, corpus.symbol_weights[0]],
+                  layer.corpus_order(corpus)[:layer.fanout])
 
 
 def _mixture_outputs(gates: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -316,19 +353,10 @@ def _mixture_outputs(gates: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     return np.einsum("fu,fuv->uv", gates, chosen)
 
 
-def layer_symbol_outputs(layer: MoeLayer, symbols: np.ndarray) -> np.ndarray:
-    """Layer output distribution at each context symbol, (u, vocab)."""
-    idx, gates = _route(layer.router_logits[:, np.asarray(symbols, dtype=np.int64)],
-                        layer.fanout)
-    return _mixture_outputs(gates, layer.expert_dists[idx])
-
-
 def routing_frequencies(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     """Fraction of corpus tokens routing each expert; sums to fanout."""
-    symbols, weights = corpus.symbol_weights
-    idx, _ = _route(layer.router_logits[:, symbols], layer.fanout)
     freq = np.zeros(layer.n)
-    np.add.at(freq, idx, weights[None, :])
+    np.add.at(freq, layer.corpus_order(corpus)[:layer.fanout], corpus.symbol_weights[1][None, :])
     return freq
 
 
@@ -487,74 +515,207 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     Bit-identical per group to evaluating the whole merged layer at every
     symbol (the tests keep that as the oracle), by the argument in the
     module docstring: touched cells go through the merged layer's arithmetic,
-    the others add exactly 0.  Groups must all have the same size.
+    the others add exactly 0.  Groups must all have the same size; pairs
+    must be distinct.
+
+    Pair cells with one routed member come from :func:`_one_routed_grid`.
+    The other touched pair cells are listed directly from the routing order:
+    the pairs of routed experts, and the pairs whose higher member is an
+    unrouted expert that passes the lse bound.  Triplet cells (and pair
+    cells when every expert is routed) are found by scanning each block of
+    groups for a live member.  Both kinds then take the per-cell path, with
+    the top fanout + |g| experts and the merged slot as candidates, ordered
+    by (logit descending, index).  Each group's row of cell values is built
+    per block of groups.
     """
     if not len(groups):
         return []
+    originals = layer.corpus_outputs(corpus)
+    order = layer.corpus_order(corpus)                           # routing order per symbol
     groups = np.sort(np.asarray(groups, dtype=np.int64), axis=1)
     size = groups.shape[1]
+    n, vocab, routes = layer.n, layer.vocab, layer.fanout
     symbols, weights = corpus.symbol_weights
     u = len(symbols)
     cols = layer.router_logits[:, symbols]                       # (n, u)
-    originals = layer_symbol_outputs(layer, symbols)
+    ranked = np.take_along_axis(cols, order, axis=0)             # logits in routing order
     log_originals = np.log(np.maximum(originals, KL_FLOOR))
-    order = np.argsort(-cols, axis=0, kind="stable")             # routing order per symbol
-    routed = np.zeros(cols.shape, dtype=bool)
-    np.put_along_axis(routed, order[:layer.fanout], True, axis=0)
-    threshold = np.take_along_axis(cols, order[layer.fanout - 1][None, :], axis=0)[0]
+    threshold = ranked[routes - 1]
     # lse(g) <= max(g) + log|g|, so a cell is touched only if some member is live
     reach = threshold - np.log(size) - 1e-6 * (1.0 + np.abs(threshold))
-    live = routed | (cols >= reach)
-    fanout = min(layer.fanout, layer.n - size + 1)                # of the merged layer
+    fanout = min(routes, n - size + 1)                            # of the merged layer
     # the merged top-fanout lies in the original top-(fanout + |g|) plus the merged slot
-    top = order[:min(layer.fanout + size, layer.n)]
+    top = order[:min(routes + size, n)]
     w = freqs[groups]
     total = w.sum(axis=1, keepdims=True)
     w = np.divide(w, total, out=np.full(w.shape, 1.0 / size), where=total >= FREQ_GUARD)
-    group_step = max(1, BLOCK_FLOATS // (size * max(u, layer.n)))
-    cell_step = max(1, BLOCK_FLOATS // (fanout * layer.vocab))
+    group_step = max(1, BLOCK_FLOATS // (size * max(u, n)))
+    n_blocks = -(-len(groups) // group_step)
+    # every expert, then each group's merged expert, filled per block of groups
+    bank = np.empty((n + len(groups), vocab))
+    bank[:n] = layer.expert_dists
+    for start in range(0, len(groups), group_step):
+        block = slice(start, start + group_step)
+        np.matmul(w[block, None, :], layer.expert_dists[groups[block]],
+                  out=bank[n + start:n + start + group_step, None, :])
+    cell_step = max(1, BLOCK_FLOATS // (fanout * vocab))
     # the step's (cells, vocab) arrays are written into buffers made once per call:
     # fresh ones each step were mapped and trimmed anew by malloc, and page-faulted
-    vocab = layer.vocab
-    chosen_buf = np.empty(fanout * cell_step * vocab)
-    mixed_buf, p_buf, log_p_buf = (np.empty(cell_step * vocab) for _ in range(3))
-    vals: list[float] = []
-    for start in range(0, len(groups), group_step):
-        block = groups[start:start + group_step]
-        gi, si = np.nonzero(live[block].any(axis=1))
-        members = block[gi].T                                      # (|g|, cells)
-        merged_logit = _logsumexp(cols[members, si], axis=0)
-        touched = routed[members, si].any(axis=0) | (merged_logit >= threshold[si])
-        gi, si, merged_logit = gi[touched], si[touched], merged_logit[touched]
-        in_group = np.zeros((len(block), layer.n), dtype=bool)
-        in_group[np.arange(len(block))[:, None], block] = True
-        bank = np.vstack([layer.expert_dists,
-                          np.matmul(w[start:start + group_step, None, :],
-                                    layer.expert_dists[block])[:, 0]])
-        rows = np.zeros((len(block), u))
-        for lo in range(0, len(gi), cell_step):
-            g, s = gi[lo:lo + cell_step], si[lo:lo + cell_step]
-            cand = top[:, s]                                       # (fanout + |g|, cells)
-            member = in_group[g, cand]
-            ids = np.vstack([cand, layer.n + g])
-            logit = np.vstack([np.where(member, -np.inf, cols[cand, s]),
+    chosen_buf, mixed_buf = np.empty(fanout * cell_step * vocab), np.empty(cell_step * vocab)
+    p_buf, log_p_buf = (np.empty(cell_step * vocab) for _ in range(2))
+
+    def cell_kls(g: np.ndarray, s: np.ndarray, merged_logit: np.ndarray) -> np.ndarray:
+        """The KL term of each cell (group g, symbol s) through the merged layer."""
+        kls = np.empty(len(g))
+        for lo in range(0, len(g), cell_step):
+            gc, sc = g[lo:lo + cell_step], s[lo:lo + cell_step]
+            cand = top[:, sc]                                      # (fanout + |g|, cells)
+            member = np.zeros(cand.shape, dtype=bool)
+            for expert in groups[gc].T:
+                member |= cand == expert
+            ids = np.vstack([cand, n + gc])
+            logit = np.vstack([np.where(member, -np.inf, cols[cand, sc]),
                                merged_logit[lo:lo + cell_step]])
-            key = np.vstack([cand, block[g, 0]])
+            key = np.vstack([cand, groups[gc, 0]])
             pick = np.lexsort((key, -logit), axis=0)[:fanout]
             gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
-            m = len(s)
+            m = len(sc)
             # the indices are in range: mode="clip" only lets take write into out unbuffered
             chosen = np.take(bank, np.take_along_axis(ids, pick, axis=0), axis=0, mode="clip",
                              out=chosen_buf[:fanout * m * vocab].reshape(fanout, m, vocab))
             mixed = np.einsum("fu,fuv->uv", gates, chosen,
                               out=mixed_buf[:m * vocab].reshape(m, vocab))
-            p = np.take(originals, s, axis=0, mode="clip", out=p_buf[:m * vocab].reshape(m, vocab))
-            log_p = np.take(log_originals, s, axis=0, mode="clip",
+            p = np.take(originals, sc, axis=0, mode="clip", out=p_buf[:m * vocab].reshape(m, vocab))
+            log_p = np.take(log_originals, sc, axis=0, mode="clip",
                             out=log_p_buf[:m * vocab].reshape(m, vocab))
-            rows[g, s] = kl_rows(p, mixed, log_p)
+            kls[lo:lo + cell_step] = kl_rows(p, mixed, log_p)
+        return kls
+
+    def by_block(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells in order of their group's block (a group of -1 last), and
+        where each block starts; small unsigned keys, so numpy sorts by radix."""
+        key = np.where(group >= 0, group // group_step, n_blocks)
+        key = key.astype(np.min_scalar_type(n_blocks))
+        return (np.argsort(key, kind="stable"),
+                np.concatenate([[0], np.cumsum(np.bincount(key, minlength=n_blocks))]))
+
+    grid = None
+    if size == 2 and routes < n:
+        group_of = np.full((n, n), -1, dtype=np.int32)
+        group_of[groups[:, 0], groups[:, 1]] = group_of[groups[:, 1], groups[:, 0]] = \
+            np.arange(len(groups))
+        if np.count_nonzero(group_of >= 0) != 2 * len(groups):
+            raise ValueError("merge pairs must be distinct pairs of distinct experts")
+        # the touched cells off the grid, by the ranks hi < lo of their members at
+        # a symbol: both routed, or both unrouted with the higher past the lse bound
+        both = np.triu_indices(routes, k=1)
+        passing = (ranked[routes:] >= reach).sum(axis=0)           # a prefix of the unrouted
+        i = np.arange(passing.max(initial=0))[:, None, None]
+        near = np.nonzero((i < passing) & (np.arange(n - routes)[:, None] > i))
+        hi = np.concatenate([np.repeat(both[0], u), routes + near[0]])
+        lo = np.concatenate([np.repeat(both[1], u), routes + near[1]])
+        sym = np.concatenate([np.tile(np.arange(u), len(both[0])), near[2]])
+        merged_logit = _pair_logsumexp(ranked[hi, sym], ranked[lo, sym])
+        keep = (lo < routes) | (merged_logit >= threshold[sym])
+        hi, lo, sym, merged_logit = hi[keep], lo[keep], sym[keep], merged_logit[keep]
+        cell_group = group_of[order[hi, sym], order[lo, sym]]
+        listed = cell_group >= 0
+        cell_group, sym = cell_group[listed], sym[listed]
+        cell_kl = cell_kls(cell_group, sym, merged_logit[listed])
+        cell_order, cell_bounds = by_block(cell_group)
+        # an unlisted pair reads the bank's row n - 1: its grid cells are never read
+        grid = _one_routed_grid(order, ranked, routes, bank, n + group_of, originals,
+                                log_originals, chosen_buf, mixed_buf).ravel()
+        grid_group = group_of[order[:routes, None, :], order[None, routes:, :]].ravel()
+        grid_order, grid_bounds = by_block(grid_group)
+    else:
+        routed = np.zeros(cols.shape, dtype=bool)
+        np.put_along_axis(routed, order[:routes], True, axis=0)
+        live = routed | (cols >= reach)
+    rows_buf = np.empty(group_step * u)
+    vals: list[float] = []
+    for b, start in enumerate(range(0, len(groups), group_step)):
+        block = groups[start:start + group_step]
+        rows = rows_buf[:len(block) * u].reshape(len(block), u)
+        rows.fill(0.0)
+        if grid is not None:
+            at = grid_order[grid_bounds[b]:grid_bounds[b + 1]]
+            np.put(rows, (grid_group[at] - start) * u + at % u, grid.take(at))
+            at = cell_order[cell_bounds[b]:cell_bounds[b + 1]]
+            np.put(rows, (cell_group[at] - start) * u + sym[at], cell_kl[at])
+        else:
+            gi, si = np.nonzero(live[block.T].any(axis=0))
+            members = block[gi].T                                  # (|g|, cells)
+            merged_logit = _logsumexp(cols[members, si], axis=0)
+            touched = routed[members, si].any(axis=0) | (merged_logit >= threshold[si])
+            gi, si = gi[touched], si[touched]
+            rows[gi, si] = cell_kls(start + gi, si, merged_logit[touched])
         # one dot per row, as ``weights @ row``; ``rows @ weights`` (gemv) rounds differently
         vals.extend(np.matmul(rows[:, None, :], weights)[:, 0].tolist())
     return vals
+
+
+def _pair_logsumexp(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``_logsumexp`` of two logits hi >= lo, bit for bit: log1p(exp(lo - hi)) + hi,
+    or log(2) + hi at a tie, where it sums two maxima."""
+    out = np.exp(lo - hi)
+    np.log1p(out, out=out)
+    out += hi
+    np.copyto(out, LOG2 + hi, where=lo == hi)
+    return out
+
+
+def _one_routed_grid(order: np.ndarray, ranked: np.ndarray, routes: int, bank: np.ndarray,
+                     bank_rows: np.ndarray, originals: np.ndarray, log_originals: np.ndarray,
+                     chosen_buf: np.ndarray, mixed_buf: np.ndarray) -> np.ndarray:
+    """The merge KL of every pair cell with exactly one routed member, as a
+    (routes, n - routes, u) grid: entry [r, j, s] is the cell of the expert
+    routed r-th at symbol s (x) and the j-th unrouted one (e).
+
+    Each block of the grid stacks the routed logits and experts with the
+    merged slot in x's place r, and one ``take_along_axis`` over the first
+    r + 1 slots moves it up to q (the placement rule is in the module
+    docstring).  The gates, mixture and ``kl_rows`` arithmetic are those of
+    the per-cell path in :func:`_merge_kls`, in the same slot order, and the
+    original outputs are broadcast over e, so every cell keeps its bits.
+    """
+    n, u = order.shape
+    vocab = bank.shape[1]
+    routed, routed_logits = order[:routes], ranked[:routes]
+    unrouted, unrouted_logits = order[routes:], ranked[routes:]
+    grid = np.empty((routes, n - routes, u))
+    cells = max(1, BLOCK_FLOATS // (routes * vocab))
+    sym_step = min(u, cells)
+    other_step = max(1, cells // sym_step)
+    for r in range(routes):
+        for e0 in range(0, n - routes, other_step):
+            for s0 in range(0, u, sym_step):
+                es, ss = slice(e0, e0 + other_step), slice(s0, s0 + sym_step)
+                x, e = routed[r, ss], unrouted[es, ss]
+                merged = _pair_logsumexp(routed_logits[r, ss], unrouted_logits[es, ss])
+                logit = np.empty((routes, *merged.shape))
+                logit[:] = routed_logits[:, None, ss]
+                logit[r] = merged
+                ids = np.empty(logit.shape, dtype=np.int64)
+                ids[:] = routed[:, None, ss]
+                ids[r] = bank_rows[x, e]
+                if r:
+                    above, above_ids = routed_logits[:r, None, ss], routed[:r, None, ss]
+                    q = ((above > merged) | ((above == merged) & (above_ids < np.minimum(x, e)))
+                         ).sum(axis=0)
+                    f = np.arange(r + 1)[:, None, None]
+                    place = np.where(f == q, r, f - (f > q))
+                    logit[:r + 1] = np.take_along_axis(logit[:r + 1], place, axis=0)
+                    ids[:r + 1] = np.take_along_axis(ids[:r + 1], place, axis=0)
+                m = merged.size
+                gates = _softmax(logit, axis=0).reshape(routes, m)
+                chosen = np.take(bank, ids.reshape(routes, m), axis=0, mode="clip",
+                                 out=chosen_buf[:routes * m * vocab].reshape(routes, m, vocab))
+                mixed = np.einsum("fu,fuv->uv", gates, chosen,
+                                  out=mixed_buf[:m * vocab].reshape(m, vocab))
+                grid[r, es, ss] = kl_rows(originals[ss], mixed.reshape(*merged.shape, vocab),
+                                          log_originals[ss])
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +729,9 @@ def saliency(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     When all raw scores coincide the min-max normalization degenerates and
     the vector is all-zero.
     """
-    symbols, weights = corpus.symbol_weights
-    idx, gates = _route(layer.router_logits[:, symbols], layer.fanout)
+    idx, gates = _corpus_routing(layer, corpus)
     raw = np.zeros(layer.n)
-    np.add.at(raw, idx, gates * weights[None, :])
+    np.add.at(raw, idx, gates * corpus.symbol_weights[1][None, :])
     raw *= np.linalg.norm(layer.expert_dists, axis=1)
     lo, hi = raw.min(), raw.max()
     if hi - lo <= 0.0:

@@ -21,8 +21,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from hodgecover.moe import (CalibCorpus, MoeLayer, _fold_router, _logsumexp,
-                            _route, _softmax, kl_rows, layer_symbol_outputs,
+                            _mixture_outputs, _route, _softmax, kl_rows,
                             merged_distribution, routing_frequencies)
+
+
+def layer_symbol_outputs(layer: MoeLayer, symbols: np.ndarray) -> np.ndarray:
+    """Layer output distribution at each context symbol, (u, vocab), routed
+    afresh (``MoeLayer.corpus_outputs`` reads the layer's kept routing)."""
+    idx, gates = _route(layer.router_logits[:, np.asarray(symbols, dtype=np.int64)],
+                        layer.fanout)
+    return _mixture_outputs(gates, layer.expert_dists[idx])
 
 
 def layer_output(layer: MoeLayer, context: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from scipy.special import logsumexp, softmax
 
 from hodgecover.builder import stage_a_candidates
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _logsumexp,
-                            _merge_kls, _softmax, barrier_sweep,
+                            _merge_kls, _route, _softmax, barrier_sweep,
                             cluster_assignment, compressed_symbol_outputs, compression_loss,
-                            extend_triplets, kl_rows, layer_symbol_outputs,
+                            extend_triplets, kl_rows,
                             merged_distribution, plant_discordant_triple, routing_frequencies,
                             saliency, synth_layer)
 from hodgecover.selector import SurvivorPlan
 from hodgecover.wanda import prune_survivors
-from merge_oracle import (_mean_merge_kl, expert_weight_matrix, layer_output, merge_experts,
-                          mixture, pairwise_barrier, stacked_pruned_outputs,
-                          triplet_barrier)
+from merge_oracle import (_mean_merge_kl, expert_weight_matrix, layer_output,
+                          layer_symbol_outputs, merge_experts, mixture, pairwise_barrier,
+                          stacked_pruned_outputs, triplet_barrier)
 
 
 def small_corpus(ctx=256, size=512, seed=42):
@@ -290,6 +291,39 @@ class TestSweep:
         assert np.isfinite(table.triplet).all()
         assert table.routing_freq[4] == 0.0 and table.routing_freq[5] == 0.0
 
+    def test_memory_stays_per_block(self):
+        # a dense float64 (pairs x symbols) array alone would take 3.9 MiB
+        layer, corpus = synth_layer(n=64, seed=0), CalibCorpus.sample(256, 2048, 42)
+        barrier_sweep(layer, corpus)
+        tracemalloc.start()
+        try:
+            barrier_sweep(layer, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * 2**20
+
+    def test_routing_order_kept_per_corpus(self):
+        layer = synth_layer(n=12, fanout=3, seed=27)
+        corpus = small_corpus()
+        symbols, weights = corpus.symbol_weights
+        order = layer.corpus_order(corpus)
+        assert layer.corpus_order(corpus) is order
+        with pytest.raises(ValueError, match="read-only"):
+            order[0, 0] = 1
+        idx, gates = _route(layer.router_logits[:, symbols], layer.fanout)
+        assert np.array_equal(order[:layer.fanout], idx)
+        freq, raw = np.zeros(layer.n), np.zeros(layer.n)
+        np.add.at(freq, idx, weights[None, :])
+        np.add.at(raw, idx, gates * weights[None, :])
+        raw *= np.linalg.norm(layer.expert_dists, axis=1)
+        assert np.array_equal(routing_frequencies(layer, corpus), freq)
+        assert np.array_equal(saliency(layer, corpus), (raw - raw.min()) / (raw.max() - raw.min()))
+        keys = layer._order_by_corpus
+        del corpus
+        gc.collect()
+        assert len(keys) == 0
+
     def test_routing_frequencies_sum_to_fanout(self):
         for fanout in (1, 2, 4):
             layer = synth_layer(fanout=fanout, seed=15)
@@ -468,6 +502,15 @@ class TestSweepKernelMatchesOracle:
         corpus = small_corpus()
         assert _merge_kls(layer, corpus, [], routing_frequencies(layer, corpus)) == []
 
+    def test_repeated_pairs_rejected(self):
+        # a pair's grid cells are read back by the pair, so it must name one group
+        layer = synth_layer(n=4, clusters=2, seed=23)
+        corpus = small_corpus()
+        freqs = routing_frequencies(layer, corpus)
+        for pairs in ([(0, 1), (1, 0)], [(2, 2)]):
+            with pytest.raises(ValueError, match="distinct"):
+                _merge_kls(layer, corpus, pairs, freqs)
+
     def test_sparse_64_expert_layer(self):
         # about 6 % of (pair, symbol) cells are touched here, so nearly every
         # cell takes the untouched path
@@ -513,6 +556,54 @@ class TestSweepKernelMatchesOracle:
         assert_kernel_matches_oracle(layer, corpus, all_groups(5, 3))
         freqs = routing_frequencies(layer, corpus)
         assert _merge_kls(layer, corpus, [(0, 1, 2)], freqs)[0] > 0.0
+
+    @pytest.mark.parametrize("fanout", [3, 4, 8])
+    def test_wider_fanouts(self, fanout):
+        corpus = small_corpus()
+        for n, step in ((16, 1), (32, 5)):
+            layer = synth_layer(n=n, fanout=fanout, seed=25)
+            freqs = routing_frequencies(layer, corpus)
+            pairs = all_groups(n, 2)[::step]
+            got = _merge_kls(layer, corpus, pairs, freqs)
+            assert np.array_equal(got, blocked_merge_kls(layer, corpus, pairs, freqs))
+            sample = pairs[::23]
+            assert np.array_equal(got[::23],
+                                  [_mean_merge_kl(layer, corpus, g, freqs) for g in sample])
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_fanout_where_the_grid_meets_the_per_cell_path(self, n):
+        # at fanout n - 1 one expert is unrouted per symbol; at fanout n (the
+        # merged layer's n - 1) no pair cell has exactly one routed member
+        corpus = small_corpus()
+        for fanout in (n - 2, n - 1, n):
+            layer = synth_layer(n=n, clusters=3, fanout=fanout, seed=26)
+            assert_kernel_matches_oracle(layer, corpus, all_groups(n, 2))
+
+    @pytest.mark.parametrize("x, b, merged_first", [(0, 2, True), (2, 0, False)])
+    def test_merged_logit_tied_with_a_higher_routed_logit(self, x, b, merged_first):
+        # fanout 3 routes a, b, x; merging x with the unrouted expert 3 gives a
+        # merged logit equal to b's, so the merged slot (index min(x, 3) = x)
+        # comes before b exactly when x < b.  The two slots have equal gates,
+        # and only the order in which the mixture adds them tells the cases
+        # apart: with two gates that sum is commutative.  On these expert rows
+        # the two orders round apart.
+        a, e = 1, 3
+        c_x, c_e = 0.3, -0.2
+        tie = float(logsumexp([c_x, c_e]))
+        router = np.empty((5, 1))
+        router[[a, b, x, e, 4], 0] = [5.0, tie, c_x, c_e, -3.0]
+        logits = np.random.default_rng(0).normal(0.0, 2.0, size=(5, 32))
+        layer = MoeLayer(5, 32, 1, 3, logits, router)
+        corpus = CalibCorpus(np.array([0]), seed=0, size=1)
+        freqs = np.array([0.3, 0.9, 0.6, 0.2, 0.0])
+        group = (min(x, e), max(x, e))
+        merged = merge_experts(layer, group, freqs)
+        order = np.argsort(-merged.router_logits[:, 0], kind="stable")[:3]
+        keep = [0, 1, 2, 4]                            # the merged slot keeps index x
+        assert [keep[i] for i in order] == ([a, x, b] if merged_first else [a, b, x])
+        got = _merge_kls(layer, corpus, [group], freqs)
+        assert got == [_mean_merge_kl(layer, corpus, group, freqs)]
+        assert got == blocked_merge_kls(layer, corpus, [group], freqs)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
     @settings(max_examples=60, deadline=None)
