@@ -29,19 +29,9 @@ because the merged slot keeps the group's lowest index and can win it).
   threshold - log|g|, less a margin of 1e-6 (1 + |threshold|) that covers
   the rounding of both sides at any logit magnitude.  The exact log-sum-exp
   runs on those cells and the routed ones alone.
-- Touched cells.  They go through the merged layer's own routing, softmax,
-  mixture and ``kl_rows`` arithmetic, elementwise, and each group's mean is
-  the same dot product of its dense KL row with the symbol weights.
-- Pair cells with one routed member.  If x is routed r-th and e is not,
-  the merged logit m = lse(c_x, c_e) >= c_x, so the merged layer routes the
-  original list without x plus the merged slot, placed at
-  q = #{r' < r : c_r' > m, or c_r' = m and R_r' < min(x, e)}: a tie goes to
-  the lower index, and the merged slot keeps the pair's lower one.  Nothing
-  ranked after x, routed or not, can pass the merged slot.  These cells are
-  evaluated on a fixed-shape grid over (r, e, symbol) with no search
-  (``_one_routed_grid``).  The general per-cell path, a candidate list and a
-  ``lexsort`` per cell, keeps the pair cells with both members routed,
-  those with none routed that reach the threshold, and every triplet cell.
+- Touched cells.  ``_merged_cell_kls`` evaluates them by the placement rule
+  stated there, and each group's mean is the dot product of its row of cell
+  values with the symbol weights, as for the whole merged layer.
 
 With fanout 2 at 64 experts, 6.2 % of the (pair, symbol) cells have one
 routed member, 0.14 % more are touched, and 8.6 % pass the bound.
@@ -492,20 +482,18 @@ def barrier_sweep(layer: MoeLayer, corpus: CalibCorpus,
 
 def extend_triplets(layer: MoeLayer, corpus: CalibCorpus, table: BarrierTable,
                     triangle_candidates: Iterable[Sequence[int]]) -> BarrierTable:
-    """``table`` with the candidates' triplet barriers added to its own.
+    """``table``, which holds no triplet barriers yet, with the candidates' added.
 
-    Only the triplet cells are evaluated, against the table's routing
-    frequencies, so a pairwise table extended here equals the table
-    :func:`barrier_sweep` fills for the same candidates.
+    Only the triplet cells are evaluated, each distinct candidate once, against
+    the table's routing frequencies, so a pairwise table extended here equals
+    the table :func:`barrier_sweep` fills for the same candidates.
     """
-    triples = np.sort(np.asarray(list(triangle_candidates), dtype=np.int64).reshape(-1, 3),
-                      axis=1)
-    vals = np.asarray(_merge_kls(layer, corpus, triples, table.routing_freq), dtype=np.float64)
-    # np.unique keeps each triple's first row: a candidate's value over the table's own
-    rows = np.concatenate([triples, table.triples])
-    _, first = np.unique(_lex_keys(rows, table.n), return_index=True)
-    return BarrierTable(table.pairwise, table.routing_freq, rows[first],
-                        np.concatenate([vals, table.triplet])[first])
+    if len(table.triples):
+        raise ValueError("the table already holds triplet barriers; extend a pairwise table")
+    triples = np.unique(np.sort(np.asarray(list(triangle_candidates), dtype=np.int64)
+                                .reshape(-1, 3), axis=1), axis=0)       # rows, lexicographic
+    return BarrierTable(table.pairwise, table.routing_freq, triples,
+                        _merge_kls(layer, corpus, triples, table.routing_freq))
 
 
 def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[int]],
@@ -514,19 +502,15 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
 
     Bit-identical per group to evaluating the whole merged layer at every
     symbol (the tests keep that as the oracle), by the argument in the
-    module docstring: touched cells go through the merged layer's arithmetic,
-    the others add exactly 0.  Groups must all have the same size; pairs
-    must be distinct.
+    module docstring: touched cells go through :func:`_merged_cell_kls`, the
+    others add exactly 0.  Groups must all have the same size; pairs must be
+    distinct.
 
-    Pair cells with one routed member come from :func:`_one_routed_grid`.
-    The other touched pair cells are listed directly from the routing order:
-    the pairs of routed experts, and the pairs whose higher member is an
-    unrouted expert that passes the lse bound.  Triplet cells (and pair
-    cells when every expert is routed) are found by scanning each block of
-    groups for a live member.  Both kinds then take the per-cell path, with
-    the top fanout + |g| experts and the merged slot as candidates, ordered
-    by (logit descending, index).  Each group's row of cell values is built
-    per block of groups.
+    Pair cells with one routed member come from :func:`_one_routed_grid`; the
+    other touched pair cells are listed from the routing order (both members
+    routed, or the higher one unrouted and past the lse bound), and triplet
+    cells by scanning each block of groups for a live member.  Each group's
+    row of cell values is built per block of groups.
     """
     if not len(groups):
         return []
@@ -539,13 +523,14 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     u = len(symbols)
     cols = layer.router_logits[:, symbols]                       # (n, u)
     ranked = np.take_along_axis(cols, order, axis=0)             # logits in routing order
+    rank = np.empty(order.shape, np.min_scalar_type(n))          # the inverse: each expert's rank
+    np.put_along_axis(rank, order, np.arange(n)[:, None], axis=0)
     log_originals = np.log(np.maximum(originals, KL_FLOOR))
     threshold = ranked[routes - 1]
     # lse(g) <= max(g) + log|g|, so a cell is touched only if some member is live
     reach = threshold - np.log(size) - 1e-6 * (1.0 + np.abs(threshold))
     fanout = min(routes, n - size + 1)                            # of the merged layer
-    # the merged top-fanout lies in the original top-(fanout + |g|) plus the merged slot
-    top = order[:min(routes + size, n)]
+    outside = min(fanout, n - size)                              # ranks outside g per cell
     w = freqs[groups]
     total = w.sum(axis=1, keepdims=True)
     w = np.divide(w, total, out=np.full(w.shape, 1.0 / size), where=total >= FREQ_GUARD)
@@ -569,26 +554,18 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
         kls = np.empty(len(g))
         for lo in range(0, len(g), cell_step):
             gc, sc = g[lo:lo + cell_step], s[lo:lo + cell_step]
-            cand = top[:, sc]                                      # (fanout + |g|, cells)
-            member = np.zeros(cand.shape, dtype=bool)
-            for expert in groups[gc].T:
-                member |= cand == expert
-            ids = np.vstack([cand, n + gc])
-            logit = np.vstack([np.where(member, -np.inf, cols[cand, sc]),
-                               merged_logit[lo:lo + cell_step]])
-            key = np.vstack([cand, groups[gc, 0]])
-            pick = np.lexsort((key, -logit), axis=0)[:fanout]
-            gates = _softmax(np.take_along_axis(logit, pick, axis=0), axis=0)
             m = len(sc)
+            # the first ranks outside the group: count up, skipping the members' ranks
+            k = np.repeat(np.arange(outside)[:, None], m, axis=1)
+            for member_rank in np.sort(rank[groups[gc].T, sc], axis=0):
+                k += k >= member_rank
             # the indices are in range: mode="clip" only lets take write into out unbuffered
-            chosen = np.take(bank, np.take_along_axis(ids, pick, axis=0), axis=0, mode="clip",
-                             out=chosen_buf[:fanout * m * vocab].reshape(fanout, m, vocab))
-            mixed = np.einsum("fu,fuv->uv", gates, chosen,
-                              out=mixed_buf[:m * vocab].reshape(m, vocab))
             p = np.take(originals, sc, axis=0, mode="clip", out=p_buf[:m * vocab].reshape(m, vocab))
             log_p = np.take(log_originals, sc, axis=0, mode="clip",
                             out=log_p_buf[:m * vocab].reshape(m, vocab))
-            kls[lo:lo + cell_step] = kl_rows(p, mixed, log_p)
+            kls[lo:lo + m] = _merged_cell_kls(
+                order[k, sc], ranked[k, sc], outside, groups[gc, 0], merged_logit[lo:lo + m],
+                n + gc, fanout, bank, p, log_p, chosen_buf, mixed_buf)
         return kls
 
     def by_block(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -600,7 +577,7 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
                 np.concatenate([[0], np.cumsum(np.bincount(key, minlength=n_blocks))]))
 
     grid = None
-    if size == 2 and routes < n:
+    if size == 2:
         group_of = np.full((n, n), -1, dtype=np.int32)
         group_of[groups[:, 0], groups[:, 1]] = group_of[groups[:, 1], groups[:, 0]] = \
             np.arange(len(groups))
@@ -629,8 +606,7 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
         grid_group = group_of[order[:routes, None, :], order[None, routes:, :]].ravel()
         grid_order, grid_bounds = by_block(grid_group)
     else:
-        routed = np.zeros(cols.shape, dtype=bool)
-        np.put_along_axis(routed, order[:routes], True, axis=0)
+        routed = rank < routes
         live = routed | (cols >= reach)
     rows_buf = np.empty(group_step * u)
     vals: list[float] = []
@@ -655,6 +631,51 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     return vals
 
 
+def _merged_cell_kls(ids: np.ndarray, logits: np.ndarray, before: int, merged_id: np.ndarray,
+                     merged_logit: np.ndarray, merged_row: np.ndarray, fanout: int,
+                     bank: np.ndarray, p: np.ndarray, log_p: np.ndarray,
+                     chosen_buf: np.ndarray, mixed_buf: np.ndarray) -> np.ndarray:
+    """The KL term of each touched cell (group g, symbol s) through the merged
+    layer; the cells take ``merged_logit``'s shape.
+
+    The rule.  The merged layer replaces g by one expert with router logit
+    m = lse(g) and index min g, and routes its top fanout' = min(fanout,
+    n - |g| + 1) by (logit descending, index), as the stable sort does.  The
+    other experts keep their logits and order, so it routes the first fanout'
+    of the experts outside g in routing order, with the merged slot inserted
+    at q = #{outside experts with c > m, or c = m and index < min g}.
+
+    ``ids`` and ``logits`` (L, *cells), with L + 1 >= fanout', start that
+    outside list, and only their first ``before`` entries can come before the
+    merged slot, so q is counted over those.  ``merged_row`` is the merged
+    expert's row of ``bank`` (the experts, then merged ones); ``p`` and
+    ``log_p`` are the original outputs and their logs.  All broadcast.
+
+    Exactness.  The gates, the mixture ``einsum`` and :func:`kl_rows` are
+    the whole merged layer's, on the routed slots in order along axis 0, so
+    each cell keeps its bits.
+    """
+    shape = np.shape(merged_logit)
+    m, vocab = merged_logit.size, bank.shape[1]
+    # the outside list with the merged slot at its latest place, after ``before`` entries
+    slots, rows = np.empty((len(ids) + 1, *shape)), np.empty((len(ids) + 1, *shape), np.int64)
+    for stack, a, merged in ((slots, logits, merged_logit), (rows, ids, merged_row)):
+        stack[:before], stack[before], stack[before + 1:] = a[:before], merged, a[before:]
+    if before:
+        c, i = logits[:before], ids[:before]
+        q = ((c > merged_logit) | ((c == merged_logit) & (i < merged_id))).sum(axis=0)
+        f = np.arange(before + 1).reshape(-1, *(1,) * len(shape))
+        # slot f of each cell in the flat head of the stacks
+        place = np.where(f == q, before, f - (f > q)) * m + np.arange(m).reshape(shape)
+        slots[:before + 1], rows[:before + 1] = slots.take(place), rows.take(place)
+    gates = _softmax(slots[:fanout], axis=0).reshape(fanout, m)
+    # the indices are in range: mode="clip" only lets take write into out unbuffered
+    chosen = np.take(bank, rows[:fanout].reshape(fanout, m), axis=0, mode="clip",
+                     out=chosen_buf[:fanout * m * vocab].reshape(fanout, m, vocab))
+    mixed = np.einsum("fu,fuv->uv", gates, chosen, out=mixed_buf[:m * vocab].reshape(m, vocab))
+    return kl_rows(p, mixed.reshape(*shape, vocab), log_p)
+
+
 def _pair_logsumexp(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """``_logsumexp`` of two logits hi >= lo, bit for bit: log1p(exp(lo - hi)) + hi,
     or log(2) + hi at a tie, where it sums two maxima."""
@@ -672,49 +693,26 @@ def _one_routed_grid(order: np.ndarray, ranked: np.ndarray, routes: int, bank: n
     (routes, n - routes, u) grid: entry [r, j, s] is the cell of the expert
     routed r-th at symbol s (x) and the j-th unrouted one (e).
 
-    Each block of the grid stacks the routed logits and experts with the
-    merged slot in x's place r, and one ``take_along_axis`` over the first
-    r + 1 slots moves it up to q (the placement rule is in the module
-    docstring).  The gates, mixture and ``kl_rows`` arithmetic are those of
-    the per-cell path in :func:`_merge_kls`, in the same slot order, and the
-    original outputs are broadcast over e, so every cell keeps its bits.
+    The merged logit lse(c_x, c_e) >= c_x, so of the routed list without x,
+    which :func:`_merged_cell_kls` gets broadcast over e, only the first r
+    can come before the merged slot.
     """
     n, u = order.shape
-    vocab = bank.shape[1]
-    routed, routed_logits = order[:routes], ranked[:routes]
     unrouted, unrouted_logits = order[routes:], ranked[routes:]
     grid = np.empty((routes, n - routes, u))
-    cells = max(1, BLOCK_FLOATS // (routes * vocab))
+    cells = max(1, BLOCK_FLOATS // (routes * bank.shape[1]))
     sym_step = min(u, cells)
     other_step = max(1, cells // sym_step)
     for r in range(routes):
+        ids, logits = (np.delete(a[:routes], r, axis=0)[:, None, :] for a in (order, ranked))
         for e0 in range(0, n - routes, other_step):
             for s0 in range(0, u, sym_step):
                 es, ss = slice(e0, e0 + other_step), slice(s0, s0 + sym_step)
-                x, e = routed[r, ss], unrouted[es, ss]
-                merged = _pair_logsumexp(routed_logits[r, ss], unrouted_logits[es, ss])
-                logit = np.empty((routes, *merged.shape))
-                logit[:] = routed_logits[:, None, ss]
-                logit[r] = merged
-                ids = np.empty(logit.shape, dtype=np.int64)
-                ids[:] = routed[:, None, ss]
-                ids[r] = bank_rows[x, e]
-                if r:
-                    above, above_ids = routed_logits[:r, None, ss], routed[:r, None, ss]
-                    q = ((above > merged) | ((above == merged) & (above_ids < np.minimum(x, e)))
-                         ).sum(axis=0)
-                    f = np.arange(r + 1)[:, None, None]
-                    place = np.where(f == q, r, f - (f > q))
-                    logit[:r + 1] = np.take_along_axis(logit[:r + 1], place, axis=0)
-                    ids[:r + 1] = np.take_along_axis(ids[:r + 1], place, axis=0)
-                m = merged.size
-                gates = _softmax(logit, axis=0).reshape(routes, m)
-                chosen = np.take(bank, ids.reshape(routes, m), axis=0, mode="clip",
-                                 out=chosen_buf[:routes * m * vocab].reshape(routes, m, vocab))
-                mixed = np.einsum("fu,fuv->uv", gates, chosen,
-                                  out=mixed_buf[:m * vocab].reshape(m, vocab))
-                grid[r, es, ss] = kl_rows(originals[ss], mixed.reshape(*merged.shape, vocab),
-                                          log_originals[ss])
+                x, e = order[r, ss], unrouted[es, ss]
+                grid[r, es, ss] = _merged_cell_kls(
+                    ids[..., ss], logits[..., ss], r, np.minimum(x, e),
+                    _pair_logsumexp(ranked[r, ss], unrouted_logits[es, ss]), bank_rows[x, e],
+                    routes, bank, originals[ss], log_originals[ss], chosen_buf, mixed_buf)
     return grid
 
 

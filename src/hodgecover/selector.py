@@ -311,9 +311,9 @@ def select_random(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 
 def _edge_order(costs: np.ndarray) -> np.ndarray:
-    """Pairs (i, j), i < j, by ascending cost, ties to the lexicographically earlier."""
+    """Pairs (i, j), i < j, by ascending cost, ties in (lexicographic) ``triu`` order."""
     i, j = np.triu_indices(costs.shape[0], k=1)
-    order = np.lexsort((j, i, costs[i, j]))
+    order = np.argsort(costs[i, j], kind="stable")
     return read_only(np.column_stack([i[order], j[order]]))
 
 

@@ -464,17 +464,49 @@ GOLDEN_RUNS = {
 }
 
 
-def artifact_digests(root: Path) -> dict[str, str]:
-    """Run every golden command in-process under ``root``; relative path -> sha256."""
-    assert run(["synth", "--out", root / "synth"]) == 0
+def artifact_digests(root: Path, options: tuple[str, ...] = ()) -> dict[str, str]:
+    """Run every golden command in-process under ``root``, each with the
+    ``--set`` ``options``; relative path -> sha256."""
+    assert run(["synth", "--out", root / "synth", *options]) == 0
     for name, args in GOLDEN_RUNS.items():
-        assert run([*args, "--out", root / name, "--model-dir", root / "synth" / "model"]) == 0
+        assert run([*args, "--out", root / name, "--model-dir", root / "synth" / "model",
+                    *options]) == 0
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def test_artifacts_match_golden_digests(tmp_path):
     assert artifact_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+# sha256 of the same commands on three more model shapes, which take the sweep's
+# wide-fanout and 64-expert branches that the default model never does.  They run
+# in one fresh process at one OpenBLAS thread, set before numpy loads: the ablation
+# grids of all three, and the diagnostics of 2 x 32 and fanout 8, move with it.
+GOLDEN_SHAPES = Path(__file__).with_name("golden_shape_artifacts.json")
+SHAPES = {
+    "1x64": ("model.layers=1", "model.n=64"),
+    "2x32": ("model.layers=2", "model.n=32"),
+    "1x64_fanout8": ("model.layers=1", "model.n=64", "model.fanout=8"),
+}
+
+
+def shape_digests(root: Path) -> dict[str, dict[str, str]]:
+    """:func:`artifact_digests` of every shape in ``SHAPES`` under ``root``."""
+    return {shape: artifact_digests(root / shape, tuple(a for s in sets for a in ("--set", s)))
+            for shape, sets in SHAPES.items()}
+
+
+def test_artifacts_match_golden_digests_on_more_shapes(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    done = fresh_python("-c", "import json, sys; from pathlib import Path; "
+                              "sys.path.insert(0, sys.argv[1]); "
+                              "from test_cli import shape_digests; "
+                              "print(json.dumps(shape_digests(Path(sys.argv[2]))))",
+                        str(Path(__file__).parent), str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    # the commands print their summaries first; the digests are the last line
+    assert json.loads(done.stdout.splitlines()[-1]) == json.loads(GOLDEN_SHAPES.read_text())
 
 
 # ---------------------------------------------------------------------------

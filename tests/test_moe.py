@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
+from hodgecover import moe
 from hodgecover.builder import stage_a_candidates
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _logsumexp,
                             _merge_kls, _route, _softmax, barrier_sweep,
@@ -278,6 +279,44 @@ class TestSweep:
             assert extended.to_json() == full.to_json()
             assert extended.pairwise_csv() == full.pairwise_csv()
             assert pairs.triples.shape == (0, 3) and pairs.triplet.shape == (0,)
+
+    def test_extend_triplets_sweeps_each_candidate_once(self, monkeypatch):
+        layer, corpus = synth_layer(seed=30), small_corpus()
+        pairs = barrier_sweep(layer, corpus)
+        distinct = extend_triplets(layer, corpus, pairs, [(0, 1, 2), (3, 4, 5)])
+        swept = []
+
+        def counted(layer, corpus, groups, freqs):
+            swept.append(len(groups))
+            return _merge_kls(layer, corpus, groups, freqs)
+        monkeypatch.setattr(moe, "_merge_kls", counted)
+        table = extend_triplets(layer, corpus, pairs,
+                                [(2, 1, 0), (3, 4, 5), (0, 1, 2), (5, 3, 4), (0, 1, 2)])
+        assert swept == [2]
+        assert table.to_json() == distinct.to_json()
+
+    def test_extend_triplets_refuses_a_table_with_triplets(self):
+        layer, corpus = synth_layer(n=6, clusters=3, seed=31), small_corpus()
+        table = barrier_sweep(layer, corpus, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="already holds triplet barriers") as raised:
+            extend_triplets(layer, corpus, table, [(3, 4, 5)])
+        assert "\n" not in str(raised.value)
+
+    def test_sweep_makes_no_lexsort_call(self, monkeypatch):
+        # every touched cell places the merged expert by its routing rank
+        corpus = small_corpus()
+        for fanout in (1, 2, 4, 8):
+            layer = synth_layer(n=16, fanout=fanout, seed=29)
+            pairs = barrier_sweep(layer, corpus)
+            candidates = stage_a_candidates(pairs)
+            expected = extend_triplets(layer, corpus, pairs, candidates)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("lexsort in the barrier sweep")
+            with monkeypatch.context() as patched:
+                patched.setattr(np, "lexsort", refuse)
+                got = extend_triplets(layer, corpus, barrier_sweep(layer, corpus), candidates)
+            assert len(got.triples) and got.to_json() == expected.to_json()
 
     def test_never_routed_experts_stay_finite(self):
         layer = synth_layer(n=6, clusters=3, seed=14)
@@ -563,12 +602,12 @@ class TestSweepKernelMatchesOracle:
         for n, step in ((16, 1), (32, 5)):
             layer = synth_layer(n=n, fanout=fanout, seed=25)
             freqs = routing_frequencies(layer, corpus)
-            pairs = all_groups(n, 2)[::step]
-            got = _merge_kls(layer, corpus, pairs, freqs)
-            assert np.array_equal(got, blocked_merge_kls(layer, corpus, pairs, freqs))
-            sample = pairs[::23]
-            assert np.array_equal(got[::23],
-                                  [_mean_merge_kl(layer, corpus, g, freqs) for g in sample])
+            for groups in (all_groups(n, 2)[::step], all_groups(n, 3)[::step]):
+                got = _merge_kls(layer, corpus, groups, freqs)
+                assert np.array_equal(got, blocked_merge_kls(layer, corpus, groups, freqs))
+                sample = groups[::23]
+                assert np.array_equal(got[::23],
+                                      [_mean_merge_kl(layer, corpus, g, freqs) for g in sample])
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_fanout_where_the_grid_meets_the_per_cell_path(self, n):
