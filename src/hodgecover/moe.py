@@ -59,7 +59,7 @@ FREQ_GUARD = 1e-12      # below this total routing mass, fall back to the plain 
 # ran slower: each one's temporaries fell out of cache and were page-faulted anew.
 # Smaller blocks cost more numpy calls per cell; the step arrays reuse buffers instead.
 BLOCK_FLOATS = 1 << 16
-LOG2 = np.log(2.0)       # _logsumexp's log(m) at two tied maxima
+LOG_TIES = np.log(np.array([1.0, 2.0, 3.0]))    # _logsumexp's log(m) at m = 1, 2, 3 maxima
 
 T = TypeVar("T")
 
@@ -508,9 +508,14 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
 
     Pair cells with one routed member come from :func:`_one_routed_grid`; the
     other touched pair cells are listed from the routing order (both members
-    routed, or the higher one unrouted and past the lse bound), and triplet
-    cells by scanning each block of groups for a live member.  Each group's
-    row of cell values is built per block of groups.
+    routed, or the higher one unrouted and past the lse bound).  Triplet cells
+    are classified by one small code per (expert, symbol), summed over the
+    members, which tells a cell's routed members and whether it is live.  The
+    cells with one routed member go to :func:`_merged_cell_kls` grouped by
+    that member's rank r, with the routed list without r before the merged
+    slot, as on the pair grid; the others take the per-cell path, which
+    counts the first ranks outside the group.  Each group's row of cell
+    values is built per block of groups.
     """
     if not len(groups):
         return []
@@ -534,7 +539,9 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     w = freqs[groups]
     total = w.sum(axis=1, keepdims=True)
     w = np.divide(w, total, out=np.full(w.shape, 1.0 / size), where=total >= FREQ_GUARD)
-    group_step = max(1, BLOCK_FLOATS // (size * max(u, n)))
+    # a block's (groups, symbols) rows, and a triplet block's cells, hold at most
+    # BLOCK_FLOATS / 2 entries
+    group_step = max(1, BLOCK_FLOATS // (2 * max(u, n)))
     n_blocks = -(-len(groups) // group_step)
     # every expert, then each group's merged expert, filled per block of groups
     bank = np.empty((n + len(groups), vocab))
@@ -549,23 +556,29 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     chosen_buf, mixed_buf = np.empty(fanout * cell_step * vocab), np.empty(cell_step * vocab)
     p_buf, log_p_buf = (np.empty(cell_step * vocab) for _ in range(2))
 
-    def cell_kls(g: np.ndarray, s: np.ndarray, merged_logit: np.ndarray) -> np.ndarray:
-        """The KL term of each cell (group g, symbol s) through the merged layer."""
+    def cell_kls(g: np.ndarray, s: np.ndarray, merged_logit: np.ndarray,
+                 routed_rank: int | None = None) -> np.ndarray:
+        """The KL term of each cell (group g, symbol s) through the merged layer.
+        With ``routed_rank`` r, each cell's one routed member is routed r-th, and
+        the cell gets the routed list without r, as on :func:`_one_routed_grid`."""
         kls = np.empty(len(g))
+        if routed_rank is not None:
+            k, before = np.delete(np.arange(routes), routed_rank)[:, None], routed_rank
         for lo in range(0, len(g), cell_step):
             gc, sc = g[lo:lo + cell_step], s[lo:lo + cell_step]
             m = len(sc)
-            # the first ranks outside the group: count up, skipping the members' ranks
-            k = np.repeat(np.arange(outside)[:, None], m, axis=1)
-            for member_rank in np.sort(rank[groups[gc].T, sc], axis=0):
-                k += k >= member_rank
+            if routed_rank is None:
+                # the first ranks outside the group: count up, skipping the members' ranks
+                k, before = np.repeat(np.arange(outside)[:, None], m, axis=1), outside
+                for member_rank in np.sort(rank[groups[gc].T, sc], axis=0):
+                    k += k >= member_rank
             # the indices are in range: mode="clip" only lets take write into out unbuffered
             p = np.take(originals, sc, axis=0, mode="clip", out=p_buf[:m * vocab].reshape(m, vocab))
             log_p = np.take(log_originals, sc, axis=0, mode="clip",
                             out=log_p_buf[:m * vocab].reshape(m, vocab))
             kls[lo:lo + m] = _merged_cell_kls(
-                order[k, sc], ranked[k, sc], outside, groups[gc, 0], merged_logit[lo:lo + m],
-                n + gc, fanout, bank, p, log_p, chosen_buf, mixed_buf)
+                order[k, sc], ranked[k, sc], before, groups[gc, 0], merged_logit[lo:lo + m],
+                n + gc, fanout, bank, p, log_p, chosen_buf, mixed_buf, u == 1)
         return kls
 
     def by_block(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -606,8 +619,11 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
         grid_group = group_of[order[:routes, None, :], order[None, routes:, :]].ravel()
         grid_order, grid_bounds = by_block(grid_group)
     else:
-        routed = rank < routes
-        live = routed | (cols >= reach)
+        # per (expert, symbol): 4 + 16 r for the expert routed r-th, 1 for an unrouted
+        # one past the lse bound, else 0.  A cell's sum over its members counts its
+        # unrouted live ones, 4 x its routed ones, and 16 x their ranks
+        code = np.where(rank < routes, 4 + 16 * rank.astype(np.intp), cols >= reach)
+        code = code.astype(np.min_scalar_type(3 * (4 + 16 * routes)))
     rows_buf = np.empty(group_step * u)
     vals: list[float] = []
     for b, start in enumerate(range(0, len(groups), group_step)):
@@ -620,12 +636,23 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
             at = cell_order[cell_bounds[b]:cell_bounds[b + 1]]
             np.put(rows, (cell_group[at] - start) * u + sym[at], cell_kl[at])
         else:
-            gi, si = np.nonzero(live[block.T].any(axis=0))
-            members = block[gi].T                                  # (|g|, cells)
-            merged_logit = _logsumexp(cols[members, si], axis=0)
-            touched = routed[members, si].any(axis=0) | (merged_logit >= threshold[si])
-            gi, si = gi[touched], si[touched]
-            rows[gi, si] = cell_kls(start + gi, si, merged_logit[touched])
+            block_code = code[block[:, 0]] + code[block[:, 1]] + code[block[:, 2]]
+            cell = np.flatnonzero(block_code)                       # gi * u + si
+            cell_code = block_code.ravel().take(cell)
+            gi, si = np.divmod(cell, u)
+            merged_logit = _triple_logsumexp(*(cols.take(block[gi, i] * u + si)
+                                               for i in range(3)))
+            routed = (cell_code >> 2) & 3
+            # key r: one routed member, routed r-th; key routes: the other touched
+            # cells, on the per-cell path; key routes + 1: untouched, so they stay 0
+            key = np.where(routed == 1, cell_code >> 4, routes)
+            key[(routed == 0) & (merged_logit < threshold[si])] = routes + 1
+            by_key = np.argsort(key, kind="stable")
+            bounds = np.searchsorted(key, np.arange(routes + 2), sorter=by_key)
+            for r in np.flatnonzero(np.diff(bounds)).tolist():
+                at = by_key[bounds[r]:bounds[r + 1]]
+                np.put(rows, cell[at], cell_kls(start + gi[at], si[at], merged_logit[at],
+                                                r if r < routes else None))
         # one dot per row, as ``weights @ row``; ``rows @ weights`` (gemv) rounds differently
         vals.extend(np.matmul(rows[:, None, :], weights)[:, 0].tolist())
     return vals
@@ -634,7 +661,8 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
 def _merged_cell_kls(ids: np.ndarray, logits: np.ndarray, before: int, merged_id: np.ndarray,
                      merged_logit: np.ndarray, merged_row: np.ndarray, fanout: int,
                      bank: np.ndarray, p: np.ndarray, log_p: np.ndarray,
-                     chosen_buf: np.ndarray, mixed_buf: np.ndarray) -> np.ndarray:
+                     chosen_buf: np.ndarray, mixed_buf: np.ndarray,
+                     one_symbol: bool) -> np.ndarray:
     """The KL term of each touched cell (group g, symbol s) through the merged
     layer; the cells take ``merged_logit``'s shape.
 
@@ -653,7 +681,10 @@ def _merged_cell_kls(ids: np.ndarray, logits: np.ndarray, before: int, merged_id
 
     Exactness.  The gates, the mixture ``einsum`` and :func:`kl_rows` are
     the whole merged layer's, on the routed slots in order along axis 0, so
-    each cell keeps its bits.
+    each cell keeps its bits.  Whatever the cell count, the gate sum adds the
+    slots in order, as numpy adds the whole layer's (fanout, symbols) gates,
+    or pairwise per cell when the corpus has ``one_symbol``, as numpy adds a
+    (fanout, 1) column.
     """
     shape = np.shape(merged_logit)
     m, vocab = merged_logit.size, bank.shape[1]
@@ -668,7 +699,17 @@ def _merged_cell_kls(ids: np.ndarray, logits: np.ndarray, before: int, merged_id
         # slot f of each cell in the flat head of the stacks
         place = np.where(f == q, before, f - (f > q)) * m + np.arange(m).reshape(shape)
         slots[:before + 1], rows[:before + 1] = slots.take(place), rows.take(place)
-    gates = _softmax(slots[:fanout], axis=0).reshape(fanout, m)
+    # _softmax along axis 0, its sum taken as numpy takes the whole layer's over
+    # (fanout, symbols): pairwise down the column at one symbol, else slot by
+    # slot.  numpy sums a (fanout, cells) step slot by slot too, but one cell's
+    # column pairwise; cumsum adds in order, at 2-4x the cost of sum
+    gates = slots[:fanout].reshape(fanout, m)
+    gates -= gates.max(axis=0)
+    np.exp(gates, out=gates)
+    if one_symbol:
+        gates /= np.ascontiguousarray(gates.T).sum(axis=1)
+    else:
+        gates /= gates.sum(axis=0) if m > 1 else np.cumsum(gates, axis=0)[-1]
     # the indices are in range: mode="clip" only lets take write into out unbuffered
     chosen = np.take(bank, rows[:fanout].reshape(fanout, m), axis=0, mode="clip",
                      out=chosen_buf[:fanout * m * vocab].reshape(fanout, m, vocab))
@@ -682,7 +723,31 @@ def _pair_logsumexp(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     out = np.exp(lo - hi)
     np.log1p(out, out=out)
     out += hi
-    np.copyto(out, LOG2 + hi, where=lo == hi)
+    np.copyto(out, LOG_TIES[1] + hi, where=lo == hi)
+    return out
+
+
+def _triple_logsumexp(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``_logsumexp`` over the stacked rows a, b, c, bit for bit, its steps
+    taken row by row.  At most two rows are below the maximum, so their
+    exps add in any order to the same sum."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.maximum(np.maximum(a, b), c)
+        ties = np.zeros(np.shape(top), np.intp)
+        s, e = np.zeros(np.shape(top)), np.empty(np.shape(top))
+        for row in (a, b, c):
+            tied = row == top
+            ties += tied
+            np.exp(np.subtract(row, top, out=e), out=e)
+            np.copyto(e, 0.0, where=tied)
+            s += e
+        s /= ties
+        out = np.log1p(s, out=s)
+        out += LOG_TIES.take(ties - 1)
+        out += top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a) + np.exp(b) + np.exp(c)))
     return out
 
 
@@ -695,7 +760,8 @@ def _one_routed_grid(order: np.ndarray, ranked: np.ndarray, routes: int, bank: n
 
     The merged logit lse(c_x, c_e) >= c_x, so of the routed list without x,
     which :func:`_merged_cell_kls` gets broadcast over e, only the first r
-    can come before the merged slot.
+    can come before the merged slot.  The same holds for a triple with one
+    routed member, whose lse is at least c_x too.
     """
     n, u = order.shape
     unrouted, unrouted_logits = order[routes:], ranked[routes:]
@@ -712,7 +778,8 @@ def _one_routed_grid(order: np.ndarray, ranked: np.ndarray, routes: int, bank: n
                 grid[r, es, ss] = _merged_cell_kls(
                     ids[..., ss], logits[..., ss], r, np.minimum(x, e),
                     _pair_logsumexp(ranked[r, ss], unrouted_logits[es, ss]), bank_rows[x, e],
-                    routes, bank, originals[ss], log_originals[ss], chosen_buf, mixed_buf)
+                    routes, bank, originals[ss], log_originals[ss], chosen_buf, mixed_buf,
+                    u == 1)
     return grid
 
 

@@ -60,14 +60,18 @@ class PruneMask:
     keep_per_row: int
     sparsity: float
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The mask as the JSON object :meth:`to_json` writes."""
         packed = np.packbits(self.mask.astype(np.uint8).ravel())
-        return json.dumps({
+        return {
             "shape": list(self.mask.shape),
             "keep_per_row": self.keep_per_row,
             "sparsity": self.sparsity,
             "bits": base64.b64encode(packed.tobytes()).decode("ascii"),
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "PruneMask":
@@ -139,4 +143,4 @@ def prune_survivors(layer: MoeLayer, corpus: CalibCorpus, survivors: Sequence[in
 
 
 def masks_to_json(masks: Mapping[int, PruneMask]) -> str:
-    return json.dumps({str(j): json.loads(m.to_json()) for j, m in masks.items()})
+    return json.dumps({str(j): m.to_dict() for j, m in masks.items()})

@@ -13,7 +13,7 @@ from scipy.special import logsumexp, softmax
 from hodgecover import moe
 from hodgecover.builder import stage_a_candidates
 from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, _fold_router, _logsumexp,
-                            _merge_kls, _route, _softmax, barrier_sweep,
+                            _merge_kls, _route, _softmax, _triple_logsumexp, barrier_sweep,
                             cluster_assignment, compressed_symbol_outputs, compression_loss,
                             extend_triplets, kl_rows,
                             merged_distribution, plant_discordant_triple, routing_frequencies,
@@ -304,19 +304,47 @@ class TestSweep:
 
     def test_sweep_makes_no_lexsort_call(self, monkeypatch):
         # every touched cell places the merged expert by its routing rank
-        corpus = small_corpus()
-        for fanout in (1, 2, 4, 8):
-            layer = synth_layer(n=16, fanout=fanout, seed=29)
-            pairs = barrier_sweep(layer, corpus)
-            candidates = stage_a_candidates(pairs)
-            expected = extend_triplets(layer, corpus, pairs, candidates)
+        assert_sweep_refuses(monkeypatch, np, "lexsort")
 
-            def refuse(*args, **kwargs):
-                raise AssertionError("lexsort in the barrier sweep")
-            with monkeypatch.context() as patched:
-                patched.setattr(np, "lexsort", refuse)
-                got = extend_triplets(layer, corpus, barrier_sweep(layer, corpus), candidates)
-            assert len(got.triples) and got.to_json() == expected.to_json()
+    def test_sweep_makes_no_logsumexp_call(self, monkeypatch):
+        # pairs take _pair_logsumexp and triples _triple_logsumexp
+        assert_sweep_refuses(monkeypatch, moe, "_logsumexp")
+
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_only_cells_with_no_or_several_routed_members_count_ranks(self, monkeypatch, fanout):
+        # a triplet cell with one routed member, routed r-th, gets the routed list
+        # without r as its outside list; only the other touched cells get the first
+        # ranks outside the group, counted up past the members' ranks
+        layer, corpus = synth_layer(n=16, fanout=fanout, seed=0), CalibCorpus.sample(256, 2048, 42)
+        pairs = barrier_sweep(layer, corpus)
+        triples = np.unique(np.sort(stage_a_candidates(pairs), axis=1), axis=0)
+        symbols, _ = corpus.symbol_weights
+        cols = layer.router_logits[:, symbols]
+        order = np.argsort(-cols, axis=0, kind="stable")
+        routed = np.zeros(cols.shape, dtype=bool)
+        np.put_along_axis(routed, order[:fanout], True, axis=0)
+        threshold = np.take_along_axis(cols, order[fanout - 1][None, :], axis=0)[0]
+        merged_logit = _logsumexp(cols[triples.T], axis=0)              # (triples, symbols)
+        count = routed[triples.T].sum(axis=0)
+        counted = (count >= 2) | ((count == 0) & (merged_logit >= threshold))
+        want = sorted(zip(np.nonzero(counted)[0].tolist(), merged_logit[counted].tolist()))
+        full, by_rank = [], []
+        evaluate = moe._merged_cell_kls
+
+        def recorded(ids, logits, before, merged_id, cell_logit, merged_row, *rest):
+            cells = list(zip((merged_row - layer.n).ravel().tolist(),
+                             np.ravel(cell_logit).tolist()))
+            if len(ids) == fanout:                                # min(fanout, n - 3)
+                assert before == fanout
+                full.extend(cells)
+            else:
+                assert len(ids) == fanout - 1 and before < fanout
+                by_rank.extend(cells)
+            return evaluate(ids, logits, before, merged_id, cell_logit, merged_row, *rest)
+        monkeypatch.setattr(moe, "_merged_cell_kls", recorded)
+        extend_triplets(layer, corpus, pairs, triples)
+        assert sorted(full) == want and len(want)
+        assert len(by_rank) == np.count_nonzero(count == 1) > 0
 
     def test_never_routed_experts_stay_finite(self):
         layer = synth_layer(n=6, clusters=3, seed=14)
@@ -422,6 +450,24 @@ class TestSweep:
         rows = [line.split(",") for line in csv.strip().split("\n")]
         assert len(rows) == 4 and all(len(r) == 4 for r in rows)
         assert float(rows[0][1]) == table.pairwise[0, 1]
+
+
+def assert_sweep_refuses(monkeypatch, owner, name):
+    """``owner.name`` raises during ``barrier_sweep`` and ``extend_triplets`` at
+    fanouts 1, 2, 4 and 8, and the tables are the same as without the patch."""
+    corpus = small_corpus()
+    for fanout in (1, 2, 4, 8):
+        layer = synth_layer(n=16, fanout=fanout, seed=29)
+        pairs = barrier_sweep(layer, corpus)
+        candidates = stage_a_candidates(pairs)
+        expected = extend_triplets(layer, corpus, pairs, candidates)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} in the barrier sweep")
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, name, refuse)
+            got = extend_triplets(layer, corpus, barrier_sweep(layer, corpus), candidates)
+        assert len(got.triples) and got.to_json() == expected.to_json()
 
 
 def blocked_merge_kls(layer, corpus, groups, freqs):
@@ -596,7 +642,7 @@ class TestSweepKernelMatchesOracle:
         freqs = routing_frequencies(layer, corpus)
         assert _merge_kls(layer, corpus, [(0, 1, 2)], freqs)[0] > 0.0
 
-    @pytest.mark.parametrize("fanout", [3, 4, 8])
+    @pytest.mark.parametrize("fanout", [2, 3, 4, 8])
     def test_wider_fanouts(self, fanout):
         corpus = small_corpus()
         for n, step in ((16, 1), (32, 5)):
@@ -608,6 +654,29 @@ class TestSweepKernelMatchesOracle:
                 sample = groups[::23]
                 assert np.array_equal(got[::23],
                                       [_mean_merge_kl(layer, corpus, g, freqs) for g in sample])
+
+    def test_cell_steps_of_one_cell_at_fanout_12(self):
+        # 204 cells fit a step at merged fanout 10, so each triple's 205 touched
+        # cells end in a step of one: its gates must be summed slot by slot, as
+        # over the whole layer's columns, not pairwise as numpy sums one column
+        corpus = CalibCorpus(np.arange(205), 0, 205)
+        for seed in range(40):
+            layer = synth_layer(n=12, vocab=32, ctx=205, fanout=12, seed=seed, router_scale=5.0)
+            freqs = routing_frequencies(layer, corpus)
+            for group in ((0, 1, 2), (3, 5, 7), (2, 8, 11)):
+                assert _merge_kls(layer, corpus, [group], freqs) == \
+                    [_mean_merge_kl(layer, corpus, group, freqs)], (seed, group)
+        # over one symbol numpy sums the whole layer's (fanout, 1) gates pairwise,
+        # so every cell's gates must be, however many cells a step holds (the
+        # blocked kernel sums a step's (fanout, cells) gates, so it is no oracle here)
+        for seed in range(3):
+            layer = synth_layer(n=12, vocab=32, ctx=205, fanout=12, seed=seed, router_scale=5.0)
+            corpus = CalibCorpus(np.full(5, 7 + seed), 0, 5)
+            freqs = routing_frequencies(layer, corpus)
+            for size in (2, 3):
+                groups = all_groups(12, size)
+                assert _merge_kls(layer, corpus, groups, freqs) == \
+                    [_mean_merge_kl(layer, corpus, g, freqs) for g in groups], seed
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_fanout_where_the_grid_meets_the_per_cell_path(self, n):
@@ -952,7 +1021,8 @@ class TestRoutedCellsMatchStackedSoftmax:
 
 
 def assert_kernels_match_scipy(a):
-    """Both kernels equal scipy's bit for bit on every axis of ``a``.
+    """Both kernels equal scipy's bit for bit on every axis of ``a``, and so
+    does ``_triple_logsumexp`` on the rows of every axis of length 3.
 
     NaN compares equal: a +inf entry makes scipy's softmax inf / inf.
     """
@@ -962,6 +1032,9 @@ def assert_kernels_match_scipy(a):
             got_lse, got_soft = _logsumexp(a, axis=axis), _softmax(a, axis=axis)
         assert np.array_equal(got_lse, want_lse, equal_nan=True), (a, axis)
         assert np.array_equal(got_soft, want_soft, equal_nan=True), (a, axis)
+        if a.shape[axis] == 3:
+            got_lse = _triple_logsumexp(*np.moveaxis(a, axis, 0))
+            assert np.array_equal(got_lse, want_lse, equal_nan=True), (a, axis)
 
 
 class TestLogSumExpMatchesScipy:
