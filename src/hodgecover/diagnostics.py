@@ -69,29 +69,26 @@ def discordance(barriers: BarrierTable, candidates: np.ndarray) -> float:
 def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
                   survivors: Iterable[int]) -> dict[str, float]:
     """l1 mass fractions of each component on simplices meeting the survivors,
-    keyed "harm", "grad", "curl" and "triplet"."""
-    surv = set(int(i) for i in survivors)
-    edge_hit = np.isin(k.edges, sorted(surv)).any(axis=1) if k.num_edges else np.zeros(0, bool)
+    keyed "harm", "grad", "curl" and "triplet"; a massless component counts
+    as kept whole if any expert survives."""
+    surv = [int(i) for i in survivors]
+    outside = sorted({i for i in surv if not 0 <= i < k.n})
+    if outside:
+        raise ValueError(f"survivors must be experts in [0, {k.n}), got {outside}")
+    member = np.zeros(k.n, dtype=bool)
+    member[surv] = True
 
-    def edge_fraction(values: np.ndarray) -> float:
+    def fraction(values: np.ndarray, simplices: np.ndarray) -> float:
         mass = np.abs(values)
         total = float(mass.sum())
         if total == 0.0:
-            return 0.0 if not surv else 1.0
-        return float(mass[edge_hit].sum()) / total
+            return 1.0 if surv else 0.0
+        return float(mass[member[simplices].any(axis=1)].sum()) / total
 
-    tri_vals = np.abs(barriers.triplet_values(k.triangles))
-    tri_hit = np.isin(k.triangles, sorted(surv)).any(axis=1) if k.num_triangles else np.zeros(0, bool)
-    tri_total = float(tri_vals.sum())
-    if tri_total == 0.0:
-        tri_frac = 0.0 if not surv else 1.0
-    else:
-        tri_frac = float(tri_vals[tri_hit].sum()) / tri_total
-
-    return {"harm": edge_fraction(decomp.harm.values),
-            "grad": edge_fraction(decomp.grad.values),
-            "curl": edge_fraction(decomp.curl.values),
-            "triplet": tri_frac}
+    return {"harm": fraction(decomp.harm.values, k.edges),
+            "grad": fraction(decomp.grad.values, k.edges),
+            "curl": fraction(decomp.curl.values, k.edges),
+            "triplet": fraction(barriers.triplet_values(k.triangles), k.triangles)}
 
 
 def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:

@@ -70,14 +70,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _kept(kept: weakref.WeakKeyDictionary, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
-    """``kept[key]``, first set to ``compute()`` marked read-only."""
-    found = kept.get(key)
-    if found is None:
-        found = kept[key] = read_only(compute())
-    return found
-
-
 class KeepsConstants:
     """Quantities derived from a frozen object alone, each computed once and
     kept while the object lives."""
@@ -127,27 +119,23 @@ class MoeLayer:
         return _softmax(self.expert_logits, axis=1)
 
     @cached_property
-    def _order_by_corpus(self) -> weakref.WeakKeyDictionary:
+    def _routing_by_corpus(self) -> weakref.WeakKeyDictionary:
         return weakref.WeakKeyDictionary()
 
-    @cached_property
-    def _outputs_by_corpus(self) -> weakref.WeakKeyDictionary:
-        return weakref.WeakKeyDictionary()
-
-    def corpus_order(self, corpus: "CalibCorpus") -> np.ndarray:
-        """The experts in routing order at each of the corpus's symbols, (n, u):
-        a stable sort of the router logits, descending, so ties go to the lower
-        index.  Computed once per corpus and kept, read-only, while it lives."""
-        return _kept(self._order_by_corpus, corpus, lambda: np.argsort(
-            -self.router_logits[:, corpus.symbol_weights[0]], axis=0, kind="stable"))
-
-    def corpus_outputs(self, corpus: "CalibCorpus") -> np.ndarray:
-        """The layer's output distributions at the corpus's symbols, (u, vocab);
-        computed once per corpus and kept, read-only, while the corpus lives."""
-        def compute():
-            idx, gates = _corpus_routing(self, corpus)
-            return _mixture_outputs(gates, self.expert_dists[idx])
-        return _kept(self._outputs_by_corpus, corpus, compute)
+    def routing(self, corpus: "CalibCorpus") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The layer's routing at the corpus's symbols, (order, gates, outputs):
+        the experts in routing order, (n, u), by a stable sort of the router
+        logits, descending, so ties go to the lower index; the softmax gates of
+        the first fanout, (fanout, u); and the layer's outputs, (u, vocab).
+        Computed once per corpus and kept, read-only, while the corpus lives."""
+        kept = self._routing_by_corpus.get(corpus)
+        if kept is None:
+            cols = self.router_logits[:, corpus.symbol_weights[0]]
+            order = np.argsort(-cols, axis=0, kind="stable")
+            idx, gates = _gated(cols, order[:self.fanout])
+            outputs = _mixture_outputs(gates, self.expert_dists[idx])
+            kept = self._routing_by_corpus[corpus] = tuple(map(read_only, (order, gates, outputs)))
+        return kept
 
     def to_json(self) -> str:
         return json.dumps({
@@ -330,12 +318,6 @@ def _gated(router_cols: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     return idx, _softmax(np.take_along_axis(router_cols, idx, axis=0), axis=0)
 
 
-def _corpus_routing(layer: MoeLayer, corpus: CalibCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_route` at the corpus's symbols, from the layer's kept routing order."""
-    return _gated(layer.router_logits[:, corpus.symbol_weights[0]],
-                  layer.corpus_order(corpus)[:layer.fanout])
-
-
 def _mixture_outputs(gates: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     """Gate-weighted mixture at every context column: ``gates`` (fanout, u)
     of :func:`_route`, ``chosen`` (fanout, u, vocab) the distribution of
@@ -346,7 +328,7 @@ def _mixture_outputs(gates: np.ndarray, chosen: np.ndarray) -> np.ndarray:
 def routing_frequencies(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     """Fraction of corpus tokens routing each expert; sums to fanout."""
     freq = np.zeros(layer.n)
-    np.add.at(freq, layer.corpus_order(corpus)[:layer.fanout], corpus.symbol_weights[1][None, :])
+    np.add.at(freq, layer.routing(corpus)[0][:layer.fanout], corpus.symbol_weights[1][None, :])
     return freq
 
 
@@ -472,10 +454,9 @@ def barrier_sweep(layer: MoeLayer, corpus: CalibCorpus,
     in which cells are evaluated.
     """
     freqs = routing_frequencies(layer, corpus)
-    pairs = [(i, j) for i in range(layer.n) for j in range(i + 1, layer.n)]
+    i, j = np.triu_indices(layer.n, k=1)
     pairwise = np.zeros((layer.n, layer.n))
-    for (i, j), val in zip(pairs, _merge_kls(layer, corpus, pairs, freqs)):
-        pairwise[i, j] = pairwise[j, i] = val
+    pairwise[i, j] = pairwise[j, i] = _merge_kls(layer, corpus, np.stack([i, j], axis=1), freqs)
     return extend_triplets(layer, corpus, BarrierTable(pairwise, freqs),
                            triangle_candidates)
 
@@ -519,8 +500,7 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     """
     if not len(groups):
         return []
-    originals = layer.corpus_outputs(corpus)
-    order = layer.corpus_order(corpus)                           # routing order per symbol
+    order, _, originals = layer.routing(corpus)
     groups = np.sort(np.asarray(groups, dtype=np.int64), axis=1)
     size = groups.shape[1]
     n, vocab, routes = layer.n, layer.vocab, layer.fanout
@@ -794,9 +774,9 @@ def saliency(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     When all raw scores coincide the min-max normalization degenerates and
     the vector is all-zero.
     """
-    idx, gates = _corpus_routing(layer, corpus)
+    order, gates, _ = layer.routing(corpus)
     raw = np.zeros(layer.n)
-    np.add.at(raw, idx, gates * corpus.symbol_weights[1][None, :])
+    np.add.at(raw, order[:layer.fanout], gates * corpus.symbol_weights[1][None, :])
     raw *= np.linalg.norm(layer.expert_dists, axis=1)
     lo, hi = raw.min(), raw.max()
     if hi - lo <= 0.0:
@@ -893,6 +873,6 @@ def compression_loss(layer: MoeLayer, corpus_heldout: CalibCorpus,
                      masks: Mapping[int, "PruneMask"] | None = None) -> float:
     """Mean held-out KL between the original and the compressed layer."""
     symbols, weights = corpus_heldout.symbol_weights
-    original = layer.corpus_outputs(corpus_heldout)
+    original = layer.routing(corpus_heldout)[2]
     compressed = compressed_symbol_outputs(layer, plan, symbols, masks)
     return float(weights @ kl_rows(original, compressed))

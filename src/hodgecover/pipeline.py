@@ -27,18 +27,17 @@ from .moe import (BarrierTable, CalibCorpus, KeepsConstants, MoeLayer, barrier_s
                   compression_loss, extend_triplets, saliency)
 # unused here but kept importable: the benchmark's tracer (perfbench/tracing.py) patches them
 from .oracles import betti1, build_incidence  # noqa: F401
-from .selector import (CoverageInstance, SurvivorPlan, build_coverage, greedy_select,
-                       phi, redirect, redirect_costs, select_ablation, select_random)
+from .selector import (ABLATION_VARIANTS, CoverageInstance, SurvivorPlan, build_coverage,
+                       greedy_select, phi, redirect, redirect_costs, select_ablation, select_random)
 from .wanda import PruneMask, prune_survivors, residual_sparsity
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("hodgecover", "random", "no_triangle", "greedy_barrier",
-           "triplet_penalty", "triplet_hypergraph")
 # the methods that keep exact survivors and redirect the dropped experts; their
 # plans read the coverage instance (a random plan records phi).  The others merge
 # expert groups by union-find.
 REDIRECT_METHODS = ("hodgecover", "random", "no_triangle")
+METHODS = REDIRECT_METHODS + ABLATION_VARIANTS
 
 
 @dataclass(frozen=True, eq=False)

@@ -436,46 +436,17 @@ def select_ablation(variant: str, barriers: BarrierTable, k: int, *,
 # Cross-layer budget allocation
 
 
-def _clamped_budget(rate: float, sizes: Sequence[int], drops: list[int],
-                    total: int) -> LayerBudget:
-    """Clamp drops to the one-survivor floor, refilling any clamped excess
-    into the lowest-index layers that still have capacity."""
-    sizes = [int(s) for s in sizes]
-    capacity = [s - 1 for s in sizes]
-    if total > sum(capacity):
-        raise ValueError(
-            f"budget {total} exceeds droppable experts {sum(capacity)} under the one-survivor floor")
-    clamped = [min(d, c) for d, c in zip(drops, capacity)]
-    excess = total - sum(clamped)
-    for idx in range(len(sizes)):
-        if excess == 0:
-            break
-        room = capacity[idx] - clamped[idx]
-        take = min(room, excess)
-        clamped[idx] += take
-        excess -= take
-    survivors = tuple(s - d for s, d in zip(sizes, clamped))
-    return LayerBudget(rate=rate, total_drops=total, survivors=survivors,
-                       drops=tuple(clamped))
-
-
 def allocate_uniform(rate: float, sizes: Sequence[int]) -> LayerBudget:
     """Drop the same count per layer up to a one-expert rounding remainder
-    handed to the lowest-index layers."""
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("layer sizes must be positive")
-    total = int(math.floor(rate * sum(sizes)))
-    layers = len(sizes)
-    base, rem = divmod(total, layers)
-    drops = [base + (1 if idx < rem else 0) for idx in range(layers)]
-    return _clamped_budget(rate, sizes, drops, total)
+    handed to the lowest-index layers: :func:`allocate_weighted` at equal mass."""
+    return allocate_weighted(rate, sizes, [0.0] * len(sizes))
 
 
 def allocate_weighted(rate: float, sizes: Sequence[int], rho_harm: Sequence[float]) -> LayerBudget:
     """Weight the drop budget by per-layer compressibility max(1 - rho_harm, SIGMA_FLOOR);
-    layers with more harmonic mass shed fewer experts."""
+    layers with more harmonic mass shed fewer experts.  Drops are then clamped to
+    the one-survivor floor, and any clamped excess is refilled into the
+    lowest-index layers that still have capacity."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"rate must be in [0, 1), got {rate}")
     if len(rho_harm) != len(sizes):
@@ -485,7 +456,18 @@ def allocate_weighted(rate: float, sizes: Sequence[int], rho_harm: Sequence[floa
     total = int(math.floor(rate * sum(sizes)))
     sigma = np.maximum(1.0 - np.asarray(rho_harm, dtype=np.float64), SIGMA_FLOOR)
     drops = [int(math.floor(total * s / sigma.sum())) for s in sigma]
-    deficit = total - sum(drops)
-    for idx in range(deficit):
+    for idx in range(total - sum(drops)):
         drops[idx] += 1
-    return _clamped_budget(rate, sizes, drops, total)
+    sizes = [int(s) for s in sizes]
+    capacity = [s - 1 for s in sizes]
+    if total > sum(capacity):
+        raise ValueError(
+            f"budget {total} exceeds droppable experts {sum(capacity)} under the one-survivor floor")
+    drops = [min(d, c) for d, c in zip(drops, capacity)]
+    excess = total - sum(drops)
+    for idx in range(len(sizes)):
+        take = min(capacity[idx] - drops[idx], excess)
+        drops[idx] += take
+        excess -= take
+    return LayerBudget(rate=rate, total_drops=total,
+                       survivors=tuple(s - d for s, d in zip(sizes, drops)), drops=tuple(drops))

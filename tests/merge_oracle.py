@@ -27,7 +27,7 @@ from hodgecover.moe import (CalibCorpus, MoeLayer, _fold_router, _logsumexp,
 
 def layer_symbol_outputs(layer: MoeLayer, symbols: np.ndarray) -> np.ndarray:
     """Layer output distribution at each context symbol, (u, vocab), routed
-    afresh (``MoeLayer.corpus_outputs`` reads the layer's kept routing)."""
+    afresh (``MoeLayer.routing`` keeps the layer's routing per corpus)."""
     idx, gates = _route(layer.router_logits[:, np.asarray(symbols, dtype=np.int64)],
                         layer.fanout)
     return _mixture_outputs(gates, layer.expert_dists[idx])

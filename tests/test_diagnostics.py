@@ -65,6 +65,13 @@ class TestRetainedMass:
         empty = retained_mass(k, d, table, [])
         assert empty == {"harm": 0.0, "grad": 0.0, "curl": 0.0, "triplet": 0.0}
 
+    def test_survivors_outside_the_layer_rejected(self):
+        # a member mask would wrap -1 onto expert 5 and fail at 6 with an IndexError
+        k, d, triplets, table = self.fixture()
+        for survivors in ([0, -1], [6], [2, 7]):
+            with pytest.raises(ValueError, match=r"survivors must be experts in \[0, 6\)"):
+                retained_mass(k, d, table, survivors)
+
     def test_matches_literal_summation(self):
         k, d, triplets, table = self.fixture()
         survivors = {1, 4}

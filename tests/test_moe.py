@@ -374,22 +374,40 @@ class TestSweep:
         layer = synth_layer(n=12, fanout=3, seed=27)
         corpus = small_corpus()
         symbols, weights = corpus.symbol_weights
-        order = layer.corpus_order(corpus)
-        assert layer.corpus_order(corpus) is order
-        with pytest.raises(ValueError, match="read-only"):
-            order[0, 0] = 1
+        routing = layer.routing(corpus)
+        assert layer.routing(corpus) is routing
+        order, kept_gates, _ = routing
+        for kept in routing:
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 1
         idx, gates = _route(layer.router_logits[:, symbols], layer.fanout)
         assert np.array_equal(order[:layer.fanout], idx)
+        assert np.array_equal(kept_gates, gates)
         freq, raw = np.zeros(layer.n), np.zeros(layer.n)
         np.add.at(freq, idx, weights[None, :])
         np.add.at(raw, idx, gates * weights[None, :])
         raw *= np.linalg.norm(layer.expert_dists, axis=1)
         assert np.array_equal(routing_frequencies(layer, corpus), freq)
         assert np.array_equal(saliency(layer, corpus), (raw - raw.min()) / (raw.max() - raw.min()))
-        keys = layer._order_by_corpus
+        keys = layer._routing_by_corpus
         del corpus
         gc.collect()
         assert len(keys) == 0
+
+    def test_kept_routing_is_read_without_a_softmax_or_a_sort(self, monkeypatch):
+        # saliency and routing_frequencies read the kept order and gates
+        corpus = small_corpus()
+        for fanout in (1, 2, 4, 8):
+            layer = synth_layer(n=16, fanout=fanout, seed=29)
+            expected = saliency(layer, corpus), routing_frequencies(layer, corpus)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("the kept routing was computed again")
+            with monkeypatch.context() as patched:
+                patched.setattr(moe, "_softmax", refuse)
+                patched.setattr(np, "argsort", refuse)
+                got = saliency(layer, corpus), routing_frequencies(layer, corpus)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_routing_frequencies_sum_to_fanout(self):
         for fanout in (1, 2, 4):
@@ -818,8 +836,8 @@ class TestCompressionLoss:
         layer = synth_layer(seed=23)
         corpora = [small_corpus(seed=s) for s in (43, 44)]
         for corpus in (*corpora, *corpora):
-            outputs = layer.corpus_outputs(corpus)
-            assert layer.corpus_outputs(corpus) is outputs
+            outputs = layer.routing(corpus)[2]
+            assert layer.routing(corpus)[2] is outputs
             want = layer_symbol_outputs(layer, corpus.symbol_weights[0])
             assert np.array_equal(outputs, want)
             plan = self._plan([0, 3, 7, 12])
@@ -831,8 +849,8 @@ class TestCompressionLoss:
         layer = synth_layer(seed=24)
         corpus = small_corpus()
         with pytest.raises(ValueError, match="read-only"):
-            layer.corpus_outputs(corpus)[0, 0] = 1.0
-        keys = layer._outputs_by_corpus
+            layer.routing(corpus)[2][0, 0] = 1.0
+        keys = layer._routing_by_corpus
         assert len(keys) == 1
         del corpus
         gc.collect()
@@ -1003,7 +1021,7 @@ class TestRoutedCellsMatchStackedSoftmax:
         for seed in range(8):
             layer = synth_layer(seed=seed, fanout=fanout)
             rng = np.random.default_rng(seed)
-            original = layer.corpus_outputs(heldout)
+            original = layer.routing(heldout)[2]
             for k in range(1, 17):
                 order = rng.permutation(16).tolist()
                 plan = redirect_plan(16, {i: int(rng.choice(order[:k])) for i in order[k:]})

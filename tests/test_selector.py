@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import set_oracle
 from hodgecover.complexes import Complex2, EdgeSignal, UnionFind, _lex_keys, complete_edges
@@ -399,6 +402,50 @@ class TestPlans:
     def test_select_random_is_seeded(self):
         assert select_random(16, 5, 9) == select_random(16, 5, 9)
         assert len(select_random(16, 5, 9)) == 5
+
+
+def divmod_uniform(rate, sizes):
+    """Uniform allocation by its own arithmetic, as it was before it became
+    ``allocate_weighted`` at equal mass: ``divmod`` drops, the remainder to the
+    lowest-index layers, then the one-survivor clamp and refill."""
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"rate must be in [0, 1), got {rate}")
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("layer sizes must be positive")
+    total = int(math.floor(rate * sum(sizes)))
+    base, rem = divmod(total, len(sizes))
+    drops = [base + (1 if idx < rem else 0) for idx in range(len(sizes))]
+    sizes = [int(s) for s in sizes]
+    capacity = [s - 1 for s in sizes]
+    if total > sum(capacity):
+        raise ValueError(
+            f"budget {total} exceeds droppable experts {sum(capacity)} under the one-survivor floor")
+    clamped = [min(d, c) for d, c in zip(drops, capacity)]
+    excess = total - sum(clamped)
+    for idx in range(len(sizes)):
+        if excess == 0:
+            break
+        take = min(capacity[idx] - clamped[idx], excess)
+        clamped[idx] += take
+        excess -= take
+    return LayerBudget(rate=rate, total_drops=total,
+                       survivors=tuple(s - d for s, d in zip(sizes, clamped)), drops=tuple(clamped))
+
+
+def allocation(allocate, *args):
+    """The budget's fields, or the message of the ``ValueError`` raised."""
+    try:
+        return dataclasses.astuple(allocate(*args))
+    except ValueError as err:
+        return str(err)
+
+
+@given(st.floats(-0.25, 1.25), st.lists(st.integers(-1, 64), max_size=9), st.floats(0.0, 1.5))
+@settings(max_examples=500, deadline=None)
+def test_uniform_allocation_is_the_divmod_split(rate, sizes, rho):
+    want = allocation(divmod_uniform, rate, sizes)
+    assert allocation(allocate_uniform, rate, sizes) == want
+    assert allocation(allocate_weighted, rate, sizes, [rho] * len(sizes)) == want
 
 
 class TestAllocators:

@@ -8,8 +8,11 @@ different names.  Each configuration is the default synth layer (seed 0) at
 n = 16, 32 and 64 and fanouts 2 and 8, with a corpus of 2,048 at seed 42 and
 the Stage-A candidates of the old tree's pairwise table.  The two stages are
 ``barrier_sweep`` with no candidates (the pair sweep) and ``extend_triplets``
-on that pairwise table (the triplet sweep).  After one warm call per tree,
-the trees take turns, alternating which runs first, ``CALLS`` times.
+on that pairwise table (the triplet sweep).  Each tree first calls both
+stages once, which warms it, and a configuration is timed only if both trees'
+pair and triplet tables (``to_json``) are the same: otherwise the script
+names the stage and configuration and exits with status 1.  Then the trees
+take turns, alternating which runs first, ``CALLS`` times.
 
 Each row prints both trees' median and quartiles in ms, and the share of
 calls in which the new tree was faster than the old call paired with it.
@@ -96,9 +99,11 @@ def main(argv: list[str] | None = None) -> None:
             old_calls, candidates = stage_calls(*old, n, fanout)
             new_calls, _ = stage_calls(*new, n, fanout, candidates)
             for stage in ("pair", "triplet"):
+                if old_calls[stage]().to_json() != new_calls[stage]().to_json():
+                    sys.exit(f"{stage} tables differ at n = {n}, fanout {fanout}: "
+                             "the trees compute different barriers")
+            for stage in ("pair", "triplet"):
                 times = np.empty((CALLS, 2))
-                for calls in (old_calls, new_calls):
-                    calls[stage]()                                  # warm
                 for i in range(CALLS):
                     sides = (0, 1) if i % 2 == 0 else (1, 0)
                     for side in sides:
