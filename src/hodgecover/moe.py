@@ -39,6 +39,7 @@ routed member, 0.14 % more are touched, and 8.6 % pass the bound.
 
 from __future__ import annotations
 
+import base64
 import json
 import weakref
 from dataclasses import dataclass
@@ -68,6 +69,29 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: a cached array is shared by every caller."""
     a.flags.writeable = False
     return a
+
+
+def b64_text(a: np.ndarray) -> str:
+    """The bytes of ``a`` in C order, as base64 text."""
+    return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def b64_array(value: object, field: str, dtype: str, count: int) -> np.ndarray:
+    """The ``count`` items of ``dtype`` that the base64 text ``value`` holds, as a
+    read-only array over the decoded bytes.  A value that is not a string, a
+    character outside the base64 alphabet, or a payload of any other length
+    raises a one-line ``ValueError`` that names ``field``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:   # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{field} is not base64: {exc}") from None
+    dtype = np.dtype(dtype)
+    if len(raw) != count * dtype.itemsize:
+        raise ValueError(f"{field} holds {len(raw)} bytes; {count} items of {dtype} "
+                         f"take {count * dtype.itemsize}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 class KeepsConstants:
@@ -110,8 +134,9 @@ class MoeLayer:
             raise ValueError("router_logits shape mismatch")
         if not (1 <= self.fanout <= self.n):
             raise ValueError(f"fanout must be in [1, {self.n}], got {self.fanout}")
-        if not (np.isfinite(self.expert_logits).all() and np.isfinite(self.router_logits).all()):
-            raise ValueError("logits must be finite")
+        for key in ("expert_logits", "router_logits"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ValueError(f"{key} must be finite")
 
     @cached_property
     def expert_dists(self) -> np.ndarray:
@@ -138,16 +163,20 @@ class MoeLayer:
         return kept
 
     def to_json(self) -> str:
+        """The layer file: the five integers, and each logit table as base64 of
+        its little-endian float64 bytes in C order, shaped (n, vocab) and
+        (n, ctx)."""
         return json.dumps({
             "n": self.n, "vocab": self.vocab, "ctx": self.ctx,
             "fanout": self.fanout, "seed": self.seed,
-            "expert_logits": self.expert_logits.tolist(),
-            "router_logits": self.router_logits.tolist(),
+            "expert_logits": b64_text(self.expert_logits.astype("<f8")),
+            "router_logits": b64_text(self.router_logits.astype("<f8")),
         })
 
     @classmethod
     def from_json(cls, text: str) -> "MoeLayer":
-        """Parse a layer file; a field of the wrong type raises ``ValueError``."""
+        """Parse a layer file; a field of the wrong type or size raises ``ValueError``.
+        Every logit comes back bit for bit."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("a layer file holds one JSON object")
@@ -155,12 +184,11 @@ class MoeLayer:
             if type(doc[key]) is not int:
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         logits = []
-        for key in ("expert_logits", "router_logits"):
-            rows = np.array(doc[key])
-            if rows.ndim != 2 or rows.dtype.kind not in "iuf" or any(
-                    type(v) is bool for row in doc[key] for v in row):
-                raise ValueError(f"{key} must be a table of numbers")
-            logits.append(rows)
+        for key, cols in (("expert_logits", doc["vocab"]), ("router_logits", doc["ctx"])):
+            if isinstance(doc[key], list):
+                raise ValueError(f"{key} is a nested list, the layout of an earlier version; "
+                                 "rebuild the model with `hodgecover synth`")
+            logits.append(b64_array(doc[key], key, "<f8", doc["n"] * cols).reshape(doc["n"], cols))
         return cls(doc["n"], doc["vocab"], doc["ctx"], doc["fanout"], *logits, doc["seed"])
 
 

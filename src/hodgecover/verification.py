@@ -257,7 +257,8 @@ def check_wanda_correctness() -> tuple[bool, str]:
 
 
 def check_allocator_conservation() -> tuple[bool, str]:
-    """Budget conserved with the one-survivor floor on 1000 fuzzed configs."""
+    """Budget conserved with the one-survivor floor on 1000 fuzzed configs, and
+    uniform allocation equal to the closed-form ``divmod`` split."""
     rng = np.random.default_rng(1010)
     done = 0
     while done < 1000:
@@ -270,16 +271,24 @@ def check_allocator_conservation() -> tuple[bool, str]:
         rho = rng.uniform(0.0, 1.0, size=layers).tolist()
         uni = allocate_uniform(rate, sizes)
         wei = allocate_weighted(rate, sizes, rho)
-        flat = allocate_weighted(rate, sizes, [0.5] * layers)
         for budget in (uni, wei):
             if sum(budget.drops) != total:
                 return False, f"budget not conserved on sizes={sizes}, rate={rate:.3f}"
             if not all(1 <= k <= s for k, s in zip(budget.survivors, sizes)):
                 return False, f"survivor bounds violated on sizes={sizes}"
-        if flat.drops != uni.drops:
-            return False, f"equal-rho weighted differs from uniform on sizes={sizes}"
+        # the closed-form split: divmod drops, the remainder to the lowest-index
+        # layers, then the one-survivor clamp and the refill in index order
+        base, rem = divmod(total, layers)
+        split = [min(base + (idx < rem), s - 1) for idx, s in enumerate(sizes)]
+        excess = total - sum(split)
+        for idx, s in enumerate(sizes):
+            take = min(s - 1 - split[idx], excess)
+            split[idx] += take
+            excess -= take
+        if list(uni.drops) != split:
+            return False, f"uniform differs from the divmod split on sizes={sizes}"
         done += 1
-    return True, "1000 fuzzed configs conserve the budget; equal-rho equals uniform"
+    return True, "1000 fuzzed configs conserve the budget; uniform equals the divmod split"
 
 
 def check_planted_benefit() -> tuple[bool, str]:

@@ -41,7 +41,6 @@ and sorts only the rows that fail.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .moe import CalibCorpus, MoeLayer
+from .moe import CalibCorpus, MoeLayer, b64_array, b64_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +61,11 @@ class PruneMask:
 
     def to_dict(self) -> dict:
         """The mask as the JSON object :meth:`to_json` writes."""
-        packed = np.packbits(self.mask.astype(np.uint8).ravel())
         return {
             "shape": list(self.mask.shape),
             "keep_per_row": self.keep_per_row,
             "sparsity": self.sparsity,
-            "bits": base64.b64encode(packed.tobytes()).decode("ascii"),
+            "bits": b64_text(np.packbits(self.mask.astype(np.uint8).ravel())),
         }
 
     def to_json(self) -> str:
@@ -77,9 +75,9 @@ class PruneMask:
     def from_json(cls, text: str) -> "PruneMask":
         doc = json.loads(text)
         shape = tuple(doc["shape"])
-        raw = np.frombuffer(base64.b64decode(doc["bits"]), dtype=np.uint8)
-        bits = np.unpackbits(raw)[: shape[0] * shape[1]]
-        return cls(bits.reshape(shape), doc["keep_per_row"], doc["sparsity"])
+        size = shape[0] * shape[1]
+        raw = b64_array(doc["bits"], "bits", "u1", -(-size // 8))
+        return cls(np.unpackbits(raw)[:size].reshape(shape), doc["keep_per_row"], doc["sparsity"])
 
 
 def residual_sparsity(r_total: float, r1: float = 0.20) -> float:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hodgecover
 from hodgecover.cli import METHODS, SCHEMA, main
+from hodgecover.moe import MoeLayer
 
 FAST = ["--set", "model.layers=2", "--set", "model.n=8", "--set", "model.clusters=2",
         "--set", "corpus.size=512"]
@@ -207,10 +208,7 @@ class TestBarriersAndDiagnose:
                     "--set", "model.clusters=2"]) == 0
         path = src / "model" / "layer_000.json"
         doc = json.loads(path.read_text())
-        if field.endswith("_logits"):
-            doc[field][0][0] = value
-        else:
-            doc[field] = value
+        doc[field] = value
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "c"
@@ -218,6 +216,26 @@ class TestBarriersAndDiagnose:
                     "--set", "corpus.size=512"]) == 2
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "Traceback" not in err and field in err
+        assert not out.exists()
+
+    def test_model_file_in_the_old_layout_exits_before_compress_writes(self, tmp_path, capsys):
+        # an earlier version wrote each logit table as nested lists of decimal floats
+        src = tmp_path / "src"
+        assert run(["synth", "--out", src, "--set", "model.layers=1", "--set", "model.n=6",
+                    "--set", "model.clusters=2"]) == 0
+        path = src / "model" / "layer_000.json"
+        layer = MoeLayer.from_json(path.read_text())
+        doc = json.loads(path.read_text())
+        doc.update(expert_logits=layer.expert_logits.tolist(),
+                   router_logits=layer.router_logits.tolist())
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert run(["compress", "--out", out, "--model-dir", src / "model",
+                    "--set", "corpus.size=512"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        assert "expert_logits" in err and "hodgecover synth" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("ctx", [8, 300])
@@ -451,7 +469,9 @@ def test_import_loads_no_scipy():
 # sha256 of every artifact on the default 4 x 16 model, recorded before the
 # triplet table and the selector moved onto arrays.  The diagnostics and the
 # ablation grid were recorded again when the curl moved onto Stage B's pivot
-# triangles: their numbers moved by at most 1.1e-16, and no plan moved.  These
+# triangles: their numbers moved by at most 1.1e-16, and no plan moved.  The
+# synth layer files, here and in the shape digests, were recorded again when
+# their logit tables became base64 float64; no other digest moved.  These
 # artifacts do not move with the BLAS thread count; those of a 1 x 64 model's
 # diagnose and ablate do.
 GOLDEN = Path(__file__).with_name("golden_artifacts.json")
@@ -561,7 +581,7 @@ def test_fuzzed_set_values(tmp_path, capsys, tiny_layer, key, value):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_model_files(tmp_path, capsys, tiny_layer, data):
     doc = json.loads(tiny_layer)
-    how = data.draw(st.sampled_from(["truncate", "field", "drop", "logit", "row"]))
+    how = data.draw(st.sampled_from(["truncate", "field", "drop", "char", "cut"]))
     if how == "truncate":
         text = tiny_layer[:data.draw(st.integers(0, len(tiny_layer) - 1))]
     else:
@@ -572,12 +592,14 @@ def test_fuzzed_model_files(tmp_path, capsys, tiny_layer, data):
             del doc[key]
         else:
             table = data.draw(st.sampled_from(["expert_logits", "router_logits"]))
-            row = data.draw(st.integers(0, len(doc[table]) - 1))
-            if how == "logit":
-                col = data.draw(st.integers(0, len(doc[table][row]) - 1))
-                doc[table][row][col] = data.draw(JSON_VALUES)
+            b64 = doc[table]
+            at = data.draw(st.integers(0, len(b64) - 1))
+            if how == "char":
+                # one base64 character replaced by any character, or deleted
+                char = data.draw(st.one_of(st.just(""), st.characters()))
+                doc[table] = b64[:at] + char + b64[at + 1:]
             else:
-                doc[table][row] = data.draw(JSON_VALUES)
+                doc[table] = b64[:at]
         text = json.dumps(doc)
     model = tmp_path / "model"
     model.mkdir(exist_ok=True)

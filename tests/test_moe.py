@@ -1,3 +1,4 @@
+import base64
 import gc
 import itertools
 import json
@@ -117,6 +118,68 @@ class TestSynth:
         assert assign.tolist() == [0] * 10 + [1, 1, 2, 2, 3, 3]
         with pytest.raises(ValueError):
             cluster_assignment(16, 4, (9, 2, 2, 2))
+
+
+# finite float64 values, with the bit patterns a decimal round trip could lose
+# drawn often: signed zeros, subnormals and the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+               np.finfo(np.float64).max, -np.finfo(np.float64).max]
+FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+def b64_floats(values) -> str:
+    return moe.b64_text(np.asarray(values, dtype="<f8"))
+
+
+class TestLayerFile:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_exact(self, data):
+        n, vocab, ctx = (data.draw(st.integers(lo, 5)) for lo in (1, 2, 1))
+        tables = [np.array(data.draw(st.lists(FINITE_FLOATS, min_size=n * cols,
+                                              max_size=n * cols))).reshape(n, cols)
+                  for cols in (vocab, ctx)]
+        layer = MoeLayer(n, vocab, ctx, data.draw(st.integers(1, n)), *tables,
+                         data.draw(st.integers(0, 2**31)))
+        back = MoeLayer.from_json(layer.to_json())
+        assert (back.n, back.vocab, back.ctx, back.fanout, back.seed) == \
+            (layer.n, layer.vocab, layer.ctx, layer.fanout, layer.seed)
+        for key in ("expert_logits", "router_logits"):
+            got, want = getattr(back, key), getattr(layer, key)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_tables_are_base64_of_little_endian_float64(self):
+        layer = synth_layer(n=4, vocab=3, ctx=5, clusters=2, seed=1)
+        doc = json.loads(layer.to_json())
+        assert sorted(doc) == ["ctx", "expert_logits", "fanout", "n", "router_logits", "seed", "vocab"]
+        for key in ("expert_logits", "router_logits"):
+            raw = np.frombuffer(base64.b64decode(doc[key]), dtype="<f8")
+            assert np.array_equal(raw, getattr(layer, key).ravel())
+
+    @pytest.mark.parametrize("key", ["expert_logits", "router_logits"])
+    @pytest.mark.parametrize("damage", [
+        "non-alphabet", "non-ascii", "one too few", "one too many", "nested list",
+        "null", "number", "bool", "object", "nan", "inf"])
+    def test_damaged_table_is_refused_by_name(self, key, damage):
+        layer = synth_layer(n=3, vocab=4, ctx=5, clusters=1, seed=2)
+        doc = json.loads(layer.to_json())
+        table = getattr(layer, key)
+        flat = table.ravel()
+        doc[key] = {
+            "non-alphabet": "*" + doc[key][1:],
+            "non-ascii": "é" + doc[key][1:],
+            "one too few": b64_floats(flat[:-1]),
+            "one too many": b64_floats(np.append(flat, 1.0)),
+            "nested list": table.tolist(),
+            "null": None, "number": 1.5, "bool": True, "object": {"a": 1},
+            "nan": b64_floats(np.where(np.arange(flat.size) == 2, np.nan, flat)),
+            "inf": b64_floats(np.where(np.arange(flat.size) == 2, -np.inf, flat)),
+        }[damage]
+        with pytest.raises(ValueError, match=key) as info:
+            MoeLayer.from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
 
 
 class TestLayerOutput:

@@ -1,4 +1,6 @@
+import base64
 import itertools
+import json
 import math
 
 import numpy as np
@@ -101,6 +103,21 @@ class TestWandaPrune:
         assert np.array_equal(back.mask, mask.mask)
         assert back.keep_per_row == mask.keep_per_row
         assert back.sparsity == mask.sparsity
+
+    @pytest.mark.parametrize("damage", ["stray character", "short payload", "long payload"])
+    def test_damaged_mask_bits_are_refused_by_name(self, damage):
+        rng = np.random.default_rng(44)
+        _, mask = wanda_prune(rng.normal(size=(3, 11)), rng.normal(size=(7, 11)), 0.3)
+        doc = mask.to_dict()
+        packed = np.frombuffer(base64.b64decode(doc["bits"]), dtype=np.uint8)
+        doc["bits"] = {
+            "stray character": doc["bits"][:2] + "!" + doc["bits"][2:],
+            "short payload": base64.b64encode(packed[:-1].tobytes()).decode("ascii"),
+            "long payload": base64.b64encode(packed.tobytes() + b"\0").decode("ascii"),
+        }[damage]
+        with pytest.raises(ValueError, match="bits") as info:
+            PruneMask.from_json(json.dumps(doc))
+        assert "\n" not in str(info.value)
 
 
 class TestStageTwoIntegration:

@@ -1,21 +1,30 @@
-"""Time the pair and triplet sweeps of two source trees, interleaved in one process.
+"""Time the model-file load and the pair and triplet sweeps of two source trees,
+interleaved in one process.
 
     OPENBLAS_NUM_THREADS=1 python tools/sweep_times.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a ``hodgecover`` package, such
 as the ``src`` of two checkouts.  Both packages are loaded side by side under
-different names.  Each configuration is the default synth layer (seed 0) at
-n = 16, 32 and 64 and fanouts 2 and 8, with a corpus of 2,048 at seed 42 and
-the Stage-A candidates of the old tree's pairwise table.  The two stages are
+different names.
+
+The ``load`` rows come first, one for each of n = 16, 32 and 64: each tree
+writes the default synth layer (seed 0) with its own ``MoeLayer.to_json`` and
+reads that text back with its own ``MoeLayer.from_json``, which is what is
+timed.  Both trees' loaded logit tables must be the same bit for bit
+(compared as int64): otherwise the script names n and exits with status 1.
+
+Each sweep configuration is the default synth layer (seed 0) at n = 16, 32
+and 64 and fanouts 2 and 8, with a corpus of 2,048 at seed 42 and the Stage-A
+candidates of the old tree's pairwise table.  The two stages are
 ``barrier_sweep`` with no candidates (the pair sweep) and ``extend_triplets``
 on that pairwise table (the triplet sweep).  Each tree first calls both
 stages once, which warms it, and a configuration is timed only if both trees'
 pair and triplet tables (``to_json``) are the same: otherwise the script
-names the stage and configuration and exits with status 1.  Then the trees
-take turns, alternating which runs first, ``CALLS`` times.
+names the stage and configuration and exits with status 1.
 
-Each row prints both trees' median and quartiles in ms, and the share of
-calls in which the new tree was faster than the old call paired with it.
+In every row the trees take turns, alternating which runs first, ``CALLS``
+times.  Each row prints both trees' median and quartiles in ms, and the share
+of calls in which the new tree was faster than the old call paired with it.
 The OpenBLAS thread count is printed first.
 """
 
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import importlib
 import importlib.util
 import sys
@@ -74,10 +84,36 @@ def stage_calls(moe, builder, n: int, fanout: int, candidates=None):
             "triplet": lambda: moe.extend_triplets(layer, corpus, pairs, candidates)}, candidates
 
 
+def load_call(moe, n: int):
+    """The tree's read of its own file of the seed-0 synth layer, and the layer read."""
+    text = moe.synth_layer(n=n, seed=0).to_json()
+    call = functools.partial(moe.MoeLayer.from_json, text)
+    return call, call()
+
+
+def same_bits(a, b) -> bool:
+    """Whether two layers hold the same logit tables, bit for bit."""
+    return all(np.array_equal(getattr(a, key).view(np.int64), getattr(b, key).view(np.int64))
+               for key in ("expert_logits", "router_logits"))
+
+
 def timed(call) -> float:
     start = time.perf_counter()
     call()
     return time.perf_counter() - start
+
+
+def print_row(stage: str, n: int, fanout: int, old_call, new_call) -> None:
+    """Time the two calls, taking turns, and print their row."""
+    times = np.empty((CALLS, 2))
+    for i in range(CALLS):
+        sides = (0, 1) if i % 2 == 0 else (1, 0)
+        for side in sides:
+            times[i, side] = timed((old_call, new_call)[side])
+    ms = times * 1e3
+    wins = int((ms[:, 1] < ms[:, 0]).sum())
+    print(f"{stage:8} {n:>3} {fanout:>6}  {summary(ms[:, 0]):>28}"
+          f"  {summary(ms[:, 1]):>28}  {wins} of {CALLS}", flush=True)
 
 
 def summary(ms: np.ndarray) -> str:
@@ -94,6 +130,11 @@ def main(argv: list[str] | None = None) -> None:
     print(f"OpenBLAS threads: {openblas_threads()}; {CALLS} calls per tree and row")
     print(f"{'stage':8} {'n':>3} {'fanout':>6}  {'old ms, median [quartiles]':>28}"
           f"  {'new ms, median [quartiles]':>28}  new faster")
+    for n in SIZES:
+        (old_load, old_layer), (new_load, new_layer) = load_call(old[0], n), load_call(new[0], n)
+        if not same_bits(old_layer, new_layer):
+            sys.exit(f"loaded logit tables differ at n = {n}: the trees read different layers")
+        print_row("load", n, new_layer.fanout, old_load, new_load)
     for fanout in FANOUTS:
         for n in SIZES:
             old_calls, candidates = stage_calls(*old, n, fanout)
@@ -103,15 +144,7 @@ def main(argv: list[str] | None = None) -> None:
                     sys.exit(f"{stage} tables differ at n = {n}, fanout {fanout}: "
                              "the trees compute different barriers")
             for stage in ("pair", "triplet"):
-                times = np.empty((CALLS, 2))
-                for i in range(CALLS):
-                    sides = (0, 1) if i % 2 == 0 else (1, 0)
-                    for side in sides:
-                        times[i, side] = timed((old_calls, new_calls)[side][stage])
-                ms = times * 1e3
-                wins = int((ms[:, 1] < ms[:, 0]).sum())
-                print(f"{stage:8} {n:>3} {fanout:>6}  {summary(ms[:, 0]):>28}"
-                      f"  {summary(ms[:, 1]):>28}  {wins} of {CALLS}", flush=True)
+                print_row(stage, n, fanout, old_calls[stage], new_calls[stage])
 
 
 if __name__ == "__main__":
