@@ -3,27 +3,28 @@
 Stage A picks candidate triangles: every 3-clique of the subgraph whose
 pairwise barriers sit at or below the median barrier, uniform-randomly
 subsampled to a cap with a fixed seed when too many qualify.  Stage B
-sweeps a threshold tau over an 80-point grid on [0, 1.1 * max edge
-barrier], takes the subcomplex of edges and candidate triangles at or
-below tau, and keeps the Betti-maximizing threshold, breaking ties toward
-the larger edge set and then the larger tau.
+reads the candidates back as the triples of the barrier table that holds
+their triplet barriers, sweeps a threshold tau over an 80-point grid on
+[0, 1.1 * max edge barrier], takes the subcomplex of edges and candidate
+triangles at or below tau, and keeps the Betti-maximizing threshold,
+breaking ties toward the larger edge set and then the larger tau.
 
 Stage B is one pass, in the manner of persistent homology (Edelsbrunner,
 Letscher and Zomorodian 2002; Zomorodian and Carlsson 2005).  Each simplex
 gets a filtration value: an edge its barrier, a triangle the larger of its
-triplet barrier and its worst edge barrier.  Sorted once by that value, the
-simplices in the complex at any tau are a prefix of each order, and a
-triangle enters only after its three edges, so rank(d2) at tau is the rank
-of a column prefix of d2 over the complete edge set.  One column reduction
-(:func:`~hodgecover.complexes.boundary_pivots`, which states why its ranks
-are the real ones) gives every prefix rank, one union-find over the sorted
-edges the component counts, and beta1(tau) = |E_tau| - n + components(tau)
-- rank(tau).  The reduction reads d2 from the candidate complex's
-``Complex2.edge_rows``, so no |E| x |T| matrix is formed.  Only the chosen
-complex is built besides.  The pivot triangles at tau* have independent
-columns that span im(d2) of the chosen complex; the result keeps them as
-``FiltrationResult.pivots``, so the Hodge decomposition projects onto them
-without a second reduction.
+triplet barrier and its worst edge barrier.  Sorted once, stably, by that
+value, the simplices in the complex at any tau are a prefix of each order,
+and a triangle enters only after its three edges, so rank(d2) at tau is the
+rank of a column prefix of d2 over the complete edge set.  One column
+reduction (:func:`~hodgecover.complexes.boundary_pivots`, which states why
+its ranks are the real ones) gives every prefix rank, one union-find over
+the sorted edges the component counts, and beta1(tau) = |E_tau| - n +
+components(tau) - rank(tau).  The reduction reads d2 from the candidate
+complex's ``Complex2.edge_rows``, so no |E| x |T| matrix is formed.  Only
+the chosen complex is built besides.  The pivot triangles at tau* have
+independent columns that span im(d2) of the chosen complex; the result
+keeps them as ``FiltrationResult.pivots``, so the Hodge decomposition
+projects onto them without a second reduction.
 """
 
 from __future__ import annotations
@@ -92,33 +93,22 @@ def stage_a_candidates(barriers: BarrierTable, cap: int = DEFAULT_CAP,
     return out
 
 
-def stage_b_filtration(barriers: BarrierTable, candidates: np.ndarray) -> FiltrationResult:
+def stage_b_filtration(barriers: BarrierTable) -> FiltrationResult:
     """Sweep the threshold grid and keep the Betti-maximizing complex.
 
-    At each tau the subcomplex holds the edges with barrier at or below tau
-    and the candidate triangles whose own barrier and all three edge
-    barriers sit at or below tau.  Ties in the Betti count break toward the
-    larger edge set, then the larger tau, so the result is deterministic.
-
-    The grid is evaluated in one pass: with edges sorted by barrier and
-    triangles by max(triplet barrier, worst edge barrier), both stable, the
-    complex at tau is a prefix of each order, and rank(d2) at every grid
-    point counts the pivots of :func:`boundary_pivots` among the first
-    columns in that order.  The curve equals the one from rebuilding the
-    complex and taking :func:`~hodgecover.oracles.betti1` at every tau,
-    which the tests keep as the oracle.
+    The candidate triangles are the table's ``triples``.  At each tau the
+    subcomplex holds the edges with barrier at or below tau and the
+    candidates whose own barrier and three edge barriers all sit at or below
+    tau.  The module docstring gives the tie rule and the one-pass
+    evaluation; the tests keep rebuilding the complex and taking
+    :func:`~hodgecover.oracles.betti1` at every tau as the oracle.
     """
     n = barriers.n
-    candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
+    candidates = barriers.triples
     edges = complete_edges(n)
-    edge_vals = barriers.pairwise[edges[:, 0], edges[:, 1]]
+    edge_vals = barriers.upper_entries()
     # a candidate's filtration value: its triplet barrier or its worst edge
-    tri_vals = np.maximum.reduce([
-        barriers.triplet_values(candidates),
-        barriers.pairwise[candidates[:, 0], candidates[:, 1]],
-        barriers.pairwise[candidates[:, 0], candidates[:, 2]],
-        barriers.pairwise[candidates[:, 1], candidates[:, 2]],
-    ])
+    tri_vals = np.maximum(barriers.triplet, barriers.worst_pairwise)
 
     top = 1.1 * float(edge_vals.max()) if len(edge_vals) else 0.0
     grid = np.linspace(0.0, top, GRID_POINTS)

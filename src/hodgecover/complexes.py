@@ -39,13 +39,11 @@ def svd_rcond(shape: tuple[int, ...]) -> float:
 class Complex2:
     """Oriented simplicial 2-complex on vertices {0, ..., n-1}.
 
-    ``edges`` is an (|E|, 2) int array with rows (i, j), i < j, strictly
-    lexicographically increasing; ``triangles`` is (|T|, 3) with rows
-    (i, j, k), i < j < k, also strictly increasing.  ``edge_rows`` is the
-    read-only (3, |T|) array of the rows in ``edges`` of each triangle's
-    edges (i,j), (i,k), (j,k): column t of d2 holds +1, -1, +1 there.
-    Instances are immutable after construction and safe to share across
-    threads.
+    ``edges`` (|E|, 2) and ``triangles`` (|T|, 3) are int64 simplex lists,
+    sorted as :func:`simplex_keys` checks.  ``edge_rows`` is the read-only
+    (3, |T|) array of the rows in ``edges`` of each triangle's edges (i,j),
+    (i,k), (j,k): column t of d2 holds +1, -1, +1 there.  Instances are
+    immutable and safe to share across threads.
     """
 
     n: int
@@ -56,33 +54,22 @@ class Complex2:
     def __post_init__(self):
         object.__setattr__(self, "edges", _as_simplex_array(self.edges, 2))
         object.__setattr__(self, "triangles", _as_simplex_array(self.triangles, 3))
-        self._validate()
-        rows = self._triangle_edge_rows()
+        rows = self._triangle_edge_rows(self._validate())
         rows.flags.writeable = False
         object.__setattr__(self, "edge_rows", rows)
 
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """Check both simplex lists (:func:`simplex_keys`); returns the edge keys."""
         if self.n < 0:
             raise ComplexStructureError(f"vertex count must be >= 0, got {self.n}")
-        for name, arr, width in (("edge", self.edges, 2), ("triangle", self.triangles, 3)):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-                raise ComplexStructureError(f"{name} list has vertex outside [0, {self.n})")
-            if arr.size and not (np.diff(arr, axis=1) > 0).all():
-                raise ComplexStructureError(f"{name} rows must be strictly increasing tuples")
-            # strict lexicographic order doubles as the no-duplicates check
-            if arr.shape[0] > 1:
-                flat = _lex_keys(arr, self.n)
-                if not (np.diff(flat) > 0).all():
-                    raise ComplexStructureError(f"{name} list is not strictly lex-sorted")
+        edge_keys = simplex_keys("edge", self.edges, self.n)
+        simplex_keys("triangle", self.triangles, self.n)
+        return edge_keys
 
-    def _triangle_edge_rows(self) -> np.ndarray:
+    def _triangle_edge_rows(self, edge_keys: np.ndarray) -> np.ndarray:
         """``edge_rows``; raises :class:`ComplexStructureError` naming the
         first triangle that has an edge missing from the edge list."""
-        keys = _lex_keys(_triangle_edges(self.triangles), self.n)
-        edge_keys = _lex_keys(self.edges, self.n)
-        rows = np.searchsorted(edge_keys, keys)
-        found = rows < self.num_edges
-        found[found] = edge_keys[rows[found]] == keys[found]
+        rows, found = find_rows(self.edges, edge_keys, _triangle_edges(self.triangles), self.n)
         found = found.reshape(3, self.num_triangles).all(axis=0)
         if not found.all():
             i, j, kk = self.triangles[np.nonzero(~found)[0][0]]
@@ -256,6 +243,34 @@ def _lex_keys(arr: np.ndarray, n: int) -> np.ndarray:
     for col in range(arr.shape[1]):
         key = key * base + arr[:, col]
     return key
+
+
+def simplex_keys(name: str, simplices: np.ndarray, n: int) -> np.ndarray:
+    """The lexicographic keys of a simplex list on vertices {0, ..., n-1}, once
+    it passes the checks of every sorted simplex list: vertices in range,
+    rows strictly increasing, and keys strictly increasing (distinct rows in
+    lexicographic order).  A failure raises :class:`ComplexStructureError`."""
+    if simplices.size and (simplices.min() < 0 or simplices.max() >= n):
+        raise ComplexStructureError(f"{name} list has a vertex outside the range [0, {n})")
+    if not (np.diff(simplices, axis=1) > 0).all():
+        order = " < ".join("ijk"[:simplices.shape[1]])
+        raise ComplexStructureError(f"{name} rows must have {order}")
+    keys = _lex_keys(simplices, n)
+    if not (np.diff(keys) > 0).all():
+        raise ComplexStructureError(f"{name} list must be distinct and lexicographically sorted")
+    return keys
+
+
+def find_rows(simplices: np.ndarray, keys: np.ndarray, query: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``query``'s index in a simplex list with keys ``keys``
+    (:func:`simplex_keys`), and whether the row is there.  The keys are
+    binary-searched, then whole rows compared: a row out of order or out of
+    range can alias a listed row's key."""
+    at = np.searchsorted(keys, _lex_keys(query, n))
+    found = at < len(keys)
+    found[found] = (simplices[at[found]] == query[found]).all(axis=1)
+    return at, found
 
 
 def _triangle_edges(triangles: np.ndarray) -> np.ndarray:

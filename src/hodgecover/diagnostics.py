@@ -53,17 +53,13 @@ def diagnostics_csv(diags: Iterable[LayerDiagnostics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def discordance(barriers: BarrierTable, candidates: np.ndarray) -> float:
-    """Fraction of candidate triangles whose joint barrier beats the worst
-    pairwise barrier by the factor ``DISCORDANCE_MARGIN``."""
-    candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
-    if len(candidates) == 0:
+def discordance(barriers: BarrierTable) -> float:
+    """Fraction of the table's triples (the candidate triangles) whose joint
+    barrier beats the worst pairwise barrier by the factor ``DISCORDANCE_MARGIN``."""
+    if len(barriers.triples) == 0:
         raise ValueError("discordance is undefined on an empty candidate set")
-    i, j, k = candidates.T
-    pw = barriers.pairwise
-    bar = DISCORDANCE_MARGIN * np.maximum.reduce([pw[i, j], pw[i, k], pw[j, k]])
-    hits = int(np.count_nonzero(barriers.triplet_values(candidates) > bar))
-    return hits / len(candidates)
+    bar = DISCORDANCE_MARGIN * barriers.worst_pairwise
+    return int(np.count_nonzero(barriers.triplet > bar)) / len(barriers.triples)
 
 
 def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
@@ -95,7 +91,7 @@ def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:
     """Diagnose every analyzed layer of a model."""
     out = []
     for idx, a in enumerate(analyses):
-        delta = discordance(a.table, a.candidates) if len(a.candidates) else 0.0
+        delta = discordance(a.table) if len(a.table.triples) else 0.0
         out.append(LayerDiagnostics(
             layer=idx,
             rho_harm=a.decomp.energy_harm,

@@ -42,13 +42,13 @@ from __future__ import annotations
 import base64
 import json
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .complexes import _lex_keys
+from .complexes import find_rows, simplex_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selector import SurvivorPlan
@@ -404,18 +404,19 @@ def kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np
 class BarrierTable(KeepsConstants):
     """All pairwise barriers, candidate triplet barriers, routing frequencies.
 
-    The triplet barriers are two arrays: ``triples``, (m, 3) int64 vertex rows
-    with i < j < k, distinct and in lexicographic order, and ``triplet``, (m,)
-    float64, the barrier of each row.  :meth:`triplet_values` looks rows up by
-    binary search over their lexicographic keys, which needs that order.
-    The selector keeps its merge orders, veto and merge sequences on the
-    table as constants (:meth:`~KeepsConstants.constant`).
+    ``triples`` is an (m, 3) simplex list, checked and looked up by the
+    rules of :mod:`~hodgecover.complexes` (``simplex_keys``, ``find_rows``),
+    and ``triplet`` the (m,) barrier of each row.  In an analysis the triples
+    are the candidate triangles that Stage B and the discordance read.  The
+    selector keeps its merge orders, veto and merge sequences on the table
+    as constants (:meth:`~KeepsConstants.constant`).
     """
 
     pairwise: np.ndarray                              # (n, n) symmetric, zero diagonal
     routing_freq: np.ndarray                          # (n,)
     triples: np.ndarray = ()
     triplet: np.ndarray = ()
+    triple_keys: np.ndarray = field(init=False, repr=False)  # read-only, ascending
 
     def __post_init__(self):
         object.__setattr__(self, "pairwise", np.asarray(self.pairwise, dtype=np.float64))
@@ -424,26 +425,23 @@ class BarrierTable(KeepsConstants):
         object.__setattr__(self, "triplet", np.asarray(self.triplet, dtype=np.float64))
         if not np.isfinite(self.pairwise).all():
             raise ValueError("pairwise barriers must be finite")
-        t = self.triples
-        if self.triplet.shape != (len(t),):
+        if self.triplet.shape != (len(self.triples),):
             raise ValueError("need one triplet barrier per triple")
         if not np.isfinite(self.triplet).all():
             raise ValueError("triplet barriers must be finite")
-        if len(t) and (t.min() < 0 or t.max() >= self.n):
-            raise ValueError("triple vertex outside expert range")
-        if not ((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all():
-            raise ValueError("triple rows must have i < j < k")
-        if not (np.diff(self.triple_keys) > 0).all():
-            raise ValueError("triple rows must be distinct and lexicographically sorted")
+        object.__setattr__(self, "triple_keys",
+                           read_only(simplex_keys("triple", self.triples, self.n)))
 
     @property
     def n(self) -> int:
         return self.pairwise.shape[0]
 
     @cached_property
-    def triple_keys(self) -> np.ndarray:
-        """The lexicographic keys of ``triples``, ascending; read-only."""
-        return read_only(_lex_keys(self.triples, self.n))
+    def worst_pairwise(self) -> np.ndarray:
+        """Each triple's largest pairwise barrier, in row order; read-only."""
+        i, j, k = self.triples.T
+        pw = self.pairwise
+        return read_only(np.maximum.reduce([pw[i, j], pw[i, k], pw[j, k]]))
 
     def upper_entries(self) -> np.ndarray:
         i, j = np.triu_indices(self.n, k=1)
@@ -452,9 +450,7 @@ class BarrierTable(KeepsConstants):
     def triplet_values(self, triangles: np.ndarray) -> np.ndarray:
         """The triplet barriers of the (m, 3) sorted vertex triples, in row order."""
         rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        at = np.searchsorted(self.triple_keys, _lex_keys(rows, self.n))
-        found = at < len(self.triples)
-        found[found] = (self.triples[at[found]] == rows[found]).all(axis=1)
+        at, found = find_rows(self.triples, self.triple_keys, rows, self.n)
         if not found.all():
             i, j, k = rows[np.argmin(found)].tolist()
             raise ValueError(f"triplet barrier missing for candidate ({i}, {j}, {k})")

@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .builder import FiltrationResult, stage_a_candidates, stage_b_filtration
+from .builder import (DEFAULT_CAP, DEFAULT_SEED, FiltrationResult, stage_a_candidates,
+                      stage_b_filtration)
 from .complexes import Complex2, EdgeSignal
 from .hodge import HodgeDecomp, decompose
 from .moe import (BarrierTable, CalibCorpus, KeepsConstants, MoeLayer, barrier_sweep,
@@ -66,7 +67,6 @@ class LayerAnalysis(KeepsConstants):
 
     layer: MoeLayer
     table: BarrierTable
-    candidates: np.ndarray
     filtration: FiltrationResult
     complex: Complex2
     signal: EdgeSignal
@@ -80,13 +80,13 @@ def pairwise_signal(k: Complex2, table: BarrierTable) -> EdgeSignal:
     return EdgeSignal(table.pairwise[k.edges[:, 0], k.edges[:, 1]])
 
 
-def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
-                  seed: int = 42) -> LayerAnalysis:
+def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = DEFAULT_CAP,
+                  seed: int = DEFAULT_SEED) -> LayerAnalysis:
     """Run the full topological analysis for one layer."""
     pair_table = barrier_sweep(layer, corpus)
-    candidates = stage_a_candidates(pair_table, cap=cap, seed=seed)
-    table = extend_triplets(layer, corpus, pair_table, candidates)
-    filtration = stage_b_filtration(table, candidates)
+    table = extend_triplets(layer, corpus, pair_table,
+                            stage_a_candidates(pair_table, cap=cap, seed=seed))
+    filtration = stage_b_filtration(table)
     k = filtration.chosen_complex
     if k.num_edges < layer.n * (layer.n - 1) // 2:
         logger.warning("chosen complex has %d of %d edges; expected the complete "
@@ -94,7 +94,7 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = 500,
                        layer.n * (layer.n - 1) // 2)
     signal = pairwise_signal(k, table)
     return LayerAnalysis(
-        layer=layer, table=table, candidates=candidates, filtration=filtration,
+        layer=layer, table=table, filtration=filtration,
         complex=k, signal=signal, decomp=decompose(k, signal, pivots=filtration.pivots),
         sal=saliency(layer, corpus),
         beta1=filtration.beta1,

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hodgecover.builder import (GRID_POINTS, stage_a_candidates,
                                 stage_b_filtration)
 from hodgecover.complexes import Complex2, complete_edges
-from hodgecover.moe import (CalibCorpus, MoeLayer, barrier_sweep, cluster_assignment,
-                            extend_triplets, synth_layer)
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep,
+                            cluster_assignment, extend_triplets, synth_layer)
 from hodgecover.oracles import (betti1, build_incidence, kernel_dimension, random_complex, rank,
                                 skeleton_components)
 from rank_oracle import prefix_ranks
@@ -46,6 +46,13 @@ def loop_stage_a(barriers, cap=500, seed=42):
         keep = rng.choice(len(out), size=cap, replace=False)
         out = out[np.sort(keep)]
     return out
+
+
+def stage_b_on(table, candidates):
+    """Stage B on ``table`` cut to ``candidates``, the triangles it then reads."""
+    c = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
+    return stage_b_filtration(BarrierTable(table.pairwise, table.routing_freq, c,
+                                           table.triplet_values(c)))
 
 
 def per_tau_oracle(barriers, candidates):
@@ -121,7 +128,7 @@ def assert_pivots(result):
 
 
 def assert_matches_oracle(table, candidates):
-    result = stage_b_filtration(table, candidates)
+    result = stage_b_on(table, candidates)
     tau_star, curve, chosen = per_tau_oracle(table, candidates)
     assert result.betti_curve == curve == prefix_rank_curve(table, candidates)
     assert result.tau_star == tau_star
@@ -213,7 +220,7 @@ class TestStageB:
 
     def test_grid_has_80_entries(self):
         table = self.simple_table()
-        result = stage_b_filtration(table, np.array([[0, 1, 2], [0, 1, 3]]))
+        result = stage_b_on(table, np.array([[0, 1, 2], [0, 1, 3]]))
         assert len(result.betti_curve) == 80
         taus = [tau for tau, _ in result.betti_curve]
         assert taus[0] == 0.0
@@ -221,13 +228,13 @@ class TestStageB:
 
     def test_zero_threshold_with_positive_barriers_is_empty(self):
         table = self.simple_table()
-        result = stage_b_filtration(table, np.array([[0, 1, 2]]))
+        result = stage_b_on(table, np.array([[0, 1, 2]]))
         assert result.betti_curve[0] == (0.0, 0)
 
     def test_grid_max_holds_all_edges_and_candidates(self):
         table = self.simple_table()
         cand = np.array([[0, 1, 2]])  # barrier 2.5 < max edge 5.0
-        result = stage_b_filtration(table, cand)
+        result = stage_b_on(table, cand)
         # rebuild at the top of the grid and compare
         top_tau = result.betti_curve[-1][0]
         assert (table.upper_entries() <= top_tau).all()
@@ -235,7 +242,7 @@ class TestStageB:
 
     def test_argmax_definition(self):
         table = self.simple_table()
-        result = stage_b_filtration(table, np.array([[0, 1, 2]]))
+        result = stage_b_on(table, np.array([[0, 1, 2]]))
         best = max(beta for _, beta in result.betti_curve)
         chosen = dict(result.betti_curve)[result.tau_star]
         assert chosen == best
@@ -243,7 +250,7 @@ class TestStageB:
     def test_tie_breaks_prefer_larger_edge_set_then_larger_tau(self):
         # all edges equal: beta jumps once; ties at the top resolved to last tau
         table = all_equal_table(4, 1.0)
-        result = stage_b_filtration(table, np.zeros((0, 3)))
+        result = stage_b_on(table, np.zeros((0, 3)))
         assert result.tau_star == result.betti_curve[-1][0]
         assert result.chosen_complex.num_edges == 6
 
@@ -251,13 +258,13 @@ class TestStageB:
         table = all_equal_table(4, 1.0)
         with pytest.raises(ValueError,
                            match=r"^triplet barrier missing for candidate \(0, 1, 2\)$"):
-            stage_b_filtration(table, np.array([[0, 1, 2]]))
+            stage_b_on(table, np.array([[0, 1, 2]]))
 
     def test_deterministic(self):
         table = self.simple_table()
         cand = np.array([[0, 1, 2], [0, 1, 3]])
-        a = stage_b_filtration(table, cand)
-        b = stage_b_filtration(table, cand)
+        a = stage_b_on(table, cand)
+        b = stage_b_on(table, cand)
         assert a.tau_star == b.tau_star
         assert a.betti_curve == b.betti_curve
 
@@ -266,13 +273,13 @@ class TestStageB:
         layer = synth_layer(seed=0)
         table = barrier_sweep(layer, corpus, stage_a_candidates(barrier_sweep(layer, corpus)))
         cand = stage_a_candidates(table)
-        result = stage_b_filtration(table, cand)
+        result = stage_b_on(table, cand)
         assert result.chosen_complex.num_edges == 120
         assert result.chosen_complex.num_triangles == len(cand)
 
     def test_json_and_csv_exports(self):
         table = self.simple_table()
-        result = stage_b_filtration(table, np.array([[0, 1, 2]]))
+        result = stage_b_on(table, np.array([[0, 1, 2]]))
         csv = result.curve_csv()
         assert csv.startswith("tau,beta1\n")
         assert len(csv.strip().split("\n")) == 81
@@ -349,7 +356,7 @@ def test_rp2_rank_is_taken_over_the_reals():
     assert betti1(k) == kernel_dimension(inc) == 0
     table = all_equal_table(6, 1.0)
     table = table_from_matrix(table.pairwise, {t: 1.0 for t in tris})
-    result = stage_b_filtration(table, np.array(tris))
+    result = stage_b_on(table, np.array(tris))
     assert result.chosen_complex.num_triangles == 10
     assert result.pivots.tolist() == list(range(10))
     assert result.beta1 == 0
@@ -364,13 +371,13 @@ def test_stage_b_makes_no_lapack_call(monkeypatch, n):
     table = barrier_sweep(layer, corpus)
     candidates = stage_a_candidates(table)
     table = extend_triplets(layer, corpus, table, candidates)
-    expected = stage_b_filtration(table, candidates)
+    expected = stage_b_on(table, candidates)
 
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK call in Stage B")
     for name in ("solve", "lstsq", "svd", "pinv"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    got = stage_b_filtration(table, candidates)
+    got = stage_b_on(table, candidates)
     assert got.tau_star == expected.tau_star and got.betti_curve == expected.betti_curve
     assert np.array_equal(got.pivots, expected.pivots)
     assert np.array_equal(got.chosen_complex.triangles, expected.chosen_complex.triangles)

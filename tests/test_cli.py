@@ -1,5 +1,6 @@
 import hashlib
 import importlib.metadata
+import inspect
 import json
 import os
 import shutil
@@ -12,8 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hodgecover
+from hodgecover.builder import stage_a_candidates
 from hodgecover.cli import METHODS, SCHEMA, main
-from hodgecover.moe import MoeLayer
+from hodgecover.moe import CalibCorpus, MoeLayer, synth_layer
+from hodgecover.pipeline import SelectorParams, analyze_layer
+from hodgecover.wanda import residual_sparsity
 
 FAST = ["--set", "model.layers=2", "--set", "model.n=8", "--set", "model.clusters=2",
         "--set", "corpus.size=512"]
@@ -447,6 +451,34 @@ def test_benchmark_tracer_sites_resolve(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     tracing = importlib.import_module("tracing")
     assert len(tracing.resolve_sites()) == len(tracing.SITES)
+
+
+def test_schema_defaults_are_the_library_defaults():
+    # verify's criteria run on the library's defaults and the CLI on SCHEMA's;
+    # the library side is read off the signatures, so a default changed in
+    # one place alone fails here
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    def schema(section, keys):
+        return {key: SCHEMA[section][key][0] for key in keys}
+
+    params = {"p": "p", "q_t": "q_t", "lambda_e": "lam_e", "lambda_t": "lam_t",
+              "alpha": "alpha", "alpha_t": "alpha_t"}
+    selector = defaults(SelectorParams)
+    assert set(selector) == set(params.values())
+    assert schema("selector", params) == {key: selector[name] for key, name in params.items()}
+    for fn in (analyze_layer, stage_a_candidates):
+        assert schema("selector", ["triangle_cap", "triangle_seed"]) == \
+            {"triangle_cap": defaults(fn)["cap"], "triangle_seed": defaults(fn)["seed"]}
+    # a model's layer count is the one model key with no library default
+    model = [key for key in SCHEMA["model"] if key != "layers"]
+    synth = defaults(synth_layer)
+    assert schema("model", model) == {key: synth[key] for key in model}
+    corpus = defaults(CalibCorpus.sample)
+    assert schema("corpus", SCHEMA["corpus"]) == {key: corpus[key] for key in SCHEMA["corpus"]}
+    assert SCHEMA["wanda"]["r1"][0] == defaults(residual_sparsity)["r1"]
 
 
 def test_package_root_loads_no_submodule():

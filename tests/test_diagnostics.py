@@ -19,19 +19,19 @@ def table_with_triplets(n, pairwise_value, triplets):
 class TestDiscordance:
     def test_zero_triplets_score_zero(self):
         table = table_with_triplets(4, 1.0, {(0, 1, 2): 0.0, (0, 1, 3): 0.0})
-        cand = np.array([[0, 1, 2], [0, 1, 3]])
-        assert discordance(table, cand) == 0.0
+        assert table.triples.tolist() == [[0, 1, 2], [0, 1, 3]]
+        assert discordance(table) == 0.0
 
     def test_margin_is_strict(self):
         table = table_with_triplets(4, 1.0, {(0, 1, 2): 1.2, (0, 1, 3): 1.2001})
-        cand = np.array([[0, 1, 2], [0, 1, 3]])
-        assert discordance(table, cand) == 0.5
+        assert table.triples.tolist() == [[0, 1, 2], [0, 1, 3]]
+        assert discordance(table) == 0.5
 
     def test_planted_discordant_triple_scores_one(self):
         layer = plant_discordant_triple(synth_layer(seed=0), (0, 1, 2), seed=500)
         corpus = CalibCorpus.sample(256, 2048, 42)
         table = barrier_sweep(layer, corpus, [(0, 1, 2)])
-        assert discordance(table, np.array([[0, 1, 2]])) == 1.0
+        assert discordance(table) == 1.0
 
     def test_matches_literal_count_on_swept_layer(self):
         corpus = CalibCorpus.sample(256, 1024, 42)
@@ -39,15 +39,15 @@ class TestDiscordance:
         pw = a.table.pairwise
         triplet = dict(zip(map(tuple, a.table.triples.tolist()), a.table.triplet.tolist()))
         hits = sum(triplet[(i, j, k)] > 1.2 * max(pw[i, j], pw[i, k], pw[j, k])
-                   for i, j, k in a.candidates.tolist())
-        got = discordance(a.table, a.candidates)
+                   for i, j, k in a.table.triples.tolist())
+        got = discordance(a.table)
         assert type(got) is float  # diagnostics.csv writes its repr
-        assert got == hits / len(a.candidates)
+        assert got == hits / len(a.table.triples)
 
     def test_empty_candidates_rejected(self):
         table = table_with_triplets(4, 1.0, {})
         with pytest.raises(ValueError, match="empty"):
-            discordance(table, np.zeros((0, 3)))
+            discordance(table)
 
 
 class TestRetainedMass:

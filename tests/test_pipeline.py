@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hodgecover import builder, oracles
-from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, compression_loss,
+from hodgecover.diagnostics import DISCORDANCE_MARGIN, discordance
+from hodgecover.moe import (BarrierTable, CalibCorpus, MoeLayer, barrier_sweep, compression_loss,
                             plant_discordant_triple, synth_layer)
 from hodgecover import pipeline
 from hodgecover.pipeline import (REDIRECT_METHODS, METHODS, SelectorParams, analyze_layer,
@@ -27,7 +28,7 @@ class TestAnalyzeLayer:
     def test_complete_complex_and_full_candidates(self, default_analysis):
         a, _ = default_analysis
         assert a.complex.num_edges == 120
-        assert a.complex.num_triangles == len(a.candidates)
+        assert a.complex.num_triangles == len(a.table.triples)
         assert a.beta1 > 0
         assert a.beta1 == betti1(a.complex)
 
@@ -42,6 +43,32 @@ class TestAnalyzeLayer:
         e = 17
         i, j = a.complex.edges[e]
         assert a.signal.values[e] == a.table.pairwise[i, j]
+
+
+
+@pytest.mark.parametrize("n, clusters", [(2, 1), (16, 4), (32, 4)])
+def test_table_triples_are_stage_a_rows(n, clusters):
+    # Stage B and the discordance read the table's triples as the candidate
+    # triangles, so they must be Stage A's rows in Stage A's order: at a cap
+    # above the median subgraph's 3-clique count, and at one below it, where
+    # Stage A subsamples
+    layer, corpus = synth_layer(n=n, clusters=clusters, seed=5), CalibCorpus.sample(256, 1024, 42)
+    pairs = barrier_sweep(layer, corpus)
+    cliques = len(builder.stage_a_candidates(pairs, cap=10**9))
+    for cap, seed in ((cliques + 1, 42), (cliques // 2, 7)):
+        rows = builder.stage_a_candidates(pairs, cap=cap, seed=seed)
+        assert len(rows) == min(cap, cliques)
+        a = analyze_layer(layer, corpus, cap=cap, seed=seed)
+        assert a.table.triples.dtype == rows.dtype and np.array_equal(a.table.triples, rows)
+        if not len(rows):
+            with pytest.raises(ValueError, match="empty"):
+                discordance(a.table)
+            continue
+        pw = a.table.pairwise
+        triplet = dict(zip(map(tuple, a.table.triples.tolist()), a.table.triplet.tolist()))
+        hits = sum(triplet[(i, j, k)] > DISCORDANCE_MARGIN * max(pw[i, j], pw[i, k], pw[j, k])
+                   for i, j, k in rows.tolist())
+        assert discordance(a.table) == hits / len(rows)
 
 
 def test_analysis_and_plans_form_no_dense_incidence(monkeypatch):
