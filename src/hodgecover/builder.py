@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Complex2, UnionFind, boundary_pivots, complete_edges
-from .moe import BarrierTable
+from .complexes import Complex2, EdgeSignal, UnionFind, boundary_pivots, complete_edges
+from .moe import BarrierTable, read_only
 # unused here but kept importable: the benchmark's tracer (perfbench/tracing.py) patches them
 from .oracles import betti1, build_incidence  # noqa: F401
 
@@ -49,12 +49,17 @@ class FiltrationResult:
 
     ``pivots`` holds the indices of rank(d2) triangles of the chosen
     complex, ascending, whose columns of d2 are a basis of its im(d2).
+    ``signal`` is the edge-barrier cochain on the chosen edges and
+    ``triangle_barriers`` the read-only triplet barrier of each chosen
+    triangle, both in the chosen complex's row order.
     """
 
     tau_star: float
     betti_curve: tuple[tuple[float, int], ...]
     chosen_complex: Complex2
     pivots: np.ndarray
+    signal: EdgeSignal
+    triangle_barriers: np.ndarray
 
     @property
     def beta1(self) -> int:
@@ -125,14 +130,16 @@ def stage_b_filtration(barriers: BarrierTable) -> FiltrationResult:
     curve = tuple((float(tau), int(beta)) for tau, beta in zip(grid, betas))
     best = max(range(GRID_POINTS), key=lambda g: (curve[g][1], num_edges[g], curve[g][0]))
     tau_star = curve[best][0]
-    chosen_tris = tri_vals <= tau_star
-    chosen = Complex2(n, edges[edge_vals <= tau_star], candidates[chosen_tris])
+    chosen_edges, chosen_tris = edge_vals <= tau_star, tri_vals <= tau_star
+    chosen = Complex2(n, edges[chosen_edges], candidates[chosen_tris])
     # the chosen triangles are the first sorted columns, so their pivots are
     # those of the prefix
     in_candidate_order = np.empty_like(pivot)
     in_candidate_order[tri_order] = pivot
     return FiltrationResult(tau_star, curve, chosen,
-                            np.flatnonzero(in_candidate_order[chosen_tris]))
+                            np.flatnonzero(in_candidate_order[chosen_tris]),
+                            EdgeSignal(edge_vals[chosen_edges]),
+                            read_only(barriers.triplet[chosen_tris]))
 
 
 def _prefix_components(n: int, edges: np.ndarray) -> np.ndarray:

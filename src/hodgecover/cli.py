@@ -302,7 +302,8 @@ def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
     retained = {}
     for method in METHODS:
         plans, grid[method], _ = _compress(cfg, analyses, corpus, heldout, method, rate)
-        per_layer = [retained_mass(a.complex, a.decomp, a.table, plan.survivors)
+        per_layer = [retained_mass(a.complex, a.decomp, a.filtration.triangle_barriers,
+                                   plan.survivors)
                      for a, plan in zip(analyses, plans)]
         retained[method] = {key: float(np.mean([m[key] for m in per_layer]))
                             for key in ("harm", "grad", "curl", "triplet")}
@@ -404,8 +405,11 @@ def build_parser() -> Parser:
     return parser
 
 
+PARSER = build_parser()  # parsing leaves it as it was: argparse copies list defaults
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             only = None

@@ -68,8 +68,13 @@ class Complex2:
 
     def _triangle_edge_rows(self, edge_keys: np.ndarray) -> np.ndarray:
         """``edge_rows``; raises :class:`ComplexStructureError` naming the
-        first triangle that has an edge missing from the edge list."""
-        rows, found = find_rows(self.edges, edge_keys, _triangle_edges(self.triangles), self.n)
+        first triangle that has an edge missing from the edge list.  The edge
+        keys are binary-searched, then the rows found compared whole, so a
+        missing edge is not taken for its neighbour in the sort."""
+        query = _triangle_edges(self.triangles)
+        rows = np.searchsorted(edge_keys, _lex_keys(query, self.n))
+        found = rows < len(edge_keys)
+        found[found] = (self.edges[rows[found]] == query[found]).all(axis=1)
         found = found.reshape(3, self.num_triangles).all(axis=0)
         if not found.all():
             i, j, kk = self.triangles[np.nonzero(~found)[0][0]]
@@ -259,18 +264,6 @@ def simplex_keys(name: str, simplices: np.ndarray, n: int) -> np.ndarray:
     if not (np.diff(keys) > 0).all():
         raise ComplexStructureError(f"{name} list must be distinct and lexicographically sorted")
     return keys
-
-
-def find_rows(simplices: np.ndarray, keys: np.ndarray, query: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``query``'s index in a simplex list with keys ``keys``
-    (:func:`simplex_keys`), and whether the row is there.  The keys are
-    binary-searched, then whole rows compared: a row out of order or out of
-    range can alias a listed row's key."""
-    at = np.searchsorted(keys, _lex_keys(query, n))
-    found = at < len(keys)
-    found[found] = (simplices[at[found]] == query[found]).all(axis=1)
-    return at, found
 
 
 def _triangle_edges(triangles: np.ndarray) -> np.ndarray:

@@ -62,11 +62,14 @@ def discordance(barriers: BarrierTable) -> float:
     return int(np.count_nonzero(barriers.triplet > bar)) / len(barriers.triples)
 
 
-def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
+def retained_mass(k: Complex2, decomp: HodgeDecomp, triangle_barriers: np.ndarray,
                   survivors: Iterable[int]) -> dict[str, float]:
     """l1 mass fractions of each component on simplices meeting the survivors,
-    keyed "harm", "grad", "curl" and "triplet"; a massless component counts
-    as kept whole if any expert survives."""
+    keyed "harm", "grad", "curl" and "triplet" (of ``triangle_barriers``); a
+    massless component counts as kept whole if any expert survives."""
+    if np.shape(triangle_barriers) != (k.num_triangles,):
+        raise ValueError(f"need one triplet barrier per triangle ({k.num_triangles}), "
+                         f"got shape {np.shape(triangle_barriers)}")
     surv = [int(i) for i in survivors]
     outside = sorted({i for i in surv if not 0 <= i < k.n})
     if outside:
@@ -84,7 +87,7 @@ def retained_mass(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
     return {"harm": fraction(decomp.harm.values, k.edges),
             "grad": fraction(decomp.grad.values, k.edges),
             "curl": fraction(decomp.curl.values, k.edges),
-            "triplet": fraction(barriers.triplet_values(k.triangles), k.triangles)}
+            "triplet": fraction(triangle_barriers, k.triangles)}
 
 
 def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:

@@ -42,13 +42,13 @@ from __future__ import annotations
 import base64
 import json
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .complexes import find_rows, simplex_keys
+from .complexes import simplex_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selector import SurvivorPlan
@@ -404,19 +404,18 @@ def kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np
 class BarrierTable(KeepsConstants):
     """All pairwise barriers, candidate triplet barriers, routing frequencies.
 
-    ``triples`` is an (m, 3) simplex list, checked and looked up by the
-    rules of :mod:`~hodgecover.complexes` (``simplex_keys``, ``find_rows``),
-    and ``triplet`` the (m,) barrier of each row.  In an analysis the triples
-    are the candidate triangles that Stage B and the discordance read.  The
-    selector keeps its merge orders, veto and merge sequences on the table
-    as constants (:meth:`~KeepsConstants.constant`).
+    ``triples`` is an (m, 3) simplex list, checked by the rules of
+    :mod:`~hodgecover.complexes` (``simplex_keys``), and ``triplet`` the (m,)
+    barrier of each row.  In an analysis the triples are the candidate
+    triangles that Stage B and the discordance read.  The selector keeps its
+    merge orders, veto and merge sequences on the table as constants
+    (:meth:`~KeepsConstants.constant`).
     """
 
     pairwise: np.ndarray                              # (n, n) symmetric, zero diagonal
     routing_freq: np.ndarray                          # (n,)
     triples: np.ndarray = ()
     triplet: np.ndarray = ()
-    triple_keys: np.ndarray = field(init=False, repr=False)  # read-only, ascending
 
     def __post_init__(self):
         object.__setattr__(self, "pairwise", np.asarray(self.pairwise, dtype=np.float64))
@@ -429,8 +428,7 @@ class BarrierTable(KeepsConstants):
             raise ValueError("need one triplet barrier per triple")
         if not np.isfinite(self.triplet).all():
             raise ValueError("triplet barriers must be finite")
-        object.__setattr__(self, "triple_keys",
-                           read_only(simplex_keys("triple", self.triples, self.n)))
+        simplex_keys("triple", self.triples, self.n)
 
     @property
     def n(self) -> int:
@@ -446,15 +444,6 @@ class BarrierTable(KeepsConstants):
     def upper_entries(self) -> np.ndarray:
         i, j = np.triu_indices(self.n, k=1)
         return self.pairwise[i, j]
-
-    def triplet_values(self, triangles: np.ndarray) -> np.ndarray:
-        """The triplet barriers of the (m, 3) sorted vertex triples, in row order."""
-        rows = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-        at, found = find_rows(self.triples, self.triple_keys, rows, self.n)
-        if not found.all():
-            i, j, k = rows[np.argmin(found)].tolist()
-            raise ValueError(f"triplet barrier missing for candidate ({i}, {j}, {k})")
-        return self.triplet.take(at)
 
     def to_json(self) -> str:
         return json.dumps({

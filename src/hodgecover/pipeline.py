@@ -22,7 +22,7 @@ import numpy as np
 
 from .builder import (DEFAULT_CAP, DEFAULT_SEED, FiltrationResult, stage_a_candidates,
                       stage_b_filtration)
-from .complexes import Complex2, EdgeSignal
+from .complexes import Complex2
 from .hodge import HodgeDecomp, decompose
 from .moe import (BarrierTable, CalibCorpus, KeepsConstants, MoeLayer, barrier_sweep,
                   compression_loss, extend_triplets, saliency)
@@ -69,15 +69,9 @@ class LayerAnalysis(KeepsConstants):
     table: BarrierTable
     filtration: FiltrationResult
     complex: Complex2
-    signal: EdgeSignal
     decomp: HodgeDecomp
     sal: np.ndarray
     beta1: int
-
-
-def pairwise_signal(k: Complex2, table: BarrierTable) -> EdgeSignal:
-    """The edge-barrier cochain of a complex, read off the pairwise table."""
-    return EdgeSignal(table.pairwise[k.edges[:, 0], k.edges[:, 1]])
 
 
 def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = DEFAULT_CAP,
@@ -92,10 +86,9 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = DEFAULT_CA
         logger.warning("chosen complex has %d of %d edges; expected the complete "
                        "edge set on planted layers", k.num_edges,
                        layer.n * (layer.n - 1) // 2)
-    signal = pairwise_signal(k, table)
     return LayerAnalysis(
-        layer=layer, table=table, filtration=filtration,
-        complex=k, signal=signal, decomp=decompose(k, signal, pivots=filtration.pivots),
+        layer=layer, table=table, filtration=filtration, complex=k,
+        decomp=decompose(k, filtration.signal, pivots=filtration.pivots),
         sal=saliency(layer, corpus),
         beta1=filtration.beta1,
     )
@@ -132,8 +125,8 @@ def coverage_for(analysis: LayerAnalysis,
     key = ("coverage", *(float(v).hex() for v in (params.p, params.q_t, params.lam_e,
                                                    params.lam_t)))
     return analysis.constant(key, lambda: build_coverage(
-        analysis.complex, analysis.decomp, analysis.table, analysis.sal, p=params.p,
-        q_t=params.q_t, lam_e=params.lam_e, lam_t=params.lam_t))
+        analysis.complex, analysis.decomp, analysis.filtration.triangle_barriers,
+        analysis.sal, p=params.p, q_t=params.q_t, lam_e=params.lam_e, lam_t=params.lam_t))
 
 
 def compress_model(analyses: Sequence[LayerAnalysis], budget_ks: Sequence[int],

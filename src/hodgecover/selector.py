@@ -193,17 +193,23 @@ class LayerBudget:
 # Coverage objective
 
 
-def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
+def build_coverage(k: Complex2, decomp: HodgeDecomp, triangle_barriers: np.ndarray,
                    sal: np.ndarray, *, p: float = 20.0, q_t: float = 20.0,
                    lam_e: float = 1.0, lam_t: float = 0.5) -> CoverageInstance:
     """Extract the critical simplices and incidence maps for one layer.
 
     Critical edges are the top-p% of the complex's edges ranked by absolute
     harmonic coefficient; critical triangles are the top-q_t% of its
-    triangles ranked by raw triplet barrier.  Cardinalities round up; ties
-    break toward the lexicographically earlier simplex (the simplex lists
-    are lex-sorted and the ranking sort is stable).
+    triangles ranked by raw triplet barrier (``triangle_barriers``, in triangle
+    order).  Cardinalities round up.  Equal floats break toward the
+    lexicographically earlier simplex (the lists are lex-sorted and the sort
+    is stable).  Values tied only in exact arithmetic can differ in their last
+    bits, and then rounding picks the edge, as on the seed-45 default model
+    (ROADMAP.md, item 6).
     """
+    if np.shape(triangle_barriers) != (k.num_triangles,):
+        raise ValueError(f"need one triplet barrier per triangle ({k.num_triangles}), "
+                         f"got shape {np.shape(triangle_barriers)}")
     if not (0.0 <= p <= 100.0 and 0.0 <= q_t <= 100.0):
         raise ValueError("p and q_t are percentages in [0, 100]")
     if not (lam_e >= 0.0 and lam_t >= 0.0):  # a nan weight would stall greedy_select
@@ -211,7 +217,7 @@ def build_coverage(k: Complex2, decomp: HodgeDecomp, barriers: BarrierTable,
 
     crit_edges = np.argsort(-np.abs(decomp.harm.values), kind="stable")
     crit_edges = crit_edges[:math.ceil(p / 100.0 * k.num_edges)]
-    crit_tris = np.argsort(-np.abs(barriers.triplet_values(k.triangles)), kind="stable")
+    crit_tris = np.argsort(-np.abs(triangle_barriers), kind="stable")
     crit_tris = crit_tris[:math.ceil(q_t / 100.0 * k.num_triangles)]
     # read-only: an analysis keeps the instance, and its greedy picks, for every plan
     return CoverageInstance(

@@ -213,7 +213,7 @@ def check_merge_guard() -> tuple[bool, str]:
     table = barrier_sweep(layer, corpus, [(3, 4, 5), (0, 4, 5)])
     if not np.isfinite(table.pairwise).all():
         return False, "pairwise table has non-finite entries"
-    if not np.isfinite(table.triplet_values([(0, 4, 5), (3, 4, 5)])).all():
+    if not np.isfinite(table.triplet).all():
         return False, "triplet table has non-finite entries"
     if table.routing_freq[4] != 0.0 or table.routing_freq[5] != 0.0:
         return False, "starved experts still routed"
@@ -334,12 +334,13 @@ def check_diagnostics_closure() -> tuple[bool, str]:
             if abs(total - 1.0) > 1e-8:
                 return False, f"energy fractions sum to {total!r} on seed {layer.seed}"
             analysis = a
+    barriers = analysis.filtration.triangle_barriers
     rng = np.random.default_rng(1012)
     for _ in range(100):
         small = set(rng.choice(16, rng.integers(0, 12), replace=False).tolist())
         big = small | set(rng.choice(16, 4).tolist())
-        lo = retained_mass(analysis.complex, analysis.decomp, analysis.table, small)
-        hi = retained_mass(analysis.complex, analysis.decomp, analysis.table, big)
+        lo = retained_mass(analysis.complex, analysis.decomp, barriers, small)
+        hi = retained_mass(analysis.complex, analysis.decomp, barriers, big)
         if any(lo[key] > hi[key] + 1e-12 for key in lo):
             return False, f"retained mass shrank when growing {sorted(small)}"
     return True, "closure holds on 6 layers; retained mass monotone on 100 nested pairs"

@@ -52,7 +52,7 @@ def stage_b_on(table, candidates):
     """Stage B on ``table`` cut to ``candidates``, the triangles it then reads."""
     c = np.asarray(candidates, dtype=np.int64).reshape(-1, 3)
     return stage_b_filtration(BarrierTable(table.pairwise, table.routing_freq, c,
-                                           table.triplet_values(c)))
+                                           triplet_values(triplet_dict(table), c)))
 
 
 def per_tau_oracle(barriers, candidates):
@@ -137,7 +137,18 @@ def assert_matches_oracle(table, candidates):
     assert np.array_equal(result.chosen_complex.triangles, chosen.triangles)
     assert result.beta1 == betti1(result.chosen_complex)
     assert_pivots(result)
+    assert_chosen_barriers(result, table)
     return result
+
+
+def assert_chosen_barriers(result, table):
+    """Stage B's arrays are the chosen complex's barriers, bit for bit."""
+    k = result.chosen_complex
+    assert np.array_equal(result.signal.values, table.pairwise[k.edges[:, 0], k.edges[:, 1]])
+    assert np.array_equal(result.triangle_barriers,
+                          triplet_values(triplet_dict(table), k.triangles))
+    assert result.signal.values.dtype == result.triangle_barriers.dtype == np.float64
+    assert not result.triangle_barriers.flags.writeable
 
 
 class TestStageA:
@@ -276,6 +287,24 @@ class TestStageB:
         result = stage_b_on(table, cand)
         assert result.chosen_complex.num_edges == 120
         assert result.chosen_complex.num_triangles == len(cand)
+
+    def test_partial_complex_keeps_its_own_barriers(self):
+        # 8 of the 10 edges and 2 of the 8 candidates, rows 1 and 5: not a prefix
+        n = 5
+        m = np.zeros((n, n))
+        i, j = np.triu_indices(n, k=1)
+        m[i, j] = [4, 5, 3, 2, 2, 3, 3, 4, 5, 1]
+        m += m.T
+        cand = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4),
+                (1, 2, 4), (2, 3, 4)]
+        table = table_from_matrix(m, dict(zip(cand, [6.0, 4.0, 5.0, 5.0, 6.0, 3.0, 5.0,
+                                                     6.0])))
+        result = assert_matches_oracle(table, cand)
+        k = result.chosen_complex
+        assert result.tau_star == pytest.approx(4.943, abs=1e-3) and result.beta1 == 2
+        assert k.num_edges == 8 and k.triangles.tolist() == [[0, 1, 3], [0, 3, 4]]
+        assert result.triangle_barriers.tolist() == [4.0, 3.0]
+        assert np.array_equal(result.triangle_barriers, table.triplet[[1, 5]])
 
     def test_json_and_csv_exports(self):
         table = self.simple_table()

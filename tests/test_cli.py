@@ -68,6 +68,19 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["model"]["layers"] == 2  # flag beats file
 
+    def test_one_parser_serves_every_call(self, tmp_path, model_dir):
+        # main parses with one parser built at import: a call's --set and
+        # --hybrid must not reach the next call
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["compress", "--out", first, "--model-dir", model_dir,
+                    "--set", "selector.rate=0.5", "--hybrid"] + FAST) == 0
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert config["selector"]["rate"] == 0.5 and config["wanda"]["hybrid"] is True
+        assert run(["compress", "--out", second, "--model-dir", model_dir]) == 0
+        defaults = {section: {key: spec[0] for key, spec in keys.items()}
+                    for section, keys in SCHEMA.items()}
+        assert json.loads((second / "manifest.json").read_text())["config"] == defaults
+
     def test_bad_override_is_usage_error(self, tmp_path):
         assert run(["synth", "--out", tmp_path / "x", "--set", "nonsense"]) == 1
         assert run(["synth", "--out", tmp_path / "x", "--set", "model.bogus=1"]) == 1

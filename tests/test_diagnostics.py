@@ -60,9 +60,9 @@ class TestRetainedMass:
 
     def test_full_and_empty_survivor_sets(self):
         k, d, triplets, table = self.fixture()
-        full = retained_mass(k, d, table, range(6))
+        full = retained_mass(k, d, table.triplet, range(6))
         assert full == {"harm": 1.0, "grad": 1.0, "curl": 1.0, "triplet": 1.0}
-        empty = retained_mass(k, d, table, [])
+        empty = retained_mass(k, d, table.triplet, [])
         assert empty == {"harm": 0.0, "grad": 0.0, "curl": 0.0, "triplet": 0.0}
 
     def test_survivors_outside_the_layer_rejected(self):
@@ -70,12 +70,21 @@ class TestRetainedMass:
         k, d, triplets, table = self.fixture()
         for survivors in ([0, -1], [6], [2, 7]):
             with pytest.raises(ValueError, match=r"survivors must be experts in \[0, 6\)"):
-                retained_mass(k, d, table, survivors)
+                retained_mass(k, d, table.triplet, survivors)
+
+    def test_one_triplet_barrier_per_triangle(self):
+        # an array of another length would misindex the triangles silently
+        k, d, triplets, table = self.fixture()
+        for barriers in (table.triplet[:2], np.append(table.triplet, 1.0),
+                         table.triplet.reshape(1, 3)):
+            with pytest.raises(ValueError, match=r"^need one triplet barrier per triangle "
+                                                 r"\(3\), got shape \(.*\)$"):
+                retained_mass(k, d, barriers, [0])
 
     def test_matches_literal_summation(self):
         k, d, triplets, table = self.fixture()
         survivors = {1, 4}
-        got = retained_mass(k, d, table, survivors)
+        got = retained_mass(k, d, table.triplet, survivors)
         for name, values in (("harm", d.harm.values), ("grad", d.grad.values),
                              ("curl", d.curl.values)):
             num = sum(abs(values[e]) for e, (i, j) in enumerate(k.edges)
@@ -90,8 +99,8 @@ class TestRetainedMass:
         for _ in range(50):
             small = set(rng.choice(6, rng.integers(0, 4), replace=False).tolist())
             big = small | set(rng.choice(6, 2).tolist())
-            lo = retained_mass(k, d, table, small)
-            hi = retained_mass(k, d, table, big)
+            lo = retained_mass(k, d, table.triplet, small)
+            hi = retained_mass(k, d, table.triplet, big)
             assert all(lo[key] <= hi[key] + 1e-12 for key in lo)
 
 

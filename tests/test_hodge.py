@@ -99,9 +99,9 @@ class TestDecomposeMatchesPinvOracle:
         k, pivots = a.complex, a.filtration.pivots
         b2 = build_incidence(k).b2
         assert len(pivots) == rank(b2[:, pivots]) == rank(b2)
-        oracle = decompose_pinv(k, a.signal)
+        oracle = decompose_pinv(k, a.filtration.signal)
         assert_matches_pinv(a.decomp, oracle)
-        assert_matches_pinv(decompose(k, a.signal), oracle)
+        assert_matches_pinv(decompose(k, a.filtration.signal), oracle)
 
     def test_pivots_must_index_triangles(self):
         k = closed_tetrahedron()
@@ -261,8 +261,9 @@ def test_critical_edges_match_pinv_oracle_on_default_models():
     corpus = CalibCorpus.sample(256, 2048, 42)
     for layer_seed in range(8 + 3):
         a = analyze_layer(synth_layer(seed=layer_seed), corpus)
-        oracle = decompose_pinv(a.complex, a.signal)
-        got = build_coverage(a.complex, a.decomp, a.table, a.sal)
-        want = build_coverage(a.complex, oracle, a.table, a.sal)
+        oracle = decompose_pinv(a.complex, a.filtration.signal)
+        barriers = a.filtration.triangle_barriers
+        got = build_coverage(a.complex, a.decomp, barriers, a.sal)
+        want = build_coverage(a.complex, oracle, barriers, a.sal)
         # the selector reads the set: its order within a tie does not count
         assert np.array_equal(np.sort(got.crit_edges), np.sort(want.crit_edges)), layer_seed

@@ -317,7 +317,7 @@ class TestSweep:
         tris = [(0, 1, 2), (1, 2, 3)]
         table = barrier_sweep(layer, corpus, tris)
         assert table.pairwise[0, 3] == pairwise_barrier(layer, corpus, 0, 3)
-        assert table.triplet_values([(1, 2, 3)])[0] == triplet_barrier(layer, corpus, 1, 2, 3)
+        assert table.triplet[1] == triplet_barrier(layer, corpus, 1, 2, 3)
         assert np.allclose(table.pairwise, table.pairwise.T)
         assert not table.pairwise.diagonal().any()
 
@@ -477,23 +477,6 @@ class TestSweep:
             layer = synth_layer(fanout=fanout, seed=15)
             freq = routing_frequencies(layer, small_corpus())
             assert freq.sum() == pytest.approx(fanout, abs=1e-12)
-
-    def test_triplet_values_in_row_order(self):
-        table = BarrierTable(np.zeros((4, 4)), np.full(4, 0.5),
-                             [(0, 1, 2), (0, 1, 3), (1, 2, 3)], [0.5, 1.5, 2.5])
-        got = table.triplet_values(np.array([[1, 2, 3], [0, 1, 2]]))
-        assert got.dtype == np.float64 and got.tolist() == [2.5, 0.5]
-        assert table.triplet_values(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
-        with pytest.raises(ValueError,
-                           match=r"^triplet barrier missing for candidate \(0, 2, 3\)$"):
-            table.triplet_values(np.array([[0, 1, 2], [0, 2, 3]]))
-        # past the last row, and rows whose lexicographic key aliases a tabled one
-        for missing in ([1, 2, 4], [0, 0, 7], [0, 2, 1], [-1, 1, 2]):
-            with pytest.raises(ValueError, match="missing"):
-                table.triplet_values(np.array([missing]))
-        empty = BarrierTable(np.zeros((4, 4)), np.full(4, 0.5))
-        with pytest.raises(ValueError, match=r"\(0, 1, 2\)"):
-            empty.triplet_values(np.array([[0, 1, 2]]))
 
     @pytest.mark.parametrize("triples, values, message", [
         ([(0, 2, 1)], [1.0], "i < j < k"),

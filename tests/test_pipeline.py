@@ -42,7 +42,7 @@ class TestAnalyzeLayer:
         a, _ = default_analysis
         e = 17
         i, j = a.complex.edges[e]
-        assert a.signal.values[e] == a.table.pairwise[i, j]
+        assert a.filtration.signal.values[e] == a.table.pairwise[i, j]
 
 
 

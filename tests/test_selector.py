@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import set_oracle
-from hodgecover.complexes import Complex2, EdgeSignal, UnionFind, _lex_keys, complete_edges
+from hodgecover.complexes import Complex2, EdgeSignal, UnionFind, complete_edges
 from hodgecover.hodge import decompose
 from hodgecover.moe import (BarrierTable, CalibCorpus, barrier_sweep,
                             cluster_assignment, synth_layer)
@@ -95,29 +95,32 @@ class TestBuildCoverage:
 
     def test_percent_extremes(self):
         a = self.analysis()
-        full = build_coverage(a.complex, a.decomp, a.table, a.sal, p=100.0, q_t=100.0)
+        full = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+                              p=100.0, q_t=100.0)
         assert len(full.crit_edges) == a.complex.num_edges
         assert len(full.crit_triangles) == a.complex.num_triangles
-        empty = build_coverage(a.complex, a.decomp, a.table, a.sal, p=0.0, q_t=0.0)
+        empty = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+                               p=0.0, q_t=0.0)
         assert not len(empty.crit_edges) and not len(empty.crit_triangles)
         assert empty.edge_incidence.shape == (16, 0) and empty.tri_incidence.shape == (16, 0)
         assert phi(empty, range(16)) == pytest.approx(float(a.sal.sum()))
 
     def test_ceil_cardinality(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.table, a.sal, p=20.0, q_t=20.0)
+        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+                              p=20.0, q_t=20.0)
         assert len(inst.crit_edges) == -(-20 * a.complex.num_edges // 100)
         assert len(inst.crit_triangles) == -(-20 * a.complex.num_triangles // 100)
 
     def test_critical_edges_rank_by_harmonic_magnitude(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.table, a.sal, p=10.0)
+        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal, p=10.0)
         cut = sorted(np.abs(a.decomp.harm.values))[-len(inst.crit_edges)]
         assert all(abs(a.decomp.harm.values[e]) >= cut - 1e-15 for e in inst.crit_edges)
 
     def test_critical_edges_sit_across_clusters(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.table, a.sal)
+        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal)
         assign = cluster_assignment(16, 4)
         cross = [assign[a.complex.edges[e][0]] != assign[a.complex.edges[e][1]]
                  for e in inst.crit_edges]
@@ -125,7 +128,7 @@ class TestBuildCoverage:
 
     def test_incidence_columns_are_the_critical_simplices(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.table, a.sal)
+        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal)
         for inc, simplices in ((inst.edge_incidence, a.complex.edges[inst.crit_edges]),
                                (inst.tri_incidence, a.complex.triangles[inst.crit_triangles])):
             assert inc.dtype == bool and inc.shape == (16, len(simplices))
@@ -135,7 +138,16 @@ class TestBuildCoverage:
     def test_invalid_percent(self):
         a = self.analysis()
         with pytest.raises(ValueError):
-            build_coverage(a.complex, a.decomp, a.table, a.sal, p=150.0)
+            build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal, p=150.0)
+
+    def test_one_triplet_barrier_per_triangle(self):
+        # an array of another length would misindex the triangles silently
+        a = self.analysis()
+        barriers, t = a.filtration.triangle_barriers, a.complex.num_triangles
+        for wrong in (barriers[:-1], np.append(barriers, 1.0), barriers.reshape(1, -1)):
+            with pytest.raises(ValueError, match=rf"^need one triplet barrier per triangle "
+                                                 rf"\({t}\), got shape \(.*\)$"):
+                build_coverage(a.complex, a.decomp, wrong, a.sal)
 
     @pytest.mark.parametrize("weights", [{"lam_e": -1.0}, {"lam_t": -0.5},
                                          {"lam_e": float("nan")}, {"lam_t": float("nan")}])
@@ -143,7 +155,7 @@ class TestBuildCoverage:
         # a nan weight makes every marginal gain nan, and greedy_select never picks
         a = self.analysis()
         with pytest.raises(ValueError, match="non-negative"):
-            build_coverage(a.complex, a.decomp, a.table, a.sal, **weights)
+            build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal, **weights)
 
 
 class TestPhi:
@@ -578,7 +590,8 @@ class TestArraysMatchSetOracle:
         rng = np.random.default_rng(40)
         for a in synth_analyses.values():
             for lam_t in (0.0, 0.5):
-                inst = build_coverage(a.complex, a.decomp, a.table, a.sal, lam_t=lam_t)
+                inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+                                      lam_t=lam_t)
                 oracle = set_oracle.build_coverage(a.complex, a.decomp,
                                                    set_oracle.triplet_dict(a.table), a.sal,
                                                    lam_t=lam_t)
@@ -606,8 +619,7 @@ class TestArraysMatchSetOracle:
                 for alpha_t in (0.0, 1.0, 2.5, -0.0):
                     select_ablation(variant, table, 5, alpha_t=alpha_t)
             # compute=None would raise: each constant must already be kept
-            kept = [(table.triple_keys, _lex_keys(table.triples, table.n)),
-                    (table.constant("pair_order", None), _edge_order(table.pairwise))]
+            kept = [(table.constant("pair_order", None), _edge_order(table.pairwise))]
             kept += [(table.constant(("penalty_order", alpha_t.hex()), None),
                       _edge_order(_triplet_penalty_costs(table, alpha_t)))
                      for alpha_t in (0.0, 1.0, 2.5)]
@@ -626,14 +638,6 @@ class TestArraysMatchSetOracle:
                 assert np.array_equal(got, want)
                 with pytest.raises(ValueError, match="read-only"):
                     got[0] = got[-1]
-
-    def test_triplet_values_match_dict_lookup(self, synth_analyses):
-        rng = np.random.default_rng(41)
-        for a in synth_analyses.values():
-            rows = a.table.triples[rng.permutation(len(a.table.triples))]
-            assert np.array_equal(a.table.triplet_values(rows),
-                                  set_oracle.triplet_values(set_oracle.triplet_dict(a.table),
-                                                            rows))
 
     def test_small_and_tied_tables(self):
         # ties in every pairwise barrier and every triplet barrier, at each k
