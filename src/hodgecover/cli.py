@@ -302,8 +302,8 @@ def cmd_ablate(cfg: dict, out: Path, analyses, corpus, heldout) -> Output:
     retained = {}
     for method in METHODS:
         plans, grid[method], _ = _compress(cfg, analyses, corpus, heldout, method, rate)
-        per_layer = [retained_mass(a.complex, a.decomp, a.filtration.triangle_barriers,
-                                   plan.survivors)
+        per_layer = [retained_mass(a.filtration.chosen_complex, a.decomp,
+                                   a.filtration.triangle_barriers, plan.survivors)
                      for a, plan in zip(analyses, plans)]
         retained[method] = {key: float(np.mean([m[key] for m in per_layer]))
                             for key in ("harm", "grad", "curl", "triplet")}

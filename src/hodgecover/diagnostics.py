@@ -101,7 +101,7 @@ def diagnose_model(analyses: Sequence[LayerAnalysis]) -> list[LayerDiagnostics]:
             rho_grad=a.decomp.energy_grad,
             rho_curl=a.decomp.energy_curl,
             delta=delta,
-            beta1=a.beta1,
+            beta1=a.filtration.beta1,
         ))
     return out
 

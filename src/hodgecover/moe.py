@@ -147,19 +147,24 @@ class MoeLayer:
     def _routing_by_corpus(self) -> weakref.WeakKeyDictionary:
         return weakref.WeakKeyDictionary()
 
-    def routing(self, corpus: "CalibCorpus") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The layer's routing at the corpus's symbols, (order, gates, outputs):
-        the experts in routing order, (n, u), by a stable sort of the router
-        logits, descending, so ties go to the lower index; the softmax gates of
-        the first fanout, (fanout, u); and the layer's outputs, (u, vocab).
-        Computed once per corpus and kept, read-only, while the corpus lives."""
+    def routing(self, corpus: "CalibCorpus"
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The layer's routing at the corpus's symbols, (order, gates, outputs,
+        log_outputs): the experts in routing order, (n, u), by a stable sort of
+        the router logits, descending, so ties go to the lower index; the
+        softmax gates of the first fanout, (fanout, u); the layer's outputs,
+        (u, vocab); and ``log(max(outputs, KL_FLOOR))``, the first argument's
+        log that :func:`kl_rows` takes.  Computed once per corpus and kept,
+        read-only, while the corpus lives."""
         kept = self._routing_by_corpus.get(corpus)
         if kept is None:
             cols = self.router_logits[:, corpus.symbol_weights[0]]
             order = np.argsort(-cols, axis=0, kind="stable")
-            idx, gates = _gated(cols, order[:self.fanout])
+            idx = order[:self.fanout]
+            gates = _softmax(np.take_along_axis(cols, idx, axis=0), axis=0)
             outputs = _mixture_outputs(gates, self.expert_dists[idx])
-            kept = self._routing_by_corpus[corpus] = tuple(map(read_only, (order, gates, outputs)))
+            kept = self._routing_by_corpus[corpus] = tuple(map(read_only, (
+                order, gates, outputs, np.log(np.maximum(outputs, KL_FLOOR)))))
         return kept
 
     def to_json(self) -> str:
@@ -333,17 +338,20 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _route(router_cols: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-fanout expert indices and renormalized gates per context column.
+    """Top-fanout expert indices and renormalized gates per finite context column.
 
-    Ties in router logits break toward the lower expert index (stable sort),
-    so routing is deterministic even for degenerate layers.
-    """
-    return _gated(router_cols, np.argsort(-router_cols, axis=0, kind="stable")[:fanout])
-
-
-def _gated(router_cols: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``idx``, the routed experts per column, and their softmax gates."""
-    return idx, _softmax(np.take_along_axis(router_cols, idx, axis=0), axis=0)
+    Slot f is the ``argmax`` over the experts not in slots 0..f-1, the first
+    maximum, so ties go to the lower index as in a stable sort of the logits,
+    descending (the tests' oracle); routing is deterministic even for
+    degenerate layers."""
+    left = router_cols.T.copy()             # (u, k): each column's logits contiguous
+    at = np.arange(left.shape[0])
+    idx, top = np.empty((fanout, len(at)), np.intp), np.empty((fanout, len(at)))
+    for f in range(fanout):
+        idx[f] = left.argmax(axis=1)
+        top[f] = left[at, idx[f]]
+        left[at, idx[f]] = -np.inf
+    return idx, _softmax(top, axis=0)
 
 
 def _mixture_outputs(gates: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -379,6 +387,18 @@ def merged_distribution(dists: np.ndarray, group: Sequence[int],
     else:
         w = w / total
     return w @ dists[group]
+
+
+def _merged_distributions(dists: np.ndarray, groups: np.ndarray,
+                          freqs: np.ndarray) -> np.ndarray:
+    """:func:`merged_distribution` of each row of the (G, L) ``groups``, (G,
+    vocab), bit for bit: each row's weights are summed and divided as one
+    group's, and the stacked ``matmul`` takes the same product per group."""
+    w = freqs[groups]
+    total = w.sum(axis=1, keepdims=True)
+    w = np.divide(w, total, out=np.full(w.shape, 1.0 / groups.shape[1]),
+                  where=~(total < FREQ_GUARD))
+    return np.matmul(w[:, None, :], dists[groups])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +533,7 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     """
     if not len(groups):
         return []
-    order, _, originals = layer.routing(corpus)
+    order, _, originals, log_originals = layer.routing(corpus)
     groups = np.sort(np.asarray(groups, dtype=np.int64), axis=1)
     size = groups.shape[1]
     n, vocab, routes = layer.n, layer.vocab, layer.fanout
@@ -523,15 +543,11 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     ranked = np.take_along_axis(cols, order, axis=0)             # logits in routing order
     rank = np.empty(order.shape, np.min_scalar_type(n))          # the inverse: each expert's rank
     np.put_along_axis(rank, order, np.arange(n)[:, None], axis=0)
-    log_originals = np.log(np.maximum(originals, KL_FLOOR))
     threshold = ranked[routes - 1]
     # lse(g) <= max(g) + log|g|, so a cell is touched only if some member is live
     reach = threshold - np.log(size) - 1e-6 * (1.0 + np.abs(threshold))
     fanout = min(routes, n - size + 1)                            # of the merged layer
     outside = min(fanout, n - size)                              # ranks outside g per cell
-    w = freqs[groups]
-    total = w.sum(axis=1, keepdims=True)
-    w = np.divide(w, total, out=np.full(w.shape, 1.0 / size), where=total >= FREQ_GUARD)
     # a block's (groups, symbols) rows, and a triplet block's cells, hold at most
     # BLOCK_FLOATS / 2 entries
     group_step = max(1, BLOCK_FLOATS // (2 * max(u, n)))
@@ -540,9 +556,8 @@ def _merge_kls(layer: MoeLayer, corpus: CalibCorpus, groups: Sequence[Sequence[i
     bank = np.empty((n + len(groups), vocab))
     bank[:n] = layer.expert_dists
     for start in range(0, len(groups), group_step):
-        block = slice(start, start + group_step)
-        np.matmul(w[block, None, :], layer.expert_dists[groups[block]],
-                  out=bank[n + start:n + start + group_step, None, :])
+        bank[n + start:n + start + group_step] = _merged_distributions(
+            layer.expert_dists, groups[start:start + group_step], freqs)
     cell_step = max(1, BLOCK_FLOATS // (fanout * vocab))
     # the step's (cells, vocab) arrays are written into buffers made once per call:
     # fresh ones each step were mapped and trimmed anew by malloc, and page-faulted
@@ -787,7 +802,7 @@ def saliency(layer: MoeLayer, corpus: CalibCorpus) -> np.ndarray:
     When all raw scores coincide the min-max normalization degenerates and
     the vector is all-zero.
     """
-    order, gates, _ = layer.routing(corpus)
+    order, gates = layer.routing(corpus)[:2]
     raw = np.zeros(layer.n)
     np.add.at(raw, order[:layer.fanout], gates * corpus.symbol_weights[1][None, :])
     raw *= np.linalg.norm(layer.expert_dists, axis=1)
@@ -817,18 +832,22 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
 
     A pruned survivor's distribution differs per symbol, and the mixture
     reads it only at the fanout (survivor, symbol) cells the folded router
-    picks.  So routing runs first, and only those cells are softmaxed: their
-    pruned logits form one C-ordered (cells, vocab) array, reduced over
-    axis 1.  Each cell's row is contiguous, as each symbol's row is in the
-    C-ordered (symbols, vocab) array of a softmax over every symbol (kept as
-    the tests' oracle), so numpy sums it over vocab the same pairwise way and
-    the bits match.  The cells are then mixed as unpruned experts are.
+    picks.  So routing runs first, and only those cells are softmaxed: one
+    gather on the survivors' stacked masks gives every cell's mask column,
+    and their pruned logits form one C-ordered (cells, vocab) array, reduced
+    over axis 1.  Each cell's row is contiguous, as each symbol's row is in
+    the C-ordered (symbols, vocab) array of a softmax over every symbol (kept
+    as the tests' oracle), so numpy sums it over vocab the same pairwise way
+    and the bits match.  The cells are then mixed as unpruned experts are.
 
     Lists of one length are folded together by one
     ``_logsumexp(..., axis=1)`` on their stacked (lists, length, ctx) router
     rows, and a one-expert list is its row, so a plan costs one call per
-    distinct list length above one rather than one per survivor.  The
-    result equals one call per list bit for bit: every stacked row is
+    distinct list length above one rather than one per survivor; pairs and
+    triples take :func:`_pair_logsumexp` and :func:`_triple_logsumexp`,
+    which equal ``_logsumexp`` bit for bit.  A merge plan builds the merged
+    experts of each length together too (:func:`_merged_distributions`).
+    The fold equals one call per list bit for bit: every stacked row is
     reduced over the same rows in the same order and memory layout as
     alone, so numpy adds them the same way (in sequence when ctx > 1,
     pairwise in eight lanes when ctx == 1), and the log-sum-exp of one row
@@ -843,14 +862,17 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
                          "experts outside one of them would be lost")
     symbols = np.asarray(symbols, dtype=np.int64)
     sources = plan.groups
+    survivors = list(plan.survivors)
     if plan.merge_weights is not None:
         if masks is not None:
             raise ValueError(f"hybrid stage 2 needs bit-exact survivors; {plan.method!r} "
                              "merges expert groups instead")
-        dists = np.stack([merged_distribution(layer.expert_dists, g, plan.merge_weights)
-                          for g in sources])
+        dists = np.empty((len(sources), layer.vocab))
+        freqs = np.asarray(plan.merge_weights, dtype=np.float64)
+        for rows, lists in _by_length(sources):
+            dists[rows] = _merged_distributions(layer.expert_dists, lists, freqs)
     elif masks is None:
-        dists = layer.expert_dists[list(plan.survivors)]
+        dists = layer.expert_dists[survivors]
     elif set(masks) != set(plan.survivors):
         raise ValueError(f"masks of experts {sorted(masks)} do not match the plan's "
                          f"survivors {sorted(plan.survivors)}")
@@ -860,24 +882,31 @@ def compressed_symbol_outputs(layer: MoeLayer, plan: "SurvivorPlan",
         return _mixture_outputs(gates, dists[idx])
     # the routed cells in (slot, symbol) order: survivor position and symbol of each
     pos, sym = idx.ravel(), np.broadcast_to(symbols, idx.shape).ravel()
-    logits = np.empty((pos.size, layer.vocab))
-    for r, j in enumerate(plan.survivors):
-        cells = np.flatnonzero(pos == r)
-        logits[cells] = layer.expert_logits[j] * masks[j].mask[:, sym[cells]].T
+    keep = np.stack([masks[j].mask for j in survivors])[pos, :, sym]
+    logits = layer.expert_logits[survivors][pos] * keep
     return _mixture_outputs(gates, _softmax(logits, axis=1).reshape(*idx.shape, layer.vocab))
+
+
+def _by_length(sources: Sequence[Sequence[int]]) -> list[tuple[list[int], np.ndarray]]:
+    """The source lists of each length: their rows in ``sources``, and the
+    lists stacked as one (lists, length) array."""
+    by_length: dict[int, list[int]] = {}
+    for row, src in enumerate(sources):
+        by_length.setdefault(len(src), []).append(row)
+    return [(rows, np.array([sources[i] for i in rows], dtype=np.int64))
+            for rows in by_length.values()]
 
 
 def _fold_router(router_logits: np.ndarray, sources: Sequence[Sequence[int]]) -> np.ndarray:
     """Log-sum-exp of each source list's router rows, one folded row per list;
     equal to a per-list ``_logsumexp`` (see :func:`compressed_symbol_outputs`)."""
     folded = np.empty((len(sources), router_logits.shape[1]))
-    rows_by_length: dict[int, list[int]] = {}
-    for row, src in enumerate(sources):
-        rows_by_length.setdefault(len(src), []).append(row)
-    for length, rows in rows_by_length.items():
-        idx = np.array([sources[row] for row in rows], dtype=np.int64)
-        folded[rows] = (router_logits[idx[:, 0]] if length == 1
-                        else _logsumexp(router_logits[idx], axis=1))
+    for rows, lists in _by_length(sources):
+        rl, length = router_logits[lists], lists.shape[1]      # (lists, length, ctx)
+        folded[rows] = (rl[:, 0] if length == 1
+                        else _pair_logsumexp(rl.max(axis=1), rl.min(axis=1)) if length == 2
+                        else _triple_logsumexp(rl[:, 0], rl[:, 1], rl[:, 2]) if length == 3
+                        else _logsumexp(rl, axis=1))
     return folded
 
 
@@ -886,6 +915,6 @@ def compression_loss(layer: MoeLayer, corpus_heldout: CalibCorpus,
                      masks: Mapping[int, "PruneMask"] | None = None) -> float:
     """Mean held-out KL between the original and the compressed layer."""
     symbols, weights = corpus_heldout.symbol_weights
-    original = layer.routing(corpus_heldout)[2]
+    _, _, original, log_original = layer.routing(corpus_heldout)
     compressed = compressed_symbol_outputs(layer, plan, symbols, masks)
-    return float(weights @ kl_rows(original, compressed))
+    return float(weights @ kl_rows(original, compressed, log_original))

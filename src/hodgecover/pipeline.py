@@ -22,7 +22,6 @@ import numpy as np
 
 from .builder import (DEFAULT_CAP, DEFAULT_SEED, FiltrationResult, stage_a_candidates,
                       stage_b_filtration)
-from .complexes import Complex2
 from .hodge import HodgeDecomp, decompose
 from .moe import (BarrierTable, CalibCorpus, KeepsConstants, MoeLayer, barrier_sweep,
                   compression_loss, extend_triplets, saliency)
@@ -68,10 +67,8 @@ class LayerAnalysis(KeepsConstants):
     layer: MoeLayer
     table: BarrierTable
     filtration: FiltrationResult
-    complex: Complex2
     decomp: HodgeDecomp
     sal: np.ndarray
-    beta1: int
 
 
 def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = DEFAULT_CAP,
@@ -87,10 +84,9 @@ def analyze_layer(layer: MoeLayer, corpus: CalibCorpus, *, cap: int = DEFAULT_CA
                        "edge set on planted layers", k.num_edges,
                        layer.n * (layer.n - 1) // 2)
     return LayerAnalysis(
-        layer=layer, table=table, filtration=filtration, complex=k,
+        layer=layer, table=table, filtration=filtration,
         decomp=decompose(k, filtration.signal, pivots=filtration.pivots),
         sal=saliency(layer, corpus),
-        beta1=filtration.beta1,
     )
 
 
@@ -110,7 +106,8 @@ def plan_layer(analysis: LayerAnalysis, k: int, method: str,
         else greedy_select(inst, k)
     costs = analysis.constant(
         ("redirect_costs", float(params.alpha).hex()),
-        lambda: redirect_costs(analysis.complex, analysis.table, analysis.decomp, params.alpha))
+        lambda: redirect_costs(analysis.filtration.chosen_complex, analysis.table,
+                               analysis.decomp, params.alpha))
     return SurvivorPlan(
         n=analysis.layer.n, k=k, survivors=survivors, redirect=redirect(costs, survivors),
         method=method, phi=phi(inst, survivors), alpha=params.alpha, layer=layer_id,
@@ -124,8 +121,9 @@ def coverage_for(analysis: LayerAnalysis,
     # float.hex names every float exactly, and every nan alike
     key = ("coverage", *(float(v).hex() for v in (params.p, params.q_t, params.lam_e,
                                                    params.lam_t)))
+    f = analysis.filtration
     return analysis.constant(key, lambda: build_coverage(
-        analysis.complex, analysis.decomp, analysis.filtration.triangle_barriers,
+        f.chosen_complex, analysis.decomp, f.triangle_barriers,
         analysis.sal, p=params.p, q_t=params.q_t, lam_e=params.lam_e, lam_t=params.lam_t))
 
 

@@ -129,7 +129,7 @@ class SurvivorPlan:
         if any(t not in surv for t in self.redirect.values()):
             raise ValueError("redirect target is not a survivor")
 
-    @property
+    @cached_property
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """Each survivor followed by the experts redirected to it, in
         ``redirect`` order: the source experts of each compressed expert."""

@@ -334,13 +334,13 @@ def check_diagnostics_closure() -> tuple[bool, str]:
             if abs(total - 1.0) > 1e-8:
                 return False, f"energy fractions sum to {total!r} on seed {layer.seed}"
             analysis = a
-    barriers = analysis.filtration.triangle_barriers
+    k, barriers = analysis.filtration.chosen_complex, analysis.filtration.triangle_barriers
     rng = np.random.default_rng(1012)
     for _ in range(100):
         small = set(rng.choice(16, rng.integers(0, 12), replace=False).tolist())
         big = small | set(rng.choice(16, 4).tolist())
-        lo = retained_mass(analysis.complex, analysis.decomp, barriers, small)
-        hi = retained_mass(analysis.complex, analysis.decomp, barriers, big)
+        lo = retained_mass(k, analysis.decomp, barriers, small)
+        hi = retained_mass(k, analysis.decomp, barriers, big)
         if any(lo[key] > hi[key] + 1e-12 for key in lo):
             return False, f"retained mass shrank when growing {sorted(small)}"
     return True, "closure holds on 6 layers; retained mass monotone on 100 nested pairs"

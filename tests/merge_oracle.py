@@ -5,6 +5,10 @@ touched cells alone.  This module is the direct definition it is pinned to:
 build the layer with one group replaced by its frequency-weighted merge,
 evaluate both layers at every corpus symbol, and take the weighted mean KL.
 
+``hodgecover.moe._route`` takes each column's top fanout by ``argmax``
+passes; :func:`route` takes them from a stable sort of the column, and
+every evaluation here routes by it.
+
 ``hodgecover.moe.compressed_symbol_outputs`` softmaxes a pruned survivor
 only at the (survivor, symbol) cells the router picks.
 :func:`stacked_pruned_outputs` softmaxes every pruned survivor at every
@@ -21,15 +25,22 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from hodgecover.moe import (CalibCorpus, MoeLayer, _fold_router, _logsumexp,
-                            _mixture_outputs, _route, _softmax, kl_rows,
-                            merged_distribution, routing_frequencies)
+                            _mixture_outputs, _softmax, kl_rows, merged_distribution,
+                            routing_frequencies)
+
+
+def route(router_cols: np.ndarray, fanout: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's first fanout experts in a stable sort of its logits,
+    descending, so ties go to the lower index, and their softmax gates."""
+    idx = np.argsort(-router_cols, axis=0, kind="stable")[:fanout]
+    return idx, _softmax(np.take_along_axis(router_cols, idx, axis=0), axis=0)
 
 
 def layer_symbol_outputs(layer: MoeLayer, symbols: np.ndarray) -> np.ndarray:
     """Layer output distribution at each context symbol, (u, vocab), routed
     afresh (``MoeLayer.routing`` keeps the layer's routing per corpus)."""
-    idx, gates = _route(layer.router_logits[:, np.asarray(symbols, dtype=np.int64)],
-                        layer.fanout)
+    idx, gates = route(layer.router_logits[:, np.asarray(symbols, dtype=np.int64)],
+                       layer.fanout)
     return _mixture_outputs(gates, layer.expert_dists[idx])
 
 
@@ -116,7 +127,7 @@ def mixture(dists: np.ndarray, router_cols: np.ndarray, fanout: int) -> np.ndarr
     ``dists`` is (m, vocab) for context-independent experts or (m, u, vocab)
     when expert outputs vary per symbol (pruned survivors).
     """
-    idx, gates = _route(router_cols, fanout)
+    idx, gates = route(router_cols, fanout)
     if dists.ndim == 2:
         chosen = dists[idx]                                     # (f, u, vocab)
     else:

@@ -218,7 +218,7 @@ def plan_layer(analysis: LayerAnalysis, k: int, method: str,
                params: SelectorParams = SelectorParams(), *,
                layer_id: int = 0, seed: int = 0) -> SurvivorPlan:
     """``hodgecover.pipeline.plan_layer`` over the set-based pieces above."""
-    table = analysis.table
+    table, chosen = analysis.table, analysis.filtration.chosen_complex
     triplet = triplet_dict(table)
     if method == "greedy_barrier":
         return _unionfind_plan(table, triplet, k, table.pairwise, method, layer=layer_id)
@@ -233,12 +233,12 @@ def plan_layer(analysis: LayerAnalysis, k: int, method: str,
     assert method in REDIRECT_METHODS
     if method == "no_triangle":
         params = dataclasses.replace(params, lam_t=0.0)
-    inst = build_coverage(analysis.complex, analysis.decomp, triplet, analysis.sal,
+    inst = build_coverage(chosen, analysis.decomp, triplet, analysis.sal,
                           p=params.p, q_t=params.q_t, lam_e=params.lam_e, lam_t=params.lam_t)
     survivors = select_random(analysis.layer.n, k, seed) if method == "random" \
         else greedy_select(inst, k)
     return SurvivorPlan(
         n=analysis.layer.n, k=k, survivors=survivors,
-        redirect=redirect(analysis.complex, table, analysis.decomp, survivors, params.alpha),
+        redirect=redirect(chosen, table, analysis.decomp, survivors, params.alpha),
         method=method, phi=phi(inst, survivors), alpha=params.alpha, layer=layer_id,
     )

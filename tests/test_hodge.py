@@ -96,7 +96,7 @@ class TestDecomposeMatchesPinvOracle:
     def test_analyze_layer(self, n):
         corpus = CalibCorpus.sample(256, 2048, 42)
         a = analyze_layer(synth_layer(n=n, seed=0), corpus)
-        k, pivots = a.complex, a.filtration.pivots
+        k, pivots = a.filtration.chosen_complex, a.filtration.pivots
         b2 = build_incidence(k).b2
         assert len(pivots) == rank(b2[:, pivots]) == rank(b2)
         oracle = decompose_pinv(k, a.filtration.signal)
@@ -261,9 +261,9 @@ def test_critical_edges_match_pinv_oracle_on_default_models():
     corpus = CalibCorpus.sample(256, 2048, 42)
     for layer_seed in range(8 + 3):
         a = analyze_layer(synth_layer(seed=layer_seed), corpus)
-        oracle = decompose_pinv(a.complex, a.filtration.signal)
-        barriers = a.filtration.triangle_barriers
-        got = build_coverage(a.complex, a.decomp, barriers, a.sal)
-        want = build_coverage(a.complex, oracle, barriers, a.sal)
+        k, barriers = a.filtration.chosen_complex, a.filtration.triangle_barriers
+        oracle = decompose_pinv(k, a.filtration.signal)
+        got = build_coverage(k, a.decomp, barriers, a.sal)
+        want = build_coverage(k, oracle, barriers, a.sal)
         # the selector reads the set: its order within a tie does not count
         assert np.array_equal(np.sort(got.crit_edges), np.sort(want.crit_edges)), layer_seed

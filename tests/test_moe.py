@@ -23,7 +23,7 @@ from hodgecover.selector import SurvivorPlan
 from hodgecover.wanda import prune_survivors
 from merge_oracle import (_mean_merge_kl, expert_weight_matrix, layer_output,
                           layer_symbol_outputs, merge_experts, mixture, pairwise_barrier,
-                          stacked_pruned_outputs, triplet_barrier)
+                          route, stacked_pruned_outputs, triplet_barrier)
 
 
 def small_corpus(ctx=256, size=512, seed=42):
@@ -216,6 +216,35 @@ class TestLayerOutput:
             layer_output(synth_layer(seed=0), 256)
 
 
+class TestRouteMatchesStableSort:
+    """``_route``'s argmax passes against the stable sort of ``merge_oracle.route``."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_integer_logits_tie_in_most_columns(self, k, data):
+        # a handful of integer values, zeros of both signs, so most columns tie
+        u = data.draw(st.integers(1, 8))
+        cols = np.array(data.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                                           min_size=k * u, max_size=k * u))).reshape(k, u)
+        before = cols.copy()
+        for fanout in range(1, k + 1):
+            idx, gates = _route(cols, fanout)
+            want_idx, want_gates = route(cols, fanout)
+            assert idx.shape == (fanout, u)
+            assert np.array_equal(idx, want_idx), (cols, fanout)
+            assert np.array_equal(gates, want_gates), (cols, fanout)
+        assert np.array_equal(cols.view(np.int64), before.view(np.int64))
+
+    def test_every_column_one_tie(self):
+        # +0.0 and -0.0 compare equal, so the lower index wins, as in the sort
+        cols = np.where(np.arange(6)[:, None] % 2, -0.0, 0.0) * np.ones((6, 3))
+        for fanout in range(1, 7):
+            idx, gates = _route(cols, fanout)
+            assert np.array_equal(idx, np.repeat(np.arange(fanout)[:, None], 3, axis=1))
+            assert np.array_equal(gates, np.full((fanout, 3), 1.0 / fanout))
+
+
 class TestMerge:
     def test_equal_freqs_plain_average(self):
         layer = synth_layer(seed=6)
@@ -235,6 +264,29 @@ class TestMerge:
         m = merged_distribution(layer.expert_dists, [2, 5, 9], np.zeros(16))
         assert np.isfinite(m).all()
         assert np.allclose(m, layer.expert_dists[[2, 5, 9]].mean(axis=0), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_stacked_merges_match_one_merge_per_group(self, n):
+        # every list length 1..n over n experts with weights across six decades,
+        # so the sums round; per length also a never-routed group and one whose
+        # total is under the guard (both the plain-average fallback), and one
+        # with a nan weight (not under the guard)
+        rng = np.random.default_rng(n)
+        dists = moe._softmax(rng.normal(size=(3 * n + 1, 7)), axis=1)
+        freqs = np.concatenate([rng.random(n) * 10.0 ** rng.uniform(-6, 0, size=n),
+                                np.zeros(n), rng.uniform(1e-16, 1e-14, size=n), [np.nan]])
+        for length in range(1, n + 1):
+            def pick(block):
+                return block * n + rng.choice(n, size=length, replace=False)
+            nan_group = np.append(pick(0)[1:], 3 * n)[rng.permutation(length)]
+            groups = np.array([*(pick(0) for _ in range(4)), pick(1), pick(2), nan_group])
+            got = moe._merged_distributions(dists, groups, freqs)
+            want = np.stack([merged_distribution(dists, g, freqs) for g in groups])
+            assert np.array_equal(got, want, equal_nan=True), length
+            for fallback in (4, 5):
+                assert np.allclose(got[fallback], dists[groups[fallback]].mean(axis=0),
+                                   rtol=0, atol=1e-15)
+            assert np.isnan(got[6]).all() and not np.isnan(got[:6]).any()
 
     def test_group_size_validation(self):
         layer = synth_layer(seed=6)
@@ -439,7 +491,8 @@ class TestSweep:
         symbols, weights = corpus.symbol_weights
         routing = layer.routing(corpus)
         assert layer.routing(corpus) is routing
-        order, kept_gates, _ = routing
+        order, kept_gates, outputs, log_outputs = routing
+        assert np.array_equal(log_outputs, np.log(np.maximum(outputs, moe.KL_FLOOR)))
         for kept in routing:
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 1

@@ -27,10 +27,10 @@ def default_analysis():
 class TestAnalyzeLayer:
     def test_complete_complex_and_full_candidates(self, default_analysis):
         a, _ = default_analysis
-        assert a.complex.num_edges == 120
-        assert a.complex.num_triangles == len(a.table.triples)
-        assert a.beta1 > 0
-        assert a.beta1 == betti1(a.complex)
+        assert a.filtration.chosen_complex.num_edges == 120
+        assert a.filtration.chosen_complex.num_triangles == len(a.table.triples)
+        assert a.filtration.beta1 > 0
+        assert a.filtration.beta1 == betti1(a.filtration.chosen_complex)
 
     def test_harmonic_fraction_in_reported_band(self, default_analysis):
         # the per-layer share of barrier energy that is harmonic sits in
@@ -41,7 +41,7 @@ class TestAnalyzeLayer:
     def test_signal_alignment(self, default_analysis):
         a, _ = default_analysis
         e = 17
-        i, j = a.complex.edges[e]
+        i, j = a.filtration.chosen_complex.edges[e]
         assert a.filtration.signal.values[e] == a.table.pairwise[i, j]
 
 
@@ -83,7 +83,8 @@ def test_analysis_and_plans_form_no_dense_incidence(monkeypatch):
     corpus = CalibCorpus.sample(256, 1024, 42)
     layer = synth_layer(n=64, seed=0)
     a = analyze_layer(layer, corpus)
-    assert a.complex.num_edges == 2016 and a.complex.num_triangles == 500
+    k = a.filtration.chosen_complex
+    assert k.num_edges == 2016 and k.num_triangles == 500
     for method in METHODS:
         plan = plan_layer(a, 21, method)
         assert np.isfinite(model_loss([layer], corpus, [plan]))

@@ -95,11 +95,12 @@ class TestBuildCoverage:
 
     def test_percent_extremes(self):
         a = self.analysis()
-        full = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+        k = a.filtration.chosen_complex
+        full = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal,
                               p=100.0, q_t=100.0)
-        assert len(full.crit_edges) == a.complex.num_edges
-        assert len(full.crit_triangles) == a.complex.num_triangles
-        empty = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+        assert len(full.crit_edges) == k.num_edges
+        assert len(full.crit_triangles) == k.num_triangles
+        empty = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal,
                                p=0.0, q_t=0.0)
         assert not len(empty.crit_edges) and not len(empty.crit_triangles)
         assert empty.edge_incidence.shape == (16, 0) and empty.tri_incidence.shape == (16, 0)
@@ -107,55 +108,62 @@ class TestBuildCoverage:
 
     def test_ceil_cardinality(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+        k = a.filtration.chosen_complex
+        inst = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal,
                               p=20.0, q_t=20.0)
-        assert len(inst.crit_edges) == -(-20 * a.complex.num_edges // 100)
-        assert len(inst.crit_triangles) == -(-20 * a.complex.num_triangles // 100)
+        assert len(inst.crit_edges) == -(-20 * k.num_edges // 100)
+        assert len(inst.crit_triangles) == -(-20 * k.num_triangles // 100)
 
     def test_critical_edges_rank_by_harmonic_magnitude(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal, p=10.0)
+        k = a.filtration.chosen_complex
+        inst = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal, p=10.0)
         cut = sorted(np.abs(a.decomp.harm.values))[-len(inst.crit_edges)]
         assert all(abs(a.decomp.harm.values[e]) >= cut - 1e-15 for e in inst.crit_edges)
 
     def test_critical_edges_sit_across_clusters(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal)
+        k = a.filtration.chosen_complex
+        inst = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal)
         assign = cluster_assignment(16, 4)
-        cross = [assign[a.complex.edges[e][0]] != assign[a.complex.edges[e][1]]
+        cross = [assign[k.edges[e][0]] != assign[k.edges[e][1]]
                  for e in inst.crit_edges]
         assert np.mean(cross) > 0.5
 
     def test_incidence_columns_are_the_critical_simplices(self):
         a = self.analysis()
-        inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal)
-        for inc, simplices in ((inst.edge_incidence, a.complex.edges[inst.crit_edges]),
-                               (inst.tri_incidence, a.complex.triangles[inst.crit_triangles])):
+        k = a.filtration.chosen_complex
+        inst = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal)
+        for inc, simplices in ((inst.edge_incidence, k.edges[inst.crit_edges]),
+                               (inst.tri_incidence, k.triangles[inst.crit_triangles])):
             assert inc.dtype == bool and inc.shape == (16, len(simplices))
             for c, simplex in enumerate(simplices):
                 assert np.flatnonzero(inc[:, c]).tolist() == sorted(simplex.tolist())
 
     def test_invalid_percent(self):
         a = self.analysis()
+        k = a.filtration.chosen_complex
         with pytest.raises(ValueError):
-            build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal, p=150.0)
+            build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal, p=150.0)
 
     def test_one_triplet_barrier_per_triangle(self):
         # an array of another length would misindex the triangles silently
         a = self.analysis()
-        barriers, t = a.filtration.triangle_barriers, a.complex.num_triangles
+        k = a.filtration.chosen_complex
+        barriers, t = a.filtration.triangle_barriers, k.num_triangles
         for wrong in (barriers[:-1], np.append(barriers, 1.0), barriers.reshape(1, -1)):
             with pytest.raises(ValueError, match=rf"^need one triplet barrier per triangle "
                                                  rf"\({t}\), got shape \(.*\)$"):
-                build_coverage(a.complex, a.decomp, wrong, a.sal)
+                build_coverage(k, a.decomp, wrong, a.sal)
 
     @pytest.mark.parametrize("weights", [{"lam_e": -1.0}, {"lam_t": -0.5},
                                          {"lam_e": float("nan")}, {"lam_t": float("nan")}])
     def test_invalid_weight(self, weights):
         # a nan weight makes every marginal gain nan, and greedy_select never picks
         a = self.analysis()
+        k = a.filtration.chosen_complex
         with pytest.raises(ValueError, match="non-negative"):
-            build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal, **weights)
+            build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal, **weights)
 
 
 class TestPhi:
@@ -589,10 +597,11 @@ class TestArraysMatchSetOracle:
     def test_phi_bit_for_bit_on_random_sets(self, synth_analyses):
         rng = np.random.default_rng(40)
         for a in synth_analyses.values():
+            k = a.filtration.chosen_complex
             for lam_t in (0.0, 0.5):
-                inst = build_coverage(a.complex, a.decomp, a.filtration.triangle_barriers, a.sal,
+                inst = build_coverage(k, a.decomp, a.filtration.triangle_barriers, a.sal,
                                       lam_t=lam_t)
-                oracle = set_oracle.build_coverage(a.complex, a.decomp,
+                oracle = set_oracle.build_coverage(k, a.decomp,
                                                    set_oracle.triplet_dict(a.table), a.sal,
                                                    lam_t=lam_t)
                 assert sorted(inst.crit_edges.tolist()) == sorted(oracle.crit_edges)
